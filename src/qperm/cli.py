@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__, selftest as selftest_mod
 from .central import AdInvariantSpec, DiscreteMeasure, ad_invariant_value, dims
-from .cohomology import coboundary_space, cocycle_space, h1_representatives
+from .cohomology import _h1_complement, coboundary_space, cocycle_space
 from .config import DEFAULT_CONFIG
 from .errors import BudgetError, QpermError, ValidationError
 from .magic import (
@@ -208,7 +208,7 @@ def _cmd_cohomology(args) -> int:
     if args.format == "csv":
         return _write(_to_csv([["key", "value"]] + [[k, v] for k, v in payload.items()]), args)
     if args.basis:
-        payload["basis"] = h1_representatives(rep, args.rank_threshold).vectors
+        payload["basis"] = _h1_complement(z, b, args.rank_threshold).vectors
     return _write(_to_json(payload), args)
 
 

@@ -157,6 +157,11 @@ def h1_representatives(
     """Orthonormal basis of the orthogonal complement of B_1 inside Z_1."""
     z = cocycle_space(M, rank_threshold)
     b = coboundary_space(M, rank_threshold)
+    return _h1_complement(z, b, rank_threshold)
+
+
+def _h1_complement(z: SubspaceBasis, b: SubspaceBasis, rank_threshold: float) -> SubspaceBasis:
+    """Orthogonal complement of the coboundaries b inside the cocycles z."""
     if z.dim == 0:
         return z
     # express B_1 in Z_1 coordinates and take the kernel of the coefficient map

@@ -15,6 +15,7 @@ Inner products are conjugate-linear in the first slot.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,10 @@ from .words import LinComb, Word, counit
 _EXHAUSTIVE_N = 4
 _EXHAUSTIVE_LEN = 4
 _SAMPLE_WORDS = 10_000
+#: word pairs one traciality check may evaluate; sampled batches are cut to
+#: isqrt of it so that every pair product fits
+_MAX_WORD_PAIRS = 200_000
+_SAMPLE_PAIR_ROWS = math.isqrt(_MAX_WORD_PAIRS)
 
 
 class SchurmannTriple:
@@ -48,12 +53,7 @@ class SchurmannTriple:
         if xs.shape != (n, d):
             raise ValidationError(f"expected cocycle tuple of shape ({n}, {d}), got {xs.shape}")
         scale = 1.0 + float(np.max(np.linalg.norm(xs, axis=1), initial=0.0))
-        worst = 0.0
-        for i in range(n):
-            worst = max(worst, float(np.linalg.norm(rep.blocks[i, i] @ xs[i])))
-            for j in range(n):
-                if i != j:
-                    worst = max(worst, float(np.linalg.norm(rep.blocks[i, j] @ (xs[i] - xs[j]))))
+        worst = cocycle_violation(rep, xs)
         if worst > tol * scale:
             raise ValidationError(
                 f"cocycle conditions violated by {worst:.3e} (tol {tol * scale:.3e})"
@@ -231,10 +231,14 @@ def poisson_value(t: SchurmannTriple, v: np.ndarray, x: LinComb | Word) -> compl
     return complex(np.vdot(v, mat @ v) - counit(x) * np.vdot(v, v))
 
 
+def _exhaustive(n: int, max_len: int) -> bool:
+    return n <= _EXHAUSTIVE_N and max_len <= _EXHAUSTIVE_LEN
+
+
 def _sweep_words(n: int, max_len: int, rng=None) -> list[np.ndarray]:
     """Arrays of reduced words per length; exhaustive at small size, else sampled."""
     out = []
-    if n <= _EXHAUSTIVE_N and max_len <= _EXHAUSTIVE_LEN:
+    if _exhaustive(n, max_len):
         for ln in range(1, max_len + 1):
             ws = _kernel.reduced_words_exact(n, ln)
             out.append(np.array(ws, dtype=np.int64).reshape(len(ws), ln, 2))
@@ -368,12 +372,15 @@ def is_tracial(
         raise ValidationError("max_len must be >= 2 for traciality")
     scale = 1.0 + float(np.max(np.abs(t.letter_L), initial=0.0))
     per_len = _sweep_words(t.n, max_len - 1, rng)
+    if not _exhaustive(t.n, max_len - 1):
+        # sampled rows are independent draws, so a prefix is a smaller sample
+        per_len = [batch[:_SAMPLE_PAIR_ROWS] for batch in per_len]
     worst = 0.0
     for la in range(1, max_len):
         for lb in range(1, max_len - la + 1):
             wa = per_len[la - 1]
             wb = per_len[lb - 1]
-            if wa.shape[0] * wb.shape[0] > 200_000:
+            if wa.shape[0] * wb.shape[0] > _MAX_WORD_PAIRS:
                 raise BudgetError("too many word pairs; lower max_len")
             uv = np.concatenate(
                 [

@@ -99,6 +99,13 @@ class TestVerify:
         assert v["poisson_residual"] < 1e-10
         assert v["symmetry"] > 0.1
 
+    def test_five_cycle_sampled_sweep_fits_pair_budget(self, capsys):
+        code, out, _ = run(capsys, "verify", "--sigma", "(1 2 3 4 5)", "--rates", "1",
+                           "--max-word-len", "2")
+        assert code == 0
+        assert '"tracial":true' in out
+        assert json.loads(out)["tracial"] is True
+
     def test_zero_triple_file(self, capsys, tmp_path):
         rep = from_hadamard(fourier(4))
         path = triple_file(tmp_path, rep, np.zeros((4, 4)))

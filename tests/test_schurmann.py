@@ -268,6 +268,11 @@ class TestTracial:
     def test_permutation_multiplicity_one_is_tracial(self):
         assert is_tracial(cycle_triple(3), max_len=4)
 
+    def test_sampled_sweep_fits_pair_budget(self):
+        # n = 5 is past the exhaustive range; each sampled length is cut so
+        # that every pair of lengths stays within the pair budget
+        assert is_tracial(cycle_triple(5), max_len=4)
+
     def test_counterexample_is_not_tracial(self):
         spec, xi, zeta = counterexample_data()
         t = two_block_triple(spec, xi, zeta)
