@@ -77,28 +77,36 @@ def stack_tuple(xs) -> np.ndarray:
     return np.concatenate([np.asarray(x, dtype=complex).ravel() for x in xs])
 
 
-def _rank(s: np.ndarray, rank_threshold: float) -> int:
+def _svd(C: np.ndarray, rank_threshold: float, left: bool = False) -> tuple[int, np.ndarray]:
+    """Numerical rank of C and one SVD factor, with no m x m factor for a tall C.
+
+    With left=False the factor is the full N x N right factor vh, so that
+    vh[rank:] spans ker C also for a wide C.  A tall C is first reduced to
+    its N x N triangular factor R of C = QR, which has the singular values
+    and the right factor of C (Chan, ACM TOMS 8, 1982); memory stays
+    O(m N).  With left=True the factor is the thin m x min(m, N) left
+    factor u, whose first rank columns span the range of C.
+    """
+    if not (math.isfinite(rank_threshold) and rank_threshold > 0):
+        raise ValidationError(f"rank threshold must be positive and finite, got {rank_threshold!r}")
+    m, N = C.shape
+    if min(m, N) == 0:
+        return 0, np.zeros((m, 0), dtype=complex) if left else np.eye(N, dtype=complex)
+    if left:
+        factor, s, _ = np.linalg.svd(C, full_matrices=False)
+    else:
+        if m > N:
+            C = np.linalg.qr(C, mode="r")
+        _, s, factor = np.linalg.svd(C)
     # matrices here are built from projection blocks, so their natural scale
     # is O(1); the max(1, s[0]) floor keeps a numerically-zero matrix at rank 0
-    if s.size == 0:
-        return 0
-    return int(np.sum(s > rank_threshold * max(1.0, float(s[0]))))
+    return int(np.sum(s > rank_threshold * max(1.0, float(s[0])))), factor
 
 
 def _nullspace(C: np.ndarray, rank_threshold: float) -> np.ndarray:
-    """Orthonormal rows spanning ker C (SVD based)."""
-    if C.shape[0] == 0:
-        return np.eye(C.shape[1], dtype=complex)
-    _, s, vh = np.linalg.svd(C)
-    return vh[_rank(s, rank_threshold) :].conj()
-
-
-def _colspace(C: np.ndarray, rank_threshold: float) -> np.ndarray:
-    """Orthonormal rows spanning the column space of C."""
-    if C.shape[1] == 0:
-        return np.zeros((0, C.shape[0]), dtype=complex)
-    u, s, _ = np.linalg.svd(C, full_matrices=False)
-    return u[:, : _rank(s, rank_threshold)].T
+    """Orthonormal rows spanning ker C."""
+    rank, vh = _svd(C, rank_threshold)
+    return vh[rank:].conj()
 
 
 def cocycle_constraint_matrix(M: MagicUnitary) -> np.ndarray:
@@ -141,7 +149,8 @@ def coboundary_space(
     M: MagicUnitary, rank_threshold: float = DEFAULT_CONFIG.rank_threshold
 ) -> SubspaceBasis:
     """Orthonormal basis of the coboundary tuples ((P_ii - I) v)_i."""
-    return SubspaceBasis(_colspace(coboundary_map(M), rank_threshold))
+    rank, u = _svd(coboundary_map(M), rank_threshold, left=True)
+    return SubspaceBasis(u[:, :rank].T)
 
 
 def h1_dim(M: MagicUnitary, rank_threshold: float = DEFAULT_CONFIG.rank_threshold) -> int:
@@ -245,5 +254,4 @@ def projection_meet(
 
 
 def projection_rank(P: np.ndarray, rank_threshold: float = DEFAULT_CONFIG.rank_threshold) -> int:
-    s = np.linalg.svd(np.asarray(P, dtype=complex), compute_uv=False)
-    return _rank(s, rank_threshold)
+    return _svd(np.asarray(P, dtype=complex), rank_threshold)[0]

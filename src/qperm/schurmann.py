@@ -236,21 +236,31 @@ def _exhaustive(n: int, max_len: int) -> bool:
 
 
 def _sweep_words(n: int, max_len: int, rng=None) -> list[np.ndarray]:
-    """Arrays of reduced words per length; exhaustive at small size, else sampled."""
-    out = []
-    if _exhaustive(n, max_len):
-        for ln in range(1, max_len + 1):
-            ws = _kernel.reduced_words_exact(n, ln)
-            out.append(np.array(ws, dtype=np.int64).reshape(len(ws), ln, 2))
-        return out
-    if rng is None:
-        rng = np.random.default_rng(DEFAULT_CONFIG.seed)
+    """Arrays of reduced words per length; exhaustive at small size, else sampled.
+
+    In the sampled regime the shortest lengths are still enumerated in full
+    while their running count fits in _SAMPLE_WORDS; the rest of the quota is
+    split across the longer lengths by count and drawn with replacement.
+    """
     counts = np.array([n * n * ((n - 1) ** (2 * (ln - 1))) for ln in range(1, max_len + 1)], float)
     if counts.sum() > 10 ** 9:
         raise BudgetError("reduced-word sweep out of range")
-    quota = np.maximum(1, np.round(_SAMPLE_WORDS * counts / counts.sum()).astype(int))
-    for ln in range(1, max_len + 1):
-        m = int(quota[ln - 1])
+    if _exhaustive(n, max_len):
+        full = max_len
+    else:
+        full = int(np.searchsorted(np.cumsum(counts), _SAMPLE_WORDS, side="right"))
+    out = []
+    for ln in range(1, full + 1):
+        ws = _kernel.reduced_words_exact(n, ln)
+        out.append(np.array(ws, dtype=np.int64).reshape(len(ws), ln, 2))
+    if full == max_len:
+        return out
+    if rng is None:
+        rng = np.random.default_rng(DEFAULT_CONFIG.seed)
+    rest = counts[full:]
+    left = _SAMPLE_WORDS - counts[:full].sum()
+    quota = np.maximum(1, np.round(left * rest / rest.sum()).astype(int))
+    for ln, m in enumerate(quota.tolist(), start=full + 1):
         rows = np.empty((m, ln), dtype=np.int64)
         cols = np.empty((m, ln), dtype=np.int64)
         rows[:, 0] = rng.integers(1, n + 1, size=m)
@@ -371,10 +381,16 @@ def is_tracial(
     if max_len < 2:
         raise ValidationError("max_len must be >= 2 for traciality")
     scale = 1.0 + float(np.max(np.abs(t.letter_L), initial=0.0))
+    if rng is None:
+        rng = np.random.default_rng(DEFAULT_CONFIG.seed)
     per_len = _sweep_words(t.n, max_len - 1, rng)
     if not _exhaustive(t.n, max_len - 1):
-        # sampled rows are independent draws, so a prefix is a smaller sample
-        per_len = [batch[:_SAMPLE_PAIR_ROWS] for batch in per_len]
+        # enumerated batches are sorted, so cut to a random subset, not a prefix
+        per_len = [
+            batch if batch.shape[0] <= _SAMPLE_PAIR_ROWS
+            else batch[rng.choice(batch.shape[0], _SAMPLE_PAIR_ROWS, replace=False)]
+            for batch in per_len
+        ]
     worst = 0.0
     for la in range(1, max_len):
         for lb in range(1, max_len - la + 1):
@@ -395,8 +411,6 @@ def is_tracial(
     if worst > tol * scale:
         return False
     # necessary condition via the GNS anti-unitary: |eta(a)| = |eta(a*)|
-    if rng is None:
-        rng = np.random.default_rng(DEFAULT_CONFIG.seed)
     for batch in _sweep_words(t.n, max_len, rng):
         take = batch if batch.shape[0] <= 64 else batch[rng.choice(batch.shape[0], 64, replace=False)]
         for letters in take:

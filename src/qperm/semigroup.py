@@ -21,7 +21,7 @@ import scipy.linalg
 
 from . import _kernel
 from .config import DEFAULT_CONFIG
-from .errors import ValidationError
+from .errors import BudgetError, ValidationError
 from .schurmann import SchurmannTriple, gen_functional
 from .words import LinComb, Word, coproduct_terms, counit
 
@@ -66,16 +66,25 @@ def _transfer(t: SchurmannTriple, letters, term_budget: int | None):
     For each reduced word s in the closure, table[s] is a dict
     {right_leg: sum of mult * L(left_leg)}, so that
     L^{*k}(s) = sum_v table[s][v] * L^{*(k-1)}(v).
+
+    Every row built in this call is charged its n^|s| raw chains against
+    term_budget (rows already cached are free), and BudgetError is raised
+    before the coproduct of the row that would exceed it.
     """
     cache = _transfer_cache.setdefault(t, {})
     root = _kernel.reduce_letters(letters)
     if root is None:
         return None, {}
+    budget = DEFAULT_CONFIG.term_budget if term_budget is None else int(term_budget)
+    charged = 0
     todo = [root]
     while todo:
         s = todo.pop()
         if s in cache:
             continue
+        charged += t.n ** len(s)
+        if charged > budget:
+            raise BudgetError(f"transfer closure needs more than {budget} raw terms")
         pairs = coproduct_terms(Word(s, t.n), 2, term_budget)
         row: dict = {}
         for (left, right), mult in pairs.items():

@@ -71,6 +71,13 @@ class TestCohomology:
         assert code == 1
         assert "error" in err
 
+    @pytest.mark.parametrize("bad", ["0", "-1e-8", "nan", "inf"])
+    def test_bad_rank_threshold_is_exit_1(self, capsys, bad):
+        code, out, err = run(capsys, "cohomology", "--fourier", "6", f"--rank-threshold={bad}")
+        assert code == 1
+        assert out == ""
+        assert "rank threshold" in err
+
     def test_missing_representation_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["cohomology"])

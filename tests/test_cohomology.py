@@ -1,10 +1,14 @@
 """First cohomology of magic-unitary representations and projection lattices."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from qperm.cohomology import (
     SubspaceBasis,
+    _svd,
     coboundary_map,
     coboundary_space,
     cocycle_constraint_matrix,
@@ -80,6 +84,10 @@ class TestFourier:
         assert cocycle_space(M).dim == 4
         assert coboundary_space(M).dim == 3
         assert h1_dim(M) == 1
+
+    @pytest.mark.parametrize("n", [12, 16])
+    def test_large_sizes_match_formula(self, n):
+        assert h1_dim(from_hadamard(fourier(n))) == fourier_h1_formula(n)
 
     def test_f4_special_angle_jump(self):
         assert h1_dim(from_hadamard(f4_phi(0.4))) == 1
@@ -192,3 +200,77 @@ class TestProjectionMeet:
             Qr = random_projection(rng, 4, int(rng.integers(1, 4)))
             rank = projection_rank(projection_meet(np.eye(4) - Pr, np.eye(4) - Qr))
             assert h1_dim(two_block(TwoBlockSpec(Pr, Qr))) == rank
+
+
+def low_rank(rng, m, N, rank, scale):
+    A = rng.normal(size=(m, rank)) + 1j * rng.normal(size=(m, rank))
+    B = rng.normal(size=(rank, N)) + 1j * rng.normal(size=(rank, N))
+    return scale * (A @ B) / math.sqrt(m * N)
+
+
+class TestSvdHelper:
+    THRESHOLD = 1e-8
+
+    def oracle_rank(self, C):
+        # independent of the helper: numpy's rank at the same scaled tolerance
+        top = float(np.linalg.norm(C, 2)) if C.size else 0.0
+        return int(np.linalg.matrix_rank(C, tol=self.THRESHOLD * max(1.0, top))) if C.size else 0
+
+    @pytest.mark.parametrize(
+        "m,N,rank",
+        [(40, 7, 4), (300, 12, 9), (7, 40, 5), (3, 9, 3), (10, 10, 6), (12, 12, 12), (6, 6, 0)],
+    )
+    @pytest.mark.parametrize("scale", [0.3, 5.0])
+    def test_kernel_against_full_svd(self, rng, m, N, rank, scale):
+        C = low_rank(rng, m, N, rank, scale)
+        r, vh = _svd(C, self.THRESHOLD)
+        assert r == self.oracle_rank(C) == rank
+        K = vh[r:].conj()
+        assert K.shape == (N - rank, N)
+        assert np.max(np.abs(K @ K.conj().T - np.eye(N - rank)), initial=0.0) < 1e-10
+        assert np.max(np.abs(C @ K.T), initial=0.0) < 1e-10
+        _, _, full_vh = np.linalg.svd(C, full_matrices=True)
+        ref = full_vh[rank:].conj().T @ full_vh[rank:]
+        assert np.max(np.abs(K.T @ K.conj() - ref)) < 1e-10
+
+    @pytest.mark.parametrize("m,N,rank", [(40, 7, 4), (7, 40, 5), (10, 10, 6)])
+    def test_left_factor_spans_range(self, rng, m, N, rank):
+        C = low_rank(rng, m, N, rank, 2.0)
+        r, u = _svd(C, self.THRESHOLD, left=True)
+        assert r == rank
+        assert u.shape == (m, min(m, N))
+        full_u = np.linalg.svd(C, full_matrices=True)[0][:, :rank]
+        ref = full_u @ full_u.conj().T
+        assert np.max(np.abs(u[:, :r] @ u[:, :r].conj().T - ref)) < 1e-10
+
+    @pytest.mark.parametrize("m,N", [(0, 5), (5, 0), (0, 0)])
+    def test_empty_matrices(self, m, N):
+        C = np.zeros((m, N), dtype=complex)
+        r, vh = _svd(C, self.THRESHOLD)
+        assert r == 0
+        assert np.array_equal(vh, np.eye(N))
+        r, u = _svd(C, self.THRESHOLD, left=True)
+        assert r == 0 and u.shape == (m, 0)
+
+    def test_zero_matrix_has_rank_zero(self):
+        r, vh = _svd(np.zeros((9, 4), dtype=complex), self.THRESHOLD)
+        assert r == 0 and vh.shape == (4, 4)
+
+    @pytest.mark.parametrize("bad", [0.0, -1e-8, float("nan"), float("inf")])
+    def test_rejects_bad_threshold(self, bad):
+        with pytest.raises(ValidationError):
+            cocycle_space(from_hadamard(fourier(4)), bad)
+        with pytest.raises(ValidationError):
+            projection_rank(np.eye(2), bad)
+
+    def test_gaussian_subspace_memory(self):
+        # the constraint matrix is 4608 x 64; a full SVD's U alone is 340 MB
+        M = from_hadamard(fourier(8))
+        tracemalloc.start()
+        try:
+            dim = gaussian_subspace(M).dim
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert dim == 0
+        assert peak < 64 * 2 ** 20

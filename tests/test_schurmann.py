@@ -1,5 +1,7 @@
 """Triples (rho, eta, L): evaluation identities, Poisson certificates, symmetry."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,9 @@ from qperm.cohomology import h1_representatives
 from qperm.errors import ValidationError
 from qperm.magic import TwoBlockSpec, fourier, from_hadamard, from_permutation
 from qperm.schurmann import (
+    _SAMPLE_WORDS,
     SchurmannTriple,
+    _sweep_words,
     cocycle_violation,
     eta,
     fourier_symmetry,
@@ -264,6 +268,27 @@ class TestSymmetry:
         assert abs(ev(w) - want) < 1e-14
 
 
+class TestSweepWords:
+    def test_short_lengths_enumerated_in_sampled_regime(self):
+        batches = _sweep_words(5, 4)
+        assert [b.shape[1] for b in batches] == [1, 2, 3, 4]
+        letters = list(itertools.product(range(1, 6), repeat=2))
+        for ln in (1, 2, 3):
+            # brute force: adjacent letters differ in both row and column
+            want = [
+                w for w in itertools.product(letters, repeat=ln)
+                if all(a[0] != b[0] and a[1] != b[1] for a, b in zip(w, w[1:]))
+            ]
+            got = sorted(tuple(map(tuple, w)) for w in batches[ln - 1].tolist())
+            assert got == want
+        assert sum(b.shape[0] for b in batches) == _SAMPLE_WORDS
+
+    def test_sampled_words_are_reduced(self):
+        for batch in _sweep_words(4, 6):
+            rows, cols = batch[..., 0], batch[..., 1]
+            assert np.all(rows[:, 1:] != rows[:, :-1]) and np.all(cols[:, 1:] != cols[:, :-1])
+
+
 class TestTracial:
     def test_permutation_multiplicity_one_is_tracial(self):
         assert is_tracial(cycle_triple(3), max_len=4)
@@ -272,6 +297,10 @@ class TestTracial:
         # n = 5 is past the exhaustive range; each sampled length is cut so
         # that every pair of lengths stays within the pair budget
         assert is_tracial(cycle_triple(5), max_len=4)
+
+    def test_sampled_sweep_fits_pair_budget_at_n6(self):
+        # lengths 1-2 at n = 6 are enumerated (936 words) and cut at random
+        assert is_tracial(cycle_triple(6), max_len=4)
 
     def test_counterexample_is_not_tracial(self):
         spec, xi, zeta = counterexample_data()

@@ -243,6 +243,14 @@ class TestConvExp:
         with pytest.raises(BudgetError):
             conv_exp(t, 1.0, w, term_budget=10)
 
+    def test_closure_budget_enforced(self, rng):
+        # each coproduct needs 4^5 raw terms, within budget; the 324-row
+        # closure together needs far more
+        t = fourier_triple(4, rng)
+        w = parse_word("p(1,2) p(2,3) p(3,4) p(4,1) p(1,3)", 4)
+        with pytest.raises(BudgetError):
+            conv_exp(t, 1.0, w, term_budget=50_000)
+
     def test_state_table_at_zero(self, rng):
         t = fourier_triple(3, rng)
         words = reduced_words(3, 2)
