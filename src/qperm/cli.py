@@ -259,7 +259,7 @@ def _cmd_semigroup(args) -> int:
     words = []
     for text in args.word or []:
         w = parse_word(text, t.n)
-        vals = [conv_exp(t, tt, w, args.order) for tt in times]
+        vals = [conv_exp(t, tt, w) for tt in times]
         words.append(
             {
                 "word": format_word(w),
@@ -413,10 +413,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_args(sp)
     sp.set_defaults(func=_cmd_verify)
 
-    sp = sub.add_parser("semigroup", help="Q-matrix, marginal semigroup, word series")
+    sp = sub.add_parser("semigroup", help="Q-matrix, marginal semigroup, word states")
     _add_triple_args(sp)
     sp.add_argument("--time", default="1.0", metavar="LIST", help="comma-separated times")
-    sp.add_argument("--order", type=int, default=DEFAULT_CONFIG.series_order)
     sp.add_argument("--word", action="append", metavar="TEXT", help="word like \"p(1,2) p(2,1)\"; repeatable")
     _add_output_args(sp)
     sp.set_defaults(func=_cmd_semigroup)

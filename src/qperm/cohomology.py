@@ -87,8 +87,9 @@ def _svd(C: np.ndarray, rank_threshold: float, left: bool = False) -> tuple[int,
     O(m N).  With left=True the factor is the thin m x min(m, N) left
     factor u, whose first rank columns span the range of C.
     """
-    if not (math.isfinite(rank_threshold) and rank_threshold > 0):
-        raise ValidationError(f"rank threshold must be positive and finite, got {rank_threshold!r}")
+    # a threshold of 1 or more would make every rank 0; nan fails both tests
+    if not 0 < rank_threshold < 1:
+        raise ValidationError(f"rank threshold must lie in (0, 1), got {rank_threshold!r}")
     m, N = C.shape
     if min(m, N) == 0:
         return 0, np.zeros((m, 0), dtype=complex) if left else np.eye(N, dtype=complex)

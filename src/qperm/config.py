@@ -19,7 +19,6 @@ class RunConfig:
     tol             projection / magic-unitary / functional tolerance
     rank_threshold  singular values below rank_threshold * s_max count as zero
     max_word_len    default word length cap for symmetry / traciality sweeps
-    series_order    truncation order of the convolution exponential
     seed            root seed for all sampling
     term_budget     cap on raw scalar terms in coproduct expansions
     """
@@ -27,15 +26,16 @@ class RunConfig:
     tol: float = 1e-9
     rank_threshold: float = 1e-8
     max_word_len: int = 4
-    series_order: int = 25
     seed: int = 0
     term_budget: int = 10_000_000
 
     def __post_init__(self):
-        if self.tol <= 0 or self.rank_threshold <= 0:
+        if self.tol <= 0:
             raise ValueError("tolerances must be positive")
-        if self.max_word_len < 1 or self.series_order < 0:
-            raise ValueError("word length / series order out of range")
+        if not 0 < self.rank_threshold < 1:  # also rejects nan
+            raise ValueError("rank threshold must lie strictly between 0 and 1")
+        if self.max_word_len < 1:
+            raise ValueError("word length out of range")
         if self.term_budget < 1:
             raise ValueError("term budget must be positive")
 

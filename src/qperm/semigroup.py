@@ -1,31 +1,34 @@
 """Convolution semigroups of states and the Markov semigroup on coefficients.
 
-Two evaluation routes for omega_t = exp_*(t L):
+omega_t = exp_*(t L) is evaluated on the k-th tensor power U = u^{(x)k} of
+the fundamental corepresentation, with entries U_{I,J} = p(i_1,j_1) ...
+p(i_k,j_k).  The coproduct is multiplicative, Delta(U_{I,J}) =
+sum_M U_{I,M} (x) U_{M,J}, so convolution on these entries is matrix
+multiplication and omega_t(U) = exp(t L(U)) as a matrix.  U_{I,J} vanishes
+unless i_m = i_{m+1} exactly when j_m = j_{m+1}, so L(U) is block diagonal by
+that equality pattern, and every reduced k-letter word lies in the block of
+index sequences with no two adjacent entries equal: m = n (n-1)^(k-1) of
+them.  k = 1 is the fundamental semigroup exp(t A).
 
-* a matrix-exponential fast path on the fundamental coefficients, where
-  convolution of functionals is plain matrix multiplication, and
-* a truncated convolution-exponential series on arbitrary words, with the
-  convolution powers L^{*k} computed through the iterated coproduct.
-
-Also provides the Haar-state Gram matrix on the degree <= 2 span and the
-induced self-adjointness check for the Markov generator.
+Also provides convolution of functionals, the Haar-state Gram matrix on the
+degree <= 2 span and the induced self-adjointness check for the Markov
+generator.
 """
 
 from __future__ import annotations
 
 import math
-from weakref import WeakKeyDictionary
 
 import numpy as np
-import scipy.linalg
 
 from . import _kernel
 from .config import DEFAULT_CONFIG
 from .errors import BudgetError, ValidationError
-from .schurmann import SchurmannTriple, gen_functional
-from .words import LinComb, Word, coproduct_terms, counit
+from .schurmann import SchurmannTriple, gen_functional_batch
+from .words import Word, coproduct_terms
 
-_transfer_cache: "WeakKeyDictionary[SchurmannTriple, dict]" = WeakKeyDictionary()
+#: unit roundoff of float64
+_UNIT_ROUNDOFF = float(np.finfo(float).eps) / 2
 
 
 def generator_matrix(t: SchurmannTriple, tol: float = DEFAULT_CONFIG.tol) -> np.ndarray:
@@ -45,6 +48,8 @@ def generator_matrix(t: SchurmannTriple, tol: float = DEFAULT_CONFIG.tol) -> np.
 
 def fundamental_semigroup(t: SchurmannTriple, time: float) -> np.ndarray:
     """exp(time * A) on the fundamental coefficients; a stochastic matrix."""
+    import scipy.linalg
+
     if time < 0:
         raise ValidationError("time must be >= 0")
     return scipy.linalg.expm(time * generator_matrix(t))
@@ -60,99 +65,91 @@ def convolve(f, g, w: Word, term_budget: int | None = None) -> complex:
     return total
 
 
-def _transfer(t: SchurmannTriple, letters, term_budget: int | None):
-    """Closure of reduced right coproduct legs with the transfer coefficients.
+def _radix(n: int, k: int) -> tuple[int, ...]:
+    # first index in base n, then each step's offset in base n - 1
+    return (n,) + (n - 1,) * (k - 1)
 
-    For each reduced word s in the closure, table[s] is a dict
-    {right_leg: sum of mult * L(left_leg)}, so that
-    L^{*k}(s) = sum_v table[s][v] * L^{*(k-1)}(v).
 
-    Every row built in this call is charged its n^|s| raw chains against
-    term_budget (rows already cached are free), and BudgetError is raised
-    before the coproduct of the row that would exceed it.
+def _block_indices(n: int, k: int) -> np.ndarray:
+    """The 1-based index sequences of length k with no two adjacent entries equal.
+
+    Row r is the mixed-radix number r: its first digit is the first index,
+    each later digit d moves the index on by d + 1 (mod n).
     """
-    cache = _transfer_cache.setdefault(t, {})
-    root = _kernel.reduce_letters(letters)
-    if root is None:
-        return None, {}
+    radix = _radix(n, k)
+    digits = np.array(np.unravel_index(np.arange(math.prod(radix)), radix)).T
+    digits[:, 1:] += 1
+    return np.cumsum(digits, axis=1) % n + 1
+
+
+def _position(seq, n: int) -> int:
+    """Row of a 1-based index sequence in _block_indices(n, len(seq))."""
+    digits = [seq[0] - 1] + [(b - a) % n - 1 for a, b in zip(seq, seq[1:])]
+    return int(np.ravel_multi_index(digits, _radix(n, len(seq))))
+
+
+def _block_exp(t: SchurmannTriple, time: float, k: int, term_budget: int | None):
+    """exp(time L_B) on the block of reduced k-letter words, and its error scale.
+
+    L_B[I, J] = L(p(i_1,j_1) ... p(i_k,j_k)) over all m^2 pairs of block
+    indices, evaluated in one batch.  The k m^2 letters of that batch are
+    charged against term_budget before anything is allocated.
+    """
+    import scipy.linalg
+
+    n = t.n
+    m = math.prod(_radix(n, k))
     budget = DEFAULT_CONFIG.term_budget if term_budget is None else int(term_budget)
-    charged = 0
-    todo = [root]
-    while todo:
-        s = todo.pop()
-        if s in cache:
+    if k * m * m > budget:
+        raise BudgetError(f"the {k}-letter block needs {k * m * m} letters, budget {budget}")
+    seqs = _block_indices(n, k)
+    letters = np.empty((m, m, k, 2), dtype=np.int64)
+    letters[..., 0] = seqs[:, None, :]
+    letters[..., 1] = seqs[None, :, :]
+    X = time * gen_functional_batch(t, letters.reshape(m * m, k, 2)).reshape(m, m)
+    if not X.imag.any():
+        X = X.real
+    return scipy.linalg.expm(X), _UNIT_ROUNDOFF * float(np.linalg.norm(X, 1))
+
+
+def _evaluate(t: SchurmannTriple, time: float, words, term_budget: int | None) -> dict:
+    """{word: (value, err)}, taking one block exponential per reduced word length."""
+    if time < 0:
+        raise ValidationError("time must be >= 0")
+    blocks: dict = {}
+    out = {}
+    for w in words:
+        if w.n != t.n:
+            raise ValidationError("ambient size mismatch")
+        root = _kernel.reduce_letters(w.letters)
+        if not root:  # the zero word (None) or the unit word (())
+            out[w] = (0j if root is None else 1 + 0j, 0.0)
             continue
-        charged += t.n ** len(s)
-        if charged > budget:
-            raise BudgetError(f"transfer closure needs more than {budget} raw terms")
-        pairs = coproduct_terms(Word(s, t.n), 2, term_budget)
-        row: dict = {}
-        for (left, right), mult in pairs.items():
-            lv = complex(gen_functional(t, Word(left, t.n)))
-            if lv != 0j:
-                row[right] = row.get(right, 0j) + mult * lv
-        cache[s] = row
-        todo.extend(v for v in row if v not in cache)
-    # collect the closure reachable from root
-    table = {}
-    stack = [root]
-    while stack:
-        s = stack.pop()
-        if s in table:
-            continue
-        table[s] = cache[s]
-        stack.extend(v for v in cache[s] if v not in table)
-    return root, table
+        if len(root) not in blocks:
+            blocks[len(root)] = _block_exp(t, time, len(root), term_budget)
+        E, err = blocks[len(root)]
+        rows, cols = zip(*root)
+        out[w] = (complex(E[_position(rows, t.n), _position(cols, t.n)]), err)
+    return out
 
 
 def conv_exp(
-    t: SchurmannTriple,
-    time: float,
-    w: Word,
-    order: int | None = None,
-    early_exit: float = 1e-14,
-    term_budget: int | None = None,
+    t: SchurmannTriple, time: float, w: Word, term_budget: int | None = None
 ) -> tuple[complex, float]:
-    """Truncated exp_*(t L)(w) = sum_k t^k/k! L^{*k}(w).
+    """omega_t(w) = exp_*(time L)(w), from one exponential of the word's block.
 
-    Returns (value, magnitude of the last retained term); the magnitude is a
-    heuristic error indicator, not a rigorous bound.
+    Returns (value, err).  err = u ||time L_B||_1, with u the unit roundoff
+    and L_B the block of w, is the scale of the rounding error of the
+    exponential, not a rigorous bound; it is 0.0 for the zero and unit words.
     """
-    if time < 0:
-        raise ValidationError("time must be >= 0")
-    if order is None:
-        order = DEFAULT_CONFIG.series_order
-    root, table = _transfer(t, w.letters, term_budget)
-    if root is None:
-        return 0j, 0.0
-    eps_vec = {s: counit(Word(s, t.n)) for s in table}
-    value = complex(eps_vec[root])  # k = 0 term
-    last = abs(value)
-    vals = eps_vec
-    for k in range(1, order + 1):
-        vals = {
-            s: sum((c * vals[v] for v, c in row.items()), 0j) for s, row in table.items()
-        }
-        weight = (time ** k) / math.factorial(k)
-        term = weight * vals[root]
-        value += term
-        last = abs(term)
-        # the root term alone can vanish at one order and return at the next,
-        # so gate the exit on every word the recursion can still reach
-        if weight * max(abs(v) for v in vals.values()) < early_exit:
-            break
-    return value, last
+    return _evaluate(t, time, [w], term_budget)[w]
 
 
 def state_table(
-    t: SchurmannTriple,
-    time: float,
-    words,
-    order: int | None = None,
-    term_budget: int | None = None,
+    t: SchurmannTriple, time: float, words, term_budget: int | None = None
 ) -> dict[Word, complex]:
-    """omega_t evaluated on an iterable of words."""
-    return {w: conv_exp(t, time, w, order, term_budget=term_budget)[0] for w in words}
+    """omega_t evaluated on an iterable of words, one exponential per word length."""
+    return {w: val for w, (val, _) in _evaluate(t, time, words, term_budget).items()}
 
 
 # --- degree <= 2 Haar data ----------------------------------------------------

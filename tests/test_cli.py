@@ -78,6 +78,14 @@ class TestCohomology:
         assert out == ""
         assert "rank threshold" in err
 
+    @pytest.mark.parametrize("big", ["1", "2"])
+    def test_rank_threshold_of_one_or_more_is_exit_1(self, capsys, big):
+        # such a threshold makes every rank 0: the answer would be zdim = 36
+        code, out, err = run(capsys, "cohomology", "--fourier", "6", f"--rank-threshold={big}")
+        assert code == 1
+        assert out == ""
+        assert "rank threshold" in err
+
     def test_missing_representation_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["cohomology"])

@@ -263,6 +263,13 @@ class TestSvdHelper:
         with pytest.raises(ValidationError):
             projection_rank(np.eye(2), bad)
 
+    @pytest.mark.parametrize("big", [1.0, 2.0])
+    def test_rejects_threshold_of_one_or_more(self, big):
+        with pytest.raises(ValidationError):
+            _svd(np.eye(3, dtype=complex), big)
+        with pytest.raises(ValidationError):
+            h1_dim(from_hadamard(fourier(6)), big)
+
     def test_gaussian_subspace_memory(self):
         # the constraint matrix is 4608 x 64; a full SVD's U alone is 340 MB
         M = from_hadamard(fourier(8))

@@ -1,15 +1,24 @@
-"""Convolution semigroups: generator matrix, two evaluation routes, Haar data."""
+"""Convolution semigroups: generator matrix, block engine vs series oracle, Haar data."""
 
+import gc
 import itertools
 import math
+import os
+import subprocess
+import sys
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+import qperm
 from qperm.errors import BudgetError, ValidationError
 from qperm.magic import TwoBlockSpec, fourier, from_hadamard, from_permutation
 from qperm.schurmann import SchurmannTriple, gen_functional, random_cocycle, two_block_triple
+from qperm.selftest import _series_oracle, random_reduced_word
+from qperm.stochsim import PermProcessSpec, process_triple
 from qperm.semigroup import (
     conv_exp,
     convolve,
@@ -163,7 +172,7 @@ class TestConvExp:
         assert abs(np.linalg.matrix_power(A, 3)[0, 0]) < 1e-14
         for time in (0.1, 1.0):
             T = fundamental_semigroup(t, time)
-            val, _ = conv_exp(t, time, parse_word("p(1,1)", 4), order=40)
+            val, _ = conv_exp(t, time, parse_word("p(1,1)", 4))
             assert abs(val - T[0, 0]) < 1e-10
 
     def test_unit_word(self, rng):
@@ -186,7 +195,7 @@ class TestConvExp:
         w = parse_word("p(1,1) p(3,3)", 4)
         vals = []
         for time in np.linspace(0.0, 1.0, 9):
-            val, last = conv_exp(t, float(time), w, order=60)
+            val, last = conv_exp(t, float(time), w)
             assert last < 1e-9
             assert abs(val.imag) < 1e-9
             assert -1e-9 <= val.real <= 1.0 + 1e-9
@@ -218,7 +227,7 @@ class TestConvExp:
                     + np.exp(-2.0 * time * nz)
                     + np.exp(time * psi_uv)
                 )
-                val, last = conv_exp(t, time, w, order=60)
+                val, last = conv_exp(t, time, w)
                 assert last < 1e-10
                 assert abs(val - want) < 1e-9
 
@@ -251,12 +260,99 @@ class TestConvExp:
         with pytest.raises(BudgetError):
             conv_exp(t, 1.0, w, term_budget=50_000)
 
+    def test_seven_letter_block_exceeds_default_budget(self, rng):
+        # 7 * (4 * 3^6)^2 = 59.5M letters; the charge comes before any allocation
+        t = fourier_triple(4, rng)
+        w = parse_word("p(1,2) p(2,3) p(3,4) p(4,1) p(1,3) p(2,4) p(3,1)", 4)
+        with pytest.raises(BudgetError):
+            conv_exp(t, 1.0, w)
+
+    def test_size_mismatch_rejected(self, rng):
+        with pytest.raises(ValidationError):
+            conv_exp(fourier_triple(3, rng), 0.5, parse_word("p(1,2)", 4))
+
+    def test_two_cycle_classical_example(self):
+        # sigma = (1 2 3 4)(5 6), rates (1, 0.7): the order-25 series was off
+        # by 3.7e-6 here; the order-40 series gives 0.1566661436
+        t = process_triple(PermProcessSpec((2, 3, 4, 1, 6, 5), [1.0, 0.7]))
+        val, err = conv_exp(t, 0.8, parse_word("p(1,2) p(5,6) p(2,3)", 6))
+        assert abs(val - 0.15666614358539) < 1e-12
+        assert err < 1e-14
+
+    def test_no_hidden_cache(self, rng):
+        t = fourier_triple(4, rng)
+        conv_exp(t, 0.5, parse_word("p(1,2) p(2,3) p(3,1)", 4))
+        state_table(t, 0.5, reduced_words(4, 2))
+        ref = weakref.ref(t)
+        del t
+        gc.collect()
+        assert ref() is None
+
     def test_state_table_at_zero(self, rng):
         t = fourier_triple(3, rng)
         words = reduced_words(3, 2)
         table = state_table(t, 0.0, words)
         for w in words:
             assert abs(table[w] - counit(w)) < 1e-14
+
+
+class TestBlockEngine:
+    """conv_exp against the truncated series over the coproduct closure."""
+
+    TIMES = (0.3, 1.0)
+
+    def assert_matches_oracle(self, t, w):
+        want = _series_oracle(t, w, self.TIMES, order=25, tol=1e-13)
+        for time, ref in zip(self.TIMES, want):
+            val, err = conv_exp(t, time, w)
+            assert abs(val - ref) < 1e-11, (w.letters, time, val, ref)
+            assert err < 1e-12
+
+    @pytest.mark.parametrize("length", [2, 3, 4])
+    def test_fourier(self, rng, length):
+        t = fourier_triple(4, rng)
+        self.assert_matches_oracle(t, random_reduced_word(rng, 4, length, length))
+
+    @pytest.mark.parametrize("length", [2, 3, 4])
+    def test_permutation(self, rng, length):
+        rep = from_permutation((2, 3, 1, 4), 2)
+        t = SchurmannTriple(rep, random_cocycle(rep, rng))
+        self.assert_matches_oracle(t, random_reduced_word(rng, 4, length, length))
+
+    @pytest.mark.parametrize("length", [2, 3, 4])
+    def test_two_block(self, rng, length):
+        spec, xi, zeta = two_block_instance(rng)
+        t = two_block_triple(spec, xi, zeta)
+        self.assert_matches_oracle(t, random_reduced_word(rng, 4, length, length))
+
+    def test_five_letters(self, rng):
+        # n = 3 keeps the oracle's closure at 48 rows; at n = 4 it has 324
+        # rows and 105k scalar L calls, several seconds
+        t = fourier_triple(3, rng)
+        self.assert_matches_oracle(t, parse_word("p(1,2) p(2,3) p(3,1) p(1,2) p(2,1)", 3))
+
+    def test_unreduced_word_takes_its_reduced_value(self, rng):
+        t = fourier_triple(4, rng)
+        long = parse_word("p(1,2) p(1,2) p(3,3) p(4,1) p(4,1)", 4)
+        short = parse_word("p(1,2) p(3,3) p(4,1)", 4)
+        assert conv_exp(t, 0.7, long) == conv_exp(t, 0.7, short)
+
+    def test_state_table_matches_conv_exp(self, rng):
+        t = fourier_triple(4, rng)
+        words = [unit_word(4), parse_word("p(1,2) p(1,3)", 4), parse_word("p(2,2)", 4)]
+        words += [random_reduced_word(rng, 4, k, k) for k in (1, 2, 2, 3, 3, 4)]
+        table = state_table(t, 0.6, words)
+        assert list(table) == words
+        assert table[words[0]] == 1.0 and table[words[1]] == 0j
+        for w in words:
+            assert abs(table[w] - conv_exp(t, 0.6, w)[0]) < 1e-15
+
+    def test_import_leaves_scipy_linalg_unloaded(self):
+        code = "import sys, qperm; print('scipy.linalg' in sys.modules)"
+        src = str(Path(qperm.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=src), check=True).stdout
+        assert out.strip() == "False"
 
 
 class TestHaar:
