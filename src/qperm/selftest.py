@@ -397,13 +397,12 @@ def check_series_vs_expm(
     order: int = 25,
     tol: float = 1e-6,
     seed: int = 0,
-    word_triples: int = 3,
 ) -> CheckResult:
     """conv_exp against the matrix exponential on letters and the series on words.
 
     Letters: every p(i,j) against `fundamental_semigroup`, on triples as drawn.
-    Words: one random reduced word of each length 2-4 on the first
-    `word_triples` triples, against the truncated series summed to at least
+    Words: one random reduced word of each length 2-4 on the first three
+    triples, against the truncated series summed to at least
     `order` terms and until its tail bound is below tol / 10.
     """
     name = "series-vs-expm"
@@ -424,7 +423,7 @@ def check_series_vs_expm(
                         return _fail(
                             name, f"triple {idx}, t={time}, p({i},{j}): off by {dev:.3e}"
                         )
-        if idx >= word_triples:
+        if idx >= 3:
             continue
         for length in (2, 3, 4):
             w = random_reduced_word(word_rng, n, length, length)
@@ -439,7 +438,7 @@ def check_series_vs_expm(
     return _ok(
         name,
         f"{triples} triples x {len(times)} times: letters agree with expm to "
-        f"{worst_letter:.1e}; words of length 2-4 on {min(triples, word_triples)} "
+        f"{worst_letter:.1e}; words of length 2-4 on {min(triples, 3)} "
         f"triples agree with the series to {worst_word:.1e}",
     )
 
@@ -676,7 +675,7 @@ QUICK_OVERRIDES = {
     "fourier-cohomology": dict(n_max=8),
     "two-block-meet": dict(pairs=24, d_max=5),
     "triple-consistency": dict(triples=8, pairs=60),
-    "series-vs-expm": dict(triples=4, word_triples=1),
+    "series-vs-expm": dict(triples=4),
     "no-gaussian": dict(reps=10, zero_reps=2),
     "two-block-symmetry": dict(cases=40),
     "poisson-coboundary": dict(n_max=4, words=40),

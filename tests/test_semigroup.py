@@ -253,8 +253,7 @@ class TestConvExp:
             conv_exp(t, 1.0, w, term_budget=10)
 
     def test_closure_budget_enforced(self, rng):
-        # each coproduct needs 4^5 raw terms, within budget; the 324-row
-        # closure together needs far more
+        # the 5-letter block has 324 indices: 5 * 324^2 letters exceed 50,000
         t = fourier_triple(4, rng)
         w = parse_word("p(1,2) p(2,3) p(3,4) p(4,1) p(1,3)", 4)
         with pytest.raises(BudgetError):
