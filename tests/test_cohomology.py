@@ -23,6 +23,7 @@ from qperm.cohomology import (
     split_tuple,
     stack_tuple,
 )
+from qperm.config import RunConfig
 from qperm.errors import ValidationError
 from qperm.magic import TwoBlockSpec, f4_phi, fourier, from_hadamard, from_permutation, two_block
 from qperm.perms import identity, random_permutation
@@ -269,6 +270,8 @@ class TestSvdHelper:
             _svd(np.eye(3, dtype=complex), big)
         with pytest.raises(ValidationError):
             h1_dim(from_hadamard(fourier(6)), big)
+        with pytest.raises(ValueError):
+            RunConfig(rank_threshold=big)
 
     def test_gaussian_subspace_memory(self):
         # the constraint matrix is 4608 x 64; a full SVD's U alone is 340 MB

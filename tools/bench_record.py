@@ -6,9 +6,9 @@
 Runs `perfbench/run.py` of the checkout once per (workload, seed), untraced,
 plus one traced `word-states` run, each in its own process from the root of
 the checkout. It also times `conv_exp` on one fresh 5-letter word over a
-Fourier n=4 triple (the slowest single call the series engine made). The
-file holds every result line, `nproc`, and the Python, numpy and scipy
-versions, so two files from the same machine can be compared.
+Fourier n=4 triple, whose block has 324 indices. The file holds every
+result line, `nproc`, and the Python, numpy and scipy versions, so two
+files from the same machine can be compared.
 """
 
 from __future__ import annotations
