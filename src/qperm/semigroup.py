@@ -30,6 +30,9 @@ from .words import Word, coproduct_terms
 #: unit roundoff of float64
 _UNIT_ROUNDOFF = float(np.finfo(float).eps) / 2
 
+#: entries of d x d blocks gathered per letter position by one gen_functional_batch call
+_BATCH_ENTRIES = 1 << 20
+
 
 def generator_matrix(t: SchurmannTriple, tol: float = DEFAULT_CONFIG.tol) -> np.ndarray:
     """A_ij = L(p_ij): nonnegative off-diagonal, zero row and column sums."""
@@ -92,8 +95,10 @@ def _block_exp(t: SchurmannTriple, time: float, k: int, term_budget: int | None)
     """exp(time L_B) on the block of reduced k-letter words, and its error scale.
 
     L_B[I, J] = L(p(i_1,j_1) ... p(i_k,j_k)) over all m^2 pairs of block
-    indices, evaluated in one batch.  The k m^2 letters of that batch are
-    charged against term_budget before anything is allocated.
+    indices.  The k m^2 letters are charged against term_budget before
+    anything is allocated; they are evaluated in row slices that gather at
+    most _BATCH_ENTRIES block entries per position (one row if a row has
+    more), so memory beyond L_B itself does not grow with m^2 d^2.
     """
     import scipy.linalg
 
@@ -103,11 +108,16 @@ def _block_exp(t: SchurmannTriple, time: float, k: int, term_budget: int | None)
     if k * m * m > budget:
         raise BudgetError(f"the {k}-letter block needs {k * m * m} letters, budget {budget}")
     seqs = _block_indices(n, k)
-    letters = np.empty((m, m, k, 2), dtype=np.int64)
-    letters[..., 0] = seqs[:, None, :]
-    letters[..., 1] = seqs[None, :, :]
-    X = time * gen_functional_batch(t, letters.reshape(m * m, k, 2)).reshape(m, m)
-    if not X.imag.any():
+    X = np.empty((m, m), dtype=complex)
+    step = max(1, _BATCH_ENTRIES // (m * t.d * t.d))
+    for lo in range(0, m, step):
+        rows = seqs[lo : lo + step]
+        letters = np.empty((len(rows), m, k, 2), dtype=np.int64)
+        letters[..., 0] = rows[:, None, :]
+        letters[..., 1] = seqs[None, :, :]
+        X[lo : lo + step] = gen_functional_batch(t, letters.reshape(-1, k, 2)).reshape(-1, m)
+    X *= time
+    if not X.imag.any():  # a real expm takes about half the time of a complex one
         X = X.real
     return scipy.linalg.expm(X), _UNIT_ROUNDOFF * float(np.linalg.norm(X, 1))
 

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -18,7 +19,6 @@ from qperm.errors import BudgetError, ValidationError
 from qperm.magic import TwoBlockSpec, fourier, from_hadamard, from_permutation
 from qperm.schurmann import SchurmannTriple, gen_functional, random_cocycle, two_block_triple
 from qperm.selftest import _series_oracle, random_reduced_word
-from qperm.stochsim import PermProcessSpec, process_triple
 from qperm.semigroup import (
     conv_exp,
     convolve,
@@ -270,10 +270,16 @@ class TestConvExp:
         with pytest.raises(ValidationError):
             conv_exp(fourier_triple(3, rng), 0.5, parse_word("p(1,2)", 4))
 
-    def test_two_cycle_classical_example(self):
-        # sigma = (1 2 3 4)(5 6), rates (1, 0.7): the order-25 series was off
-        # by 3.7e-6 here; the order-40 series gives 0.1566661436
-        t = process_triple(PermProcessSpec((2, 3, 4, 1, 6, 5), [1.0, 0.7]))
+    def test_two_cycle_permutation_triple_value(self):
+        # ev_sigma (x) I_2 for sigma = (1 2 3 4)(5 6), cocycle sqrt(1) e_1 on
+        # the 4-cycle and sqrt(0.7) e_2 on the 2-cycle.  This is not the
+        # classical process (whose joint law gives 0.12150 here); the value
+        # pins the semigroup of this triple.  The order-25 series was off by
+        # 3.7e-6; the order-40 series gives 0.1566661436
+        xs = np.zeros((6, 2), dtype=complex)
+        xs[:4, 0] = 1.0
+        xs[4:, 1] = math.sqrt(0.7)
+        t = SchurmannTriple(from_permutation((2, 3, 4, 1, 6, 5), 2), xs)
         val, err = conv_exp(t, 0.8, parse_word("p(1,2) p(5,6) p(2,3)", 6))
         assert abs(val - 0.15666614358539) < 1e-12
         assert err < 1e-14
@@ -329,6 +335,26 @@ class TestBlockEngine:
         # rows and 105k scalar L calls, several seconds
         t = fourier_triple(3, rng)
         self.assert_matches_oracle(t, parse_word("p(1,2) p(2,3) p(3,1) p(1,2) p(2,1)", 3))
+
+    def test_row_slices_match_oracle(self, rng, monkeypatch):
+        # one block row per gen_functional_batch call
+        monkeypatch.setattr("qperm.semigroup._BATCH_ENTRIES", 1)
+        t = fourier_triple(4, rng)
+        self.assert_matches_oracle(t, random_reduced_word(rng, 4, 3, 3))
+
+    def test_memory_does_not_grow_with_block_letters(self, rng):
+        # Fourier n = 8, 3 letters: m = 392, and the m^2 words of the block
+        # gather 153,664 * 8 * 8 complex entries (157 MB) per position when
+        # evaluated at once; row slices keep the peak near 40 MB
+        t = fourier_triple(8, rng)
+        w = parse_word("p(1,2) p(2,5) p(7,1)", 8)
+        tracemalloc.start()
+        try:
+            conv_exp(t, 0.5, w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
     def test_unreduced_word_takes_its_reduced_value(self, rng):
         t = fourier_triple(4, rng)

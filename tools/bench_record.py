@@ -1,11 +1,11 @@
 """Record perfbench results of one checkout into BENCH_<label>.json.
 
     python3 tools/bench_record.py --checkout DIR --label baseline
-    python3 tools/bench_record.py --checkout . --label block-engine --seeds 1 2 --seconds 35
 
-Runs `perfbench/run.py` of the checkout once per (workload, seed), untraced,
-plus one traced `word-states` run, each in its own process from the root of
-the checkout. It also times `conv_exp` on one fresh 5-letter word over a
+Runs `perfbench/run.py` of the checkout for 35 s once per workload and seed
+(1 and 2), untraced, plus one traced `word-states` run (seed 1), each in its
+own process from the root of the checkout, and writes the file to the
+current directory. It also times `conv_exp` on one fresh 5-letter word over a
 Fourier n=4 triple, whose block has 324 indices. The file holds every
 result line, `nproc`, and the Python, numpy and scipy versions, so two
 files from the same machine can be compared.
@@ -22,6 +22,8 @@ import sys
 from pathlib import Path
 
 WORKLOADS = ("word-states", "cohomology-scan", "process-classify")
+SEEDS = (1, 2)
+SECONDS = 35.0
 
 # times conv_exp on a fresh triple; prints {"seconds": ..., "value": [re, im]}
 MICRO = """
@@ -42,11 +44,11 @@ def _last_json(text: str):
     return json.loads(lines[-1]) if lines else None
 
 
-def run_workload(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+def run_workload(checkout: Path, workload: str, seed: int, trace: int) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", str(trace)]
+           "--seconds", str(SECONDS), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
-    return {"workload": workload, "seed": seed, "seconds": seconds, "trace": trace,
+    return {"workload": workload, "seed": seed, "seconds": SECONDS, "trace": trace,
             "exit": proc.returncode, "result": _last_json(proc.stdout)}
 
 
@@ -72,22 +74,16 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--checkout", required=True, help="root of the checkout to measure")
     parser.add_argument("--label", required=True, help="names the output BENCH_<label>.json")
-    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2])
-    parser.add_argument("--seconds", type=float, default=35.0)
-    parser.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
-    parser.add_argument("--out-dir", default=".", help="where BENCH_<label>.json goes")
     args = parser.parse_args(argv)
 
     checkout = Path(args.checkout).resolve()
     record = {"label": args.label, **_versions(checkout), "runs": []}
-    for workload in args.workloads:
-        for seed in args.seeds:
-            record["runs"].append(run_workload(checkout, workload, seed, args.seconds, 0))
-    if "word-states" in args.workloads:
-        record["runs"].append(
-            run_workload(checkout, "word-states", args.seeds[0], args.seconds, 1))
+    for workload in WORKLOADS:
+        for seed in SEEDS:
+            record["runs"].append(run_workload(checkout, workload, seed, 0))
+    record["runs"].append(run_workload(checkout, "word-states", SEEDS[0], 1))
     record["micro"] = [micro_conv_exp(checkout)]
-    out = Path(args.out_dir) / f"BENCH_{args.label}.json"
+    out = Path(f"BENCH_{args.label}.json")
     out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     print(out)
     return 0 if all(r["exit"] == 0 for r in record["runs"] + record["micro"]) else 1
