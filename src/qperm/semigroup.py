@@ -111,10 +111,8 @@ def _block_exp(t: SchurmannTriple, time: float, k: int, term_budget: int | None)
     X = np.empty((m, m), dtype=complex)
     step = max(1, _BATCH_ENTRIES // (m * t.d * t.d))
     for lo in range(0, m, step):
-        rows = seqs[lo : lo + step]
-        letters = np.empty((len(rows), m, k, 2), dtype=np.int64)
-        letters[..., 0] = rows[:, None, :]
-        letters[..., 1] = seqs[None, :, :]
+        # letters[r, c, pos] = (i_pos of row lo + r, j_pos of column c)
+        letters = np.stack(np.broadcast_arrays(seqs[lo : lo + step, None], seqs[None]), axis=-1)
         X[lo : lo + step] = gen_functional_batch(t, letters.reshape(-1, k, 2)).reshape(-1, m)
     X *= time
     if not X.imag.any():  # a real expm takes about half the time of a complex one
@@ -197,14 +195,8 @@ def haar_gram_degree2(n: int) -> np.ndarray:
 def markov_operator_degree1(t: SchurmannTriple) -> np.ndarray:
     """Matrix of x -> (id (x) L) Delta(x) on span{1, p_ij}: T(p_ij) = sum_a p_ia A_aj."""
     n = t.n
-    A = generator_matrix(t)
-    size = 1 + n * n
-    M = np.zeros((size, size))
-    for i in range(n):
-        for j in range(n):
-            colidx = 1 + i * n + j
-            for a in range(n):
-                M[1 + i * n + a, colidx] = A[a, j]
+    M = np.zeros((1 + n * n, 1 + n * n))
+    M[1:, 1:] = np.kron(np.eye(n), generator_matrix(t))  # p_ia row, p_ij column: A_aj
     return M
 
 

@@ -274,8 +274,8 @@ class TestConvExp:
         # ev_sigma (x) I_2 for sigma = (1 2 3 4)(5 6), cocycle sqrt(1) e_1 on
         # the 4-cycle and sqrt(0.7) e_2 on the 2-cycle.  This is not the
         # classical process (whose joint law gives 0.12150 here); the value
-        # pins the semigroup of this triple.  The order-25 series was off by
-        # 3.7e-6; the order-40 series gives 0.1566661436
+        # pins the semigroup of this triple, which the order-40 series also
+        # gives (0.1566661436)
         xs = np.zeros((6, 2), dtype=complex)
         xs[:4, 0] = 1.0
         xs[4:, 1] = math.sqrt(0.7)
