@@ -17,6 +17,8 @@ from __future__ import annotations
 from types import MappingProxyType
 from typing import Iterable, Iterator, NamedTuple
 
+import numpy as np
+
 from . import _kernel
 from .config import DEFAULT_CONFIG, ZERO_THRESHOLD
 from .errors import BudgetError, ValidationError
@@ -286,11 +288,33 @@ def defining_relations(n: int) -> list[LinComb]:
     return rels
 
 
+def reduced_word_array(n: int, length: int) -> np.ndarray:
+    """All reduced words with exactly `length` letters, in lexicographic order.
+
+    Returns an int64 array of shape (count, length, 2) with 1-based letters.
+    Built as a product: n^2 first letters, then per step the (n-1)^2 pairs of
+    row/column offsets, each mapped monotonically past the previous letter's
+    row and column, so the order stays lexicographic.
+    """
+    if length == 0:
+        return np.zeros((1, 0, 2), dtype=np.int64)
+    idx = np.arange(1, n + 1, dtype=np.int64)
+    out = np.stack(np.meshgrid(idx, idx, indexing="ij"), axis=-1).reshape(n * n, 1, 2)
+    off = np.arange(1, n, dtype=np.int64)
+    step = np.stack(np.meshgrid(off, off, indexing="ij"), axis=-1).reshape((n - 1) ** 2, 2)
+    for _ in range(1, length):
+        nxt = step + (step >= out[:, -1, None, :])  # (count, (n-1)^2, 2)
+        out = np.concatenate(
+            [np.repeat(out, len(step), axis=0), nxt.reshape(-1, 1, 2)], axis=1
+        )
+    return out
+
+
 def reduced_words(n: int, max_len: int, min_len: int = 1) -> list[Word]:
     """All reduced words with min_len <= length <= max_len."""
     out = []
     for ln in range(min_len, max_len + 1):
-        out.extend(Word(ls, n) for ls in _kernel.reduced_words_exact(n, ln))
+        out.extend(Word(ls, n) for ls in reduced_word_array(n, ln).tolist())
     return out
 
 

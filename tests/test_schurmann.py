@@ -9,9 +9,14 @@ from qperm.cohomology import h1_representatives
 from qperm.errors import ValidationError
 from qperm.magic import TwoBlockSpec, fourier, from_hadamard, from_permutation
 from qperm.schurmann import (
+    _SAMPLE_PAIR_ROWS,
     _SAMPLE_WORDS,
     SchurmannTriple,
+    _eta_L_batch,
+    _eta_word,
+    _exhaustive,
     _sweep_words,
+    _trace_defect,
     cocycle_violation,
     eta,
     fourier_symmetry,
@@ -52,6 +57,65 @@ def cycle_triple(n=3, lam=1.0):
 def fourier_triple(n, rng, scale=1.0):
     rep = from_hadamard(fourier(n))
     return SchurmannTriple(rep, random_cocycle(rep, rng, scale))
+
+
+def reference_L_batch(t, letters):
+    """L of each row by the letter recursion, in the kernel's arithmetic order."""
+    n, d = t.n, t.d
+    blocks_flat = t.rep.blocks.reshape(n * n, d, d)
+    xi_flat = t.xi.reshape(n * n, d)
+    lgen_flat = t.letter_L.reshape(n * n)
+    val = np.zeros(letters.shape[0], dtype=complex)
+    eta_suf = np.zeros((letters.shape[0], d), dtype=complex)
+    eps = np.ones(letters.shape[0])
+    for pos in range(letters.shape[1] - 1, -1, -1):
+        ii = letters[:, pos, 0] - 1
+        jj = letters[:, pos, 1] - 1
+        code = ii * n + jj
+        xi_l = xi_flat[code]
+        delta = (ii == jj).astype(float)
+        val = np.einsum("md,md->m", xi_l.conj(), eta_suf) + delta * val + lgen_flat[code] * eps
+        eta_suf = np.einsum("mab,mb->ma", blocks_flat[code], eta_suf) + xi_l * eps[:, None]
+        eps = delta * eps
+    return val
+
+
+def concat_trace_defect(t, per_len, max_len):
+    """Worst |L(uv) - L(vu)| by evaluating every concatenated pair of words."""
+    worst = 0.0
+    for la in range(1, max_len):
+        for lb in range(1, max_len - la + 1):
+            wa, wb = per_len[la - 1], per_len[lb - 1]
+            uv = np.concatenate(
+                [np.repeat(wa, wb.shape[0], axis=0), np.tile(wb, (wa.shape[0], 1, 1))], axis=1
+            )
+            vu = np.concatenate([uv[:, la:], uv[:, :la]], axis=1)
+            diff = gen_functional_batch(t, uv) - gen_functional_batch(t, vu)
+            worst = max(worst, float(np.max(np.abs(diff), initial=0.0)))
+    return worst
+
+
+def reference_is_tracial(t, max_len, rng, tol=1e-9):
+    """is_tracial on concatenated pairs and one scalar eta per sampled word."""
+    scale = 1.0 + float(np.max(np.abs(t.letter_L), initial=0.0))
+    per_len = _sweep_words(t.n, max_len - 1, rng)
+    if not _exhaustive(t.n, max_len - 1):
+        per_len = [
+            b if b.shape[0] <= _SAMPLE_PAIR_ROWS
+            else b[rng.choice(b.shape[0], _SAMPLE_PAIR_ROWS, replace=False)]
+            for b in per_len
+        ]
+    if concat_trace_defect(t, per_len, max_len) > tol * scale:
+        return False
+    for batch in _sweep_words(t.n, max_len, rng):
+        take = batch if batch.shape[0] <= 64 else batch[rng.choice(batch.shape[0], 64, replace=False)]
+        for letters in take.tolist():
+            letters = [tuple(let) for let in letters]
+            na = np.linalg.norm(_eta_word(t, letters))
+            nastar = np.linalg.norm(_eta_word(t, letters[::-1]))
+            if abs(na - nastar) > tol * scale:
+                return False
+    return True
 
 
 def counterexample_data():
@@ -153,6 +217,20 @@ class TestEvaluation:
         vals = gen_functional_batch(t, batch)
         for w, v in zip(words[:40], vals[:40]):
             assert abs(gen_functional(t, w) - v) < 1e-12
+
+    def test_batch_eta_matches_scalar(self, rng):
+        t = fourier_triple(4, rng)
+        batch = np.array([w.letters for w in reduced_words(4, 3, min_len=3)[:200]])
+        etas = _eta_L_batch(t, batch)[0]
+        for letters, e in zip(batch.tolist(), etas):
+            assert np.abs(_eta_word(t, [tuple(let) for let in letters]) - e).max() < 1e-12
+
+    def test_batch_L_bit_identical_to_reference(self, rng):
+        t = fourier_triple(4, rng)
+        for length in (1, 3, 4):
+            batch = _sweep_words(4, length)[-1]
+            assert np.array_equal(gen_functional_batch(t, batch), reference_L_batch(t, batch))
+            assert np.array_equal(_eta_L_batch(t, batch)[1], reference_L_batch(t, batch))
 
     def test_batch_shape_check(self, rng):
         t = fourier_triple(3, rng)
@@ -306,3 +384,53 @@ class TestTracial:
         spec, xi, zeta = counterexample_data()
         t = two_block_triple(spec, xi, zeta)
         assert not is_tracial(t, max_len=4)
+
+
+def trace_triples():
+    """Triples of the families the traciality sweep sees, as pytest params."""
+    rng = np.random.default_rng(11)
+    out = [(f"fourier4-{k}", fourier_triple(4, rng)) for k in range(3)]
+    spec, xi, zeta = counterexample_data()
+    out.append(("two-block-counterexample", two_block_triple(spec, xi, zeta)))
+    for k in range(2):
+        P, Q = (random_projection(rng, 3) for _ in range(2))
+        v, w = rng.normal(size=3) + 1j * rng.normal(size=3), rng.normal(size=3)
+        out.append((f"two-block-{k}", two_block_triple(TwoBlockSpec(P, Q), v - P @ v, w - Q @ w)))
+    for sigma, mult in (((2, 3, 4, 1), 1), ((2, 1, 4, 3), 2), ((2, 3, 1, 5, 4), 1),
+                        ((2, 1, 4, 5, 3), 2)):
+        rep = from_permutation(sigma, mult)
+        label = f"perm{''.join(map(str, sigma))}x{mult}"
+        out.append((label, SchurmannTriple(rep, random_cocycle(rep, rng))))
+    out.append(("fourier5", fourier_triple(5, rng)))
+    return [pytest.param(label, t, id=label) for label, t in out]
+
+
+def random_projection(rng, d):
+    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    q = np.linalg.qr(a)[0][:, : rng.integers(1, d)]
+    return q @ q.conj().T
+
+
+class TestTraceDefect:
+    @pytest.mark.parametrize("label,t", trace_triples())
+    def test_gram_defect_matches_concatenation(self, label, t):
+        max_len = 4
+        rng = np.random.default_rng(3)
+        per_len = _sweep_words(t.n, max_len - 1, rng)
+        if not _exhaustive(t.n, max_len - 1):
+            per_len = [b[rng.choice(b.shape[0], min(b.shape[0], _SAMPLE_PAIR_ROWS), replace=False)]
+                       for b in per_len]
+        scale = 1.0 + float(np.max(np.abs(t.letter_L), initial=0.0))
+        fast = _trace_defect(t, per_len, max_len)
+        slow = concat_trace_defect(t, per_len, max_len)
+        assert abs(fast - slow) <= 1e-12 * scale
+        assert (fast <= 1e-9 * scale) == (slow <= 1e-9 * scale)
+        if label.startswith("fourier4"):
+            assert slow > 1e-3  # random Fourier n=4 cocycles are not tracial
+
+    @pytest.mark.parametrize("label,t", trace_triples())
+    def test_verdict_matches_reference(self, label, t):
+        got = is_tracial(t, 4, rng=np.random.default_rng(5))
+        assert got == reference_is_tracial(t, 4, np.random.default_rng(5))
+        if label.startswith("fourier4"):
+            assert not got
