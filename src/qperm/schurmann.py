@@ -372,11 +372,7 @@ def fourier_symmetry(n: int, xs, tol: float = DEFAULT_CONFIG.tol) -> bool:
 
 
 def _trace_defect(t: SchurmannTriple, per_len: list[np.ndarray], max_len: int) -> float:
-    """Worst |L(uv) - L(vu)| over rows u, v of the per-length batches, |u| + |v| <= max_len.
-
-    By the 2-cocycle identity the difference is <eta(u*), eta(v)> - <eta(v*), eta(u)>,
-    so each pair of lengths is two Gram products of eta values.
-    """
+    """Worst |L(uv) - L(vu)| = |<eta(u*), eta(v)> - <eta(v*), eta(u)>| over batch rows u, v."""
     etas = [_eta_L_batch(t, batch)[0] for batch in per_len]
     # conjugated eta of the adjoints; u* is u reversed, the generators being self-adjoint
     etas_star = [_eta_L_batch(t, batch[:, ::-1])[0].conj() for batch in per_len]
@@ -403,10 +399,10 @@ def is_tracial(
 
     Pair values come from the 2-cocycle identity
     L(ab) = <eta(a*), eta(b)> + eps(a) L(b) + L(a) eps(b), whose eps-L terms
-    cancel in L(uv) - L(vu); u* is u reversed.  The identity needs
-    self-adjoint blocks rho(p_ij)* = rho(p_ij), which every magic unitary has.
-    Also checks the necessary condition |eta(a)| = |eta(a*)| on sampled
-    elements of ker eps.
+    cancel in L(uv) - L(vu), leaving two Gram products of eta values per pair
+    of lengths; u* is u reversed.  The identity needs self-adjoint blocks
+    rho(p_ij)* = rho(p_ij), which every magic unitary has.  Also checks the
+    necessary condition |eta(a)| = |eta(a*)| on sampled elements of ker eps.
     """
     if max_len < 2:
         raise ValidationError("max_len must be >= 2 for traciality")

@@ -230,7 +230,6 @@ class TestEvaluation:
         for length in (1, 3, 4):
             batch = _sweep_words(4, length)[-1]
             assert np.array_equal(gen_functional_batch(t, batch), reference_L_batch(t, batch))
-            assert np.array_equal(_eta_L_batch(t, batch)[1], reference_L_batch(t, batch))
 
     def test_batch_shape_check(self, rng):
         t = fourier_triple(3, rng)
