@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the time check they share."""
+
+import math
 
 
 class QpermError(Exception):
@@ -11,3 +13,9 @@ class ValidationError(QpermError):
 
 class BudgetError(QpermError):
     """A combinatorial term budget or resource limit was exceeded."""
+
+
+def check_time(time: float) -> None:
+    """Raise ValidationError unless the time of a semigroup or process is finite and >= 0."""
+    if not (time >= 0 and math.isfinite(time)):
+        raise ValidationError(f"time must be finite and >= 0, got {time!r}")

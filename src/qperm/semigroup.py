@@ -10,6 +10,12 @@ that equality pattern, and every reduced k-letter word lies in the block of
 index sequences with no two adjacent entries equal: m = n (n-1)^(k-1) of
 them.  k = 1 is the fundamental semigroup exp(t A).
 
+L(U) on that block, L_B, comes from eta and L on the half-length blocks and
+one Gram product of eta values (the 2-cocycle identity, see _block_L), and
+a word's value from exp(t L_B) applied to the word's column only
+(scipy.sparse.linalg.expm_multiply, Al-Mohy & Higham 2011).  The identity
+needs self-adjoint blocks rho(p_ij)* = rho(p_ij), as every magic unitary has.
+
 Also provides convolution of functionals, the Haar-state Gram matrix on the
 degree <= 2 span and the induced self-adjointness check for the Markov
 generator.
@@ -23,15 +29,12 @@ import numpy as np
 
 from . import _kernel
 from .config import DEFAULT_CONFIG
-from .errors import BudgetError, ValidationError
-from .schurmann import SchurmannTriple, gen_functional_batch
+from .errors import BudgetError, ValidationError, check_time
+from .schurmann import SchurmannTriple, _eta_L_batch
 from .words import Word, coproduct_terms
 
 #: unit roundoff of float64
 _UNIT_ROUNDOFF = float(np.finfo(float).eps) / 2
-
-#: entries of d x d blocks gathered per letter position by one gen_functional_batch call
-_BATCH_ENTRIES = 1 << 20
 
 
 def generator_matrix(t: SchurmannTriple, tol: float = DEFAULT_CONFIG.tol) -> np.ndarray:
@@ -53,8 +56,7 @@ def fundamental_semigroup(t: SchurmannTriple, time: float) -> np.ndarray:
     """exp(time * A) on the fundamental coefficients; a stochastic matrix."""
     import scipy.linalg
 
-    if time < 0:
-        raise ValidationError("time must be >= 0")
+    check_time(time)
     return scipy.linalg.expm(time * generator_matrix(t))
 
 
@@ -85,67 +87,96 @@ def _block_indices(n: int, k: int) -> np.ndarray:
     return np.cumsum(digits, axis=1) % n + 1
 
 
-def _position(seq, n: int) -> int:
-    """Row of a 1-based index sequence in _block_indices(n, len(seq))."""
-    digits = [seq[0] - 1] + [(b - a) % n - 1 for a, b in zip(seq, seq[1:])]
-    return int(np.ravel_multi_index(digits, _radix(n, len(seq))))
+def _position(seqs, n: int) -> np.ndarray:
+    """Rows of 1-based index sequences, shape (count, length), in _block_indices(n, length)."""
+    seqs = np.asarray(seqs)
+    digits = np.concatenate([seqs[:, :1] - 1, np.diff(seqs, axis=1) % n - 1], axis=1)
+    return np.ravel_multi_index(digits.T, _radix(n, seqs.shape[1]))
 
 
-def _block_exp(t: SchurmannTriple, time: float, k: int, term_budget: int | None):
-    """exp(time L_B) on the block of reduced k-letter words, and its error scale.
+def _block_words(n: int, k: int) -> np.ndarray:
+    """Letters (m^2, k, 2) of p(I, J) over all pairs of k-letter block indices, I major."""
+    seqs = _block_indices(n, k)
+    return np.stack(np.broadcast_arrays(seqs[:, None], seqs[None]), axis=-1).reshape(-1, k, 2)
 
-    L_B[I, J] = L(p(i_1,j_1) ... p(i_k,j_k)) over all m^2 pairs of block
-    indices.  The k m^2 letters are charged against term_budget before
-    anything is allocated; they are evaluated in row slices that gather at
-    most _BATCH_ENTRIES block entries per position (one row if a row has
-    more), so memory beyond L_B itself does not grow with m^2 d^2.
+
+def _block_L(t: SchurmannTriple, k: int, term_budget: int | None) -> np.ndarray:
+    """L_B[I, J] = L(p(i_1,j_1) ... p(i_k,j_k)) over all m^2 pairs of block indices.
+
+    Split each word after h = k // 2 letters, a = p(I', J') and b = p(I'', J''):
+    L(ab) = <eta(a*), eta(b)> + eps(a) L(b) + L(a) eps(b), where a* is a
+    reversed.  That needs self-adjoint blocks rho(p_ij)* = rho(p_ij), which
+    every magic unitary has.  So eta and L on the pairs of the h- and
+    (k-h)-letter blocks and one Gram product of eta values give every entry.
+    The k m^2 letters of the block are charged against term_budget before
+    anything is allocated.
     """
-    import scipy.linalg
-
     n = t.n
     m = math.prod(_radix(n, k))
     budget = DEFAULT_CONFIG.term_budget if term_budget is None else int(term_budget)
     if k * m * m > budget:
         raise BudgetError(f"the {k}-letter block needs {k * m * m} letters, budget {budget}")
+    if k == 1:
+        return t.letter_L
+    h = k // 2
+    a = _block_words(n, h)
+    eta_a_star = _eta_L_batch(t, a[:, ::-1])[0]
+    L_a = _eta_L_batch(t, a)[1]
+    eta_b, L_b = _eta_L_batch(t, _block_words(n, k - h))
+    ma, mb = math.prod(_radix(n, h)), math.prod(_radix(n, k - h))
+    F = np.inner(eta_a_star.conj(), eta_b)
+    F += np.outer(np.eye(ma).ravel(), L_b) + np.outer(L_a, np.eye(mb).ravel())
+    # I = (I', I''): I' ends on another index than I'' starts with
     seqs = _block_indices(n, k)
-    X = np.empty((m, m), dtype=complex)
-    step = max(1, _BATCH_ENTRIES // (m * t.d * t.d))
-    for lo in range(0, m, step):
-        # letters[r, c, pos] = (i_pos of row lo + r, j_pos of column c)
-        letters = np.stack(np.broadcast_arrays(seqs[lo : lo + step, None], seqs[None]), axis=-1)
-        X[lo : lo + step] = gen_functional_batch(t, letters.reshape(-1, k, 2)).reshape(-1, m)
-    X *= time
-    if not X.imag.any():  # a real expm takes about half the time of a complex one
-        X = X.real
-    return scipy.linalg.expm(X), _UNIT_ROUNDOFF * float(np.linalg.norm(X, 1))
+    pa, pb = _position(seqs[:, :h], n), _position(seqs[:, h:], n)
+    return F.reshape(ma, ma, mb, mb)[pa[:, None], pa[None], pb[:, None], pb[None]]
 
 
 def _evaluate(t: SchurmannTriple, time: float, words, term_budget: int | None) -> dict:
-    """{word: (value, err)}, taking one block exponential per reduced word length."""
-    if time < 0:
-        raise ValidationError("time must be >= 0")
-    blocks: dict = {}
-    out = {}
+    """{word: (value, err)}: per reduced word length, exp(time L_B) on the columns in use."""
+    import scipy.sparse.linalg
+
+    check_time(time)
+    out: dict = {}
+    by_len: dict = {}
     for w in words:
         if w.n != t.n:
             raise ValidationError("ambient size mismatch")
         root = _kernel.reduce_letters(w.letters)
-        if not root:  # the zero word (None) or the unit word (())
+        if root:
+            out[w] = None  # keeps the caller's order; filled below
+            by_len.setdefault(len(root), {})[w] = root
+        else:  # the zero word (None) or the unit word (())
             out[w] = (0j if root is None else 1 + 0j, 0.0)
-            continue
-        if len(root) not in blocks:
-            blocks[len(root)] = _block_exp(t, time, len(root), term_budget)
-        E, err = blocks[len(root)]
-        rows, cols = zip(*root)
-        out[w] = (complex(E[_position(rows, t.n), _position(cols, t.n)]), err)
+    for k, roots in by_len.items():
+        X = time * _block_L(t, k, term_budget)
+        if not X.imag.any():  # real arithmetic takes about half the time
+            X = X.real
+        err = _UNIT_ROUNDOFF * float(np.linalg.norm(X, 1))
+        seqs = np.array(list(roots.values()))
+        rows = _position(seqs[:, :, 0], t.n)
+        cols, where = np.unique(_position(seqs[:, :, 1], t.n), return_inverse=True)
+        # expm_multiply estimates norms of powers of X from numpy's global RNG
+        # once ||X - mu I||_1 > 63 / len(cols); a fixed seed, restored afterwards,
+        # keeps the values reproducible and the caller's RNG untouched
+        state = np.random.get_state()
+        np.random.seed(0)
+        try:
+            E = scipy.sparse.linalg.expm_multiply(X, np.eye(len(X))[:, cols])
+        finally:
+            np.random.set_state(state)
+        for w, r, c in zip(roots, rows, where):
+            out[w] = (complex(E[r, c]), err)
     return out
 
 
 def conv_exp(
     t: SchurmannTriple, time: float, w: Word, term_budget: int | None = None
 ) -> tuple[complex, float]:
-    """omega_t(w) = exp_*(time L)(w), from one exponential of the word's block.
+    """omega_t(w) = exp_*(time L)(w), from exp(time L_B) on the word's column.
 
+    L_B is the generator on the word's block, assembled from the 2-cocycle
+    identity; this needs self-adjoint blocks rho(p_ij)* = rho(p_ij).
     Returns (value, err).  err = u ||time L_B||_1, with u the unit roundoff
     and L_B the block of w, is the scale of the rounding error of the
     exponential, not a rigorous bound; it is 0.0 for the zero and unit words.
@@ -156,7 +187,11 @@ def conv_exp(
 def state_table(
     t: SchurmannTriple, time: float, words, term_budget: int | None = None
 ) -> dict[Word, complex]:
-    """omega_t evaluated on an iterable of words, one exponential per word length."""
+    """omega_t evaluated on an iterable of words.
+
+    Per reduced word length, exp(time L_B) is applied to the block columns the
+    words use, in one expm_multiply call; L_B as in conv_exp.
+    """
     return {w: val for w, (val, _) in _evaluate(t, time, words, term_budget).items()}
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import perms
-from .errors import ValidationError
+from .errors import ValidationError, check_time
 from .magic import from_permutation
 from .schurmann import SchurmannTriple
 
@@ -107,8 +107,7 @@ def exact_marginals(spec: PermProcessSpec, t: float) -> np.ndarray:
     the cycle distance from i to j; fixed points give delta_ij; entries
     across different cycles vanish.
     """
-    if t < 0:
-        raise ValidationError("time must be >= 0")
+    check_time(t)
     n = spec.n
     out = np.zeros((n, n))
     for i in range(1, n + 1):
@@ -137,8 +136,7 @@ def simulate_marginals(
     """
     if samples < 1:
         raise ValidationError("samples must be >= 1")
-    if t < 0:
-        raise ValidationError("time must be >= 0")
+    check_time(t)
     n = spec.n
     probs = np.zeros((n, n))
     for i in range(1, n + 1):

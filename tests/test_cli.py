@@ -208,6 +208,14 @@ class TestSemigroup:
         )
         assert code == 1
 
+    def test_non_finite_time_is_exit_1(self, capsys):
+        code, out, err = run(
+            capsys, "semigroup", "--sigma", "(1 2)", "--rates", "1.0", "--time", "0,nan",
+            "--word", "p(1,1)",
+        )
+        assert (code, out) == (1, "")
+        assert "time must be finite" in err
+
 
 class TestCentral:
     def test_worked_example(self, capsys):
@@ -267,6 +275,13 @@ class TestSimulate:
         _, first, _ = run(capsys, *self.ARGS)
         _, second, _ = run(capsys, *self.ARGS)
         assert first == second
+
+    def test_non_finite_time_is_exit_1(self, capsys):
+        args = list(self.ARGS)
+        args[args.index("--t") + 1] = "inf"
+        code, out, err = run(capsys, *args)
+        assert (code, out) == (1, "")
+        assert "time must be finite" in err
 
     def test_csv(self, capsys):
         code, out, _ = run(capsys, *self.ARGS, "--format", "csv")

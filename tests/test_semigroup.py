@@ -16,8 +16,14 @@ import scipy.linalg
 
 import qperm
 from qperm.errors import BudgetError, ValidationError
-from qperm.magic import TwoBlockSpec, fourier, from_hadamard, from_permutation
-from qperm.schurmann import SchurmannTriple, gen_functional, random_cocycle, two_block_triple
+from qperm.magic import TwoBlockSpec, f4_phi, fourier, from_hadamard, from_permutation
+from qperm.schurmann import (
+    SchurmannTriple,
+    gen_functional,
+    gen_functional_batch,
+    random_cocycle,
+    two_block_triple,
+)
 from qperm.selftest import _series_oracle, random_reduced_word
 from qperm.semigroup import (
     conv_exp,
@@ -29,6 +35,7 @@ from qperm.semigroup import (
     markov_symmetry_check,
     state_table,
 )
+from qperm.semigroup import _block_L, _block_indices
 from qperm.words import LinComb, Word, counit, parse_word, reduced_words, unit_word
 
 
@@ -54,6 +61,30 @@ def two_block_instance(rng, d=3):
 def fourier_triple(n, rng, scale=1.0):
     rep = from_hadamard(fourier(n))
     return SchurmannTriple(rep, random_cocycle(rep, rng, scale))
+
+
+def family_triple(family, n, rng):
+    if family == "fourier":
+        return fourier_triple(n, rng)
+    if family == "permutation":
+        rep = from_permutation(tuple(range(2, n + 1)) + (1,), 2)
+    elif family == "two_block":
+        spec, xi, zeta = two_block_instance(rng)
+        return two_block_triple(spec, xi, zeta)
+    else:  # F_4(phi), a non-Fourier Hadamard family
+        rep = from_hadamard(f4_phi(0.7))
+    return SchurmannTriple(rep, random_cocycle(rep, rng))
+
+
+def letter_block(t, k):
+    """Reference L_B: gen_functional_batch on all m^2 block words, letter by letter."""
+    seqs = _block_indices(t.n, k)
+    m = len(seqs)
+    letters = np.stack(np.broadcast_arrays(seqs[:, None], seqs[None]), axis=-1)
+    return gen_functional_batch(t, letters.reshape(-1, k, 2)).reshape(m, m)
+
+
+NON_FINITE = [math.nan, math.inf, -math.inf]
 
 
 class TestGeneratorMatrix:
@@ -113,6 +144,11 @@ class TestFundamentalSemigroup:
     def test_negative_time_rejected(self, rng):
         with pytest.raises(ValidationError):
             fundamental_semigroup(fourier_triple(3, rng), -0.1)
+
+    @pytest.mark.parametrize("time", NON_FINITE)
+    def test_non_finite_time_rejected(self, rng, time):
+        with pytest.raises(ValidationError, match="time"):
+            fundamental_semigroup(fourier_triple(3, rng), time)
 
 
 class TestConvolve:
@@ -246,6 +282,14 @@ class TestConvExp:
         with pytest.raises(ValidationError):
             conv_exp(fourier_triple(3, rng), -1.0, unit_word(3))
 
+    @pytest.mark.parametrize("time", NON_FINITE)
+    def test_non_finite_time_rejected(self, rng, time):
+        t = fourier_triple(3, rng)
+        with pytest.raises(ValidationError, match="time"):
+            conv_exp(t, time, parse_word("p(1,2) p(2,3)", 3))
+        with pytest.raises(ValidationError, match="time"):
+            state_table(t, time, [unit_word(3)])
+
     def test_budget_enforced(self, rng):
         t = fourier_triple(4, rng)
         w = Word([(1, 1), (2, 2), (3, 3), (4, 4)], 4)
@@ -336,11 +380,47 @@ class TestBlockEngine:
         t = fourier_triple(3, rng)
         self.assert_matches_oracle(t, parse_word("p(1,2) p(2,3) p(3,1) p(1,2) p(2,1)", 3))
 
-    def test_row_slices_match_oracle(self, rng, monkeypatch):
-        # one block row per gen_functional_batch call
-        monkeypatch.setattr("qperm.semigroup._BATCH_ENTRIES", 1)
-        t = fourier_triple(4, rng)
-        self.assert_matches_oracle(t, random_reduced_word(rng, 4, 3, 3))
+    @pytest.mark.parametrize(
+        "family, n, k",
+        [(f, 4, k) for f in ("fourier", "permutation", "two_block", "f4") for k in (1, 2, 3, 4)]
+        + [(f, 3, 5) for f in ("fourier", "permutation")],
+    )
+    def test_split_block_matches_letter_assembly(self, rng, family, n, k):
+        t = family_triple(family, n, rng)
+        want = letter_block(t, k)
+        got = _block_L(t, k, None)
+        scale = 1.0 + float(np.max(np.abs(want)))
+        assert float(np.max(np.abs(got - want))) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("scale", [1.0, 5.0])
+    def test_state_table_matches_dense_expm(self, rng, scale):
+        # tolerance fixed before the first run: ten rounding-error scales
+        t = fourier_triple(4, rng, scale)
+        for k in (2, 3, 4):
+            row = {tuple(seq): r for r, seq in enumerate(_block_indices(4, k).tolist())}
+            L = letter_block(t, k)
+            words = [random_reduced_word(rng, 4, k, k) for _ in range(4)]
+            for time in (0.1, 1.0, 20.0):
+                E = scipy.linalg.expm(time * L)
+                err = 2.0**-53 * float(np.linalg.norm(time * L, 1))  # conv_exp's err
+                for w, val in state_table(t, time, words).items():
+                    rows, cols = zip(*w.letters)
+                    want = E[row[rows], row[cols]]
+                    assert abs(val - want) <= 10 * err + 1e-14, (scale, k, time, val, want)
+
+    def test_values_independent_of_numpy_global_rng(self):
+        # at three columns expm_multiply estimates norms of powers of t L_B
+        # from numpy's global RNG; unseeded, these values vary in the last bits
+        rep = from_hadamard(fourier(4))
+        t = SchurmannTriple(rep, random_cocycle(rep, np.random.default_rng(7), 3.0))
+        words = [Word(letters, 4) for letters in (
+            [(4, 4), (3, 2), (1, 1)], [(2, 1), (1, 2), (4, 4)], [(1, 1), (3, 2), (4, 4)])]
+        values = set()
+        for seed in range(6):
+            np.random.seed(seed)
+            values.add(tuple(state_table(t, 0.5, words).values()))
+            assert np.random.randint(1 << 30) == np.random.RandomState(seed).randint(1 << 30)
+        assert len(values) == 1
 
     def test_memory_does_not_grow_with_block_letters(self, rng):
         # Fourier n = 8, 3 letters: m = 392, and the m^2 words of the block
@@ -373,11 +453,12 @@ class TestBlockEngine:
             assert abs(table[w] - conv_exp(t, 0.6, w)[0]) < 1e-15
 
     def test_import_leaves_scipy_linalg_unloaded(self):
-        code = "import sys, qperm; print('scipy.linalg' in sys.modules)"
+        code = ("import sys, qperm; "
+                "print('scipy.linalg' in sys.modules, 'scipy.sparse' in sys.modules)")
         src = str(Path(qperm.__file__).resolve().parents[1])
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              env=dict(os.environ, PYTHONPATH=src), check=True).stdout
-        assert out.strip() == "False"
+        assert out.strip() == "False False"
 
 
 class TestHaar:

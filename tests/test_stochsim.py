@@ -96,6 +96,11 @@ class TestExactMarginals:
         with pytest.raises(ValidationError):
             exact_marginals(MIXED, -0.5)
 
+    @pytest.mark.parametrize("t", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_time_rejected(self, t):
+        with pytest.raises(ValidationError, match="time"):
+            exact_marginals(MIXED, t)
+
 
 class TestSimulate:
     def test_deterministic_for_fixed_seed(self):
@@ -138,6 +143,11 @@ class TestSimulate:
     def test_sample_count_validated(self):
         with pytest.raises(ValidationError):
             simulate_marginals(CYCLE4, 0.5, 0, seed=0)
+
+    @pytest.mark.parametrize("t", [-0.5, float("nan"), float("inf"), float("-inf")])
+    def test_bad_time_rejected(self, t):
+        with pytest.raises(ValidationError, match="time"):
+            simulate_marginals(CYCLE4, t, 10, seed=0)
 
 
 class TestPathSample:
