@@ -121,15 +121,17 @@ def _block_L(t: SchurmannTriple, k: int, term_budget: int | None) -> np.ndarray:
     h = k // 2
     a = _block_words(n, h)
     eta_a_star = _eta_L_batch(t, a[:, ::-1])[0]
-    L_a = _eta_L_batch(t, a)[1]
-    eta_b, L_b = _eta_L_batch(t, _block_words(n, k - h))
+    eta_a, L_a = _eta_L_batch(t, a)
+    eta_b, L_b = (eta_a, L_a) if k == 2 * h else _eta_L_batch(t, _block_words(n, k - h))
     ma, mb = math.prod(_radix(n, h)), math.prod(_radix(n, k - h))
+    # F[(I', J'), (I'', J'')] = L(ab); eps(a) = 1 exactly on the rows I' = J'
     F = np.inner(eta_a_star.conj(), eta_b)
-    F += np.outer(np.eye(ma).ravel(), L_b) + np.outer(L_a, np.eye(mb).ravel())
+    F[:: ma + 1] += L_b
+    F[:, :: mb + 1] += L_a[:, None]
     # I = (I', I''): I' ends on another index than I'' starts with
     seqs = _block_indices(n, k)
     pa, pb = _position(seqs[:, :h], n), _position(seqs[:, h:], n)
-    return F.reshape(ma, ma, mb, mb)[pa[:, None], pa[None], pb[:, None], pb[None]]
+    return F[pa[:, None] * ma + pa[None], pb[:, None] * mb + pb[None]]
 
 
 def _evaluate(t: SchurmannTriple, time: float, words, term_budget: int | None) -> dict:

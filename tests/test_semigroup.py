@@ -416,10 +416,14 @@ class TestBlockEngine:
         words = [Word(letters, 4) for letters in (
             [(4, 4), (3, 2), (1, 1)], [(2, 1), (1, 2), (4, 4)], [(1, 1), (3, 2), (4, 4)])]
         values = set()
-        for seed in range(6):
-            np.random.seed(seed)
-            values.add(tuple(state_table(t, 0.5, words).values()))
-            assert np.random.randint(1 << 30) == np.random.RandomState(seed).randint(1 << 30)
+        saved = np.random.get_state()
+        try:
+            for seed in range(6):
+                np.random.seed(seed)
+                values.add(tuple(state_table(t, 0.5, words).values()))
+                assert np.random.randint(1 << 30) == np.random.RandomState(seed).randint(1 << 30)
+        finally:
+            np.random.set_state(saved)
         assert len(values) == 1
 
     def test_memory_does_not_grow_with_block_letters(self, rng):
