@@ -34,9 +34,8 @@ from .magic import (
 from .perms import format_cycles, parse_cycles
 from .schurmann import (
     SchurmannTriple,
+    _relation_defect,
     cocycle_violation,
-    eta,
-    gen_functional,
     is_gaussian,
     is_symmetric_words,
     is_tracial,
@@ -44,7 +43,7 @@ from .schurmann import (
 )
 from .semigroup import conv_exp, fundamental_semigroup, generator_matrix
 from .stochsim import PermProcessSpec, path_sample, process_triple, simulate_marginals
-from .words import defining_relations, format_word, parse_word
+from .words import format_word, parse_word
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -215,13 +214,6 @@ def _cmd_cohomology(args) -> int:
 def _cmd_verify(args) -> int:
     t = _triple_from_args(args)
     report = validate(t.rep, args.tol)
-    rel_worst = 0.0
-    for rel in defining_relations(t.n):
-        rel_worst = max(
-            rel_worst,
-            float(np.linalg.norm(eta(t, rel))),
-            abs(gen_functional(t, rel)),
-        )
     symmetric, sym_worst = is_symmetric_words(t, args.max_word_len, args.tol)
     cert = poisson_certificate(t)
     payload = {
@@ -234,7 +226,7 @@ def _cmd_verify(args) -> int:
         "violations": {
             "representation": report.max_violation,
             "cocycle": cocycle_violation(t.rep, t.xs),
-            "relations": rel_worst,
+            "relations": _relation_defect(t),
             "symmetry": sym_worst,
             "poisson_residual": cert.residual if cert is not None else None,
         },

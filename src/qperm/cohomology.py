@@ -22,8 +22,6 @@ from .config import DEFAULT_CONFIG
 from .errors import ValidationError
 from .magic import MagicUnitary
 
-_EMPTY = None  # sentinel for "no rows" in constraint assembly
-
 
 @dataclass(frozen=True)
 class SubspaceBasis:

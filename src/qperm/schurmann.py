@@ -1,14 +1,20 @@
 """Schurmann triples (rho, eta, L) on Pol(S_n+) and their classification.
 
 A triple is determined by a magic unitary rho and the diagonal cocycle
-values xi_i = eta(p_ii); the off-diagonal values are xi_ij = -P_ij xi_i.
-The cocycle and the generating functional extend to words by
+values xi_i = eta(p_ii); the off-diagonal values are xi_ij = -P_ij xi_i,
+and L(p_ii) = -|xi_i|^2, L(p_ij) = |xi_ij|^2 for i != j.  It is packed into
+one block-triangular representation on C (+) C^d (+) C (Schurmann, White
+Noise on Bialgebras, 1993),
 
-    eta(a b) = rho(a) eta(b) + eta(a) eps(b),
-    L(a b)   = <eta(a*), eta(b)> + eps(a) L(b) + L(a) eps(b),
+    pi(a) = [[eps(a), <eta(a*)|, L(a)  ],
+             [0,      rho(a),   eta(a)],
+             [0,      0,        eps(a)]],
 
-splitting off the leftmost letter (generators are self-adjoint).  Letter
-values: L(p_ii) = -|xi_i|^2 and L(p_ij) = |xi_ij|^2 for i != j.
+multiplicative exactly because eta is a cocycle and L(ab) = <eta(a*), eta(b)>
++ eps(a) L(b) + L(a) eps(b).  SchurmannTriple.pi holds pi(p_ij), whose first
+row carries the conjugate of xi_ij, the generators being self-adjoint.  So
+pi(w) e_last = (L(w), eta(w), eps(w)), and e_0 pi(w) = (eps(w), <eta(w*)|,
+L(w)) by pi(w)* = J pi(w*) J, J the swap of e_0 and e_last.
 
 Inner products are conjugate-linear in the first slot.
 """
@@ -24,7 +30,7 @@ from .cohomology import coboundary_map, split_tuple, stack_tuple
 from .config import DEFAULT_CONFIG
 from .errors import BudgetError, ValidationError
 from .magic import MagicUnitary, TwoBlockSpec, apply, fourier, from_hadamard, validate
-from .words import LinComb, Word, counit, reduced_word_array
+from .words import LinComb, Word, counit, defining_relations, reduced_word_array
 
 #: exhaustive word sweeps switch to sampling above these sizes
 _EXHAUSTIVE_N = 4
@@ -34,12 +40,14 @@ _SAMPLE_WORDS = 10_000
 #: isqrt of it so that every pair product fits
 _MAX_WORD_PAIRS = 200_000
 _SAMPLE_PAIR_ROWS = math.isqrt(_MAX_WORD_PAIRS)
+#: words per gathered letter-matrix product; bounds the (rows, d+2, d+2) gather
+_CHUNK_ROWS = 2048
 
 
 class SchurmannTriple:
-    """Representation plus cocycle data; evaluates eta and L on any element."""
+    """Representation plus cocycle data, and the letter matrices pi(p_ij)."""
 
-    __slots__ = ("rep", "xs", "xi", "letter_L", "__weakref__")
+    __slots__ = ("rep", "xs", "xi", "letter_L", "pi", "__weakref__")
 
     def __init__(self, rep: MagicUnitary, xs, tol: float = DEFAULT_CONFIG.tol,
                  check_rep: bool = False):
@@ -57,23 +65,21 @@ class SchurmannTriple:
             raise ValidationError(
                 f"cocycle conditions violated by {worst:.3e} (tol {tol * scale:.3e})"
             )
-        xi = np.empty((n, n, d), dtype=complex)
-        for i in range(n):
-            for j in range(n):
-                xi[i, j] = xs[i] if i == j else -(rep.blocks[i, j] @ xs[i])
+        xi = -np.einsum("ijab,ib->ija", rep.blocks, xs)
+        xi[range(n), range(n)] = xs
         # the two off-diagonal formulas agree thanks to the cocycle conditions
-        letter_L = np.empty((n, n))
-        for i in range(n):
-            for j in range(n):
-                nrm = float(np.vdot(xi[i, j], xi[i, j]).real)
-                letter_L[i, j] = -nrm if i == j else nrm
-        xs.setflags(write=False)
-        xi.setflags(write=False)
-        letter_L.setflags(write=False)
-        object.__setattr__(self, "rep", rep)
-        object.__setattr__(self, "xs", xs)
-        object.__setattr__(self, "xi", xi)
-        object.__setattr__(self, "letter_L", letter_L)
+        nrm = np.einsum("ija,ija->ij", xi.conj(), xi).real
+        letter_L = np.where(np.eye(n, dtype=bool), -nrm, nrm)
+        pi = np.zeros((n, n, d + 2, d + 2), dtype=complex)
+        pi[:, :, 0, 0] = pi[:, :, -1, -1] = np.eye(n)
+        pi[:, :, 0, 1:-1] = xi.conj()  # <eta(p_ij*)| with p_ij* = p_ij
+        pi[:, :, 0, -1] = letter_L
+        pi[:, :, 1:-1, 1:-1] = rep.blocks
+        pi[:, :, 1:-1, -1] = xi
+        for arr in (xs, xi, letter_L, pi):
+            arr.setflags(write=False)
+        for name, value in zip(self.__slots__, (rep, xs, xi, letter_L, pi)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("SchurmannTriple is immutable")
@@ -111,74 +117,70 @@ def triple_from_stacked(rep: MagicUnitary, vec, tol: float = DEFAULT_CONFIG.tol)
 # --- evaluation ---------------------------------------------------------------
 
 
-def _eta_word(t: SchurmannTriple, letters) -> np.ndarray:
-    eta = np.zeros(t.d, dtype=complex)
-    eps = 1.0
-    for i, j in reversed(letters):
-        eta = t.rep.blocks[i - 1, j - 1] @ eta + (t.xi[i - 1, j - 1] * eps if eps else 0.0)
-        eps = eps if i == j else 0.0
-    return eta
-
-
-def _L_word(t: SchurmannTriple, letters) -> complex:
-    val = 0j
-    eta = np.zeros(t.d, dtype=complex)
-    eps = 1.0
-    for i, j in reversed(letters):
-        xi = t.xi[i - 1, j - 1]
-        val = np.vdot(xi, eta) + (val if i == j else 0.0) + t.letter_L[i - 1, j - 1] * eps
-        eta = t.rep.blocks[i - 1, j - 1] @ eta + xi * eps
-        eps = eps if i == j else 0.0
-    return complex(val)
+def _apply(t: SchurmannTriple, x: LinComb | Word) -> np.ndarray:
+    """pi(x) e_last = (L(x), eta(x), eps(x)), one letter matrix product per letter."""
+    if isinstance(x, Word):
+        x = LinComb.from_word(x)
+    if x.n != t.n:
+        raise ValidationError("ambient size mismatch")
+    out = np.zeros(t.d + 2, dtype=complex)
+    for w, c in x.terms.items():
+        v = np.eye(t.d + 2, dtype=complex)[-1]  # e_last
+        for i, j in reversed(w.letters):
+            v = t.pi[i - 1, j - 1] @ v
+        out += c * v
+    return out
 
 
 def eta(t: SchurmannTriple, x: LinComb | Word) -> np.ndarray:
     """The cocycle eta evaluated on a word or linear combination."""
-    if isinstance(x, Word):
-        x = LinComb.from_word(x)
-    if x.n != t.n:
-        raise ValidationError("ambient size mismatch")
-    out = np.zeros(t.d, dtype=complex)
-    for w, c in x.terms.items():
-        out += c * _eta_word(t, w.letters)
-    return out
+    return _apply(t, x)[1:-1]
 
 
 def gen_functional(t: SchurmannTriple, x: LinComb | Word) -> complex:
     """The generating functional L evaluated on a word or linear combination."""
-    if isinstance(x, Word):
-        x = LinComb.from_word(x)
-    if x.n != t.n:
-        raise ValidationError("ambient size mismatch")
-    return complex(sum(c * _L_word(t, w.letters) for w, c in x.terms.items()))
+    return complex(_apply(t, x)[0])
 
 
-def _eta_L_batch(t: SchurmannTriple, letters: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """eta (count, d) and L (count,) of a batch of equal-length words.
+def _relation_defect(t: SchurmannTriple) -> float:
+    """Worst max(|L(r)|, ||eta(r)||) over the defining relations r of Pol(S_n+)."""
+    worst = 0.0
+    for rel in defining_relations(t.n):
+        v = _apply(t, rel)
+        worst = max(worst, abs(complex(v[0])), float(np.linalg.norm(v[1:-1])))
+    return worst
+
+
+def _columns(t: SchurmannTriple, letters: np.ndarray) -> np.ndarray:
+    """pi(w) e_last = (L(w), eta(w), eps(w)) per row w, shape (count, d + 2).
 
     letters: int array of shape (count, length, 2) with 1-based indices.
     """
     letters = np.asarray(letters, dtype=np.int64)
     if letters.ndim != 3 or letters.shape[2] != 2:
         raise ValidationError("expected letters of shape (count, length, 2)")
-    count, length = letters.shape[0], letters.shape[1]
-    n, d = t.n, t.d
-    blocks_flat = t.rep.blocks.reshape(n * n, d, d)
-    xi_flat = t.xi.reshape(n * n, d)
-    lgen_flat = t.letter_L.reshape(n * n)
-    val = np.zeros(count, dtype=complex)
-    eta_suf = np.zeros((count, d), dtype=complex)
-    eps = np.ones(count)
-    for pos in range(length - 1, -1, -1):
-        ii = letters[:, pos, 0] - 1
-        jj = letters[:, pos, 1] - 1
-        code = ii * n + jj
-        xi_l = xi_flat[code]
-        delta = (ii == jj).astype(float)
-        val = np.einsum("md,md->m", xi_l.conj(), eta_suf) + delta * val + lgen_flat[code] * eps
-        eta_suf = np.einsum("mab,mb->ma", blocks_flat[code], eta_suf) + xi_l * eps[:, None]
-        eps = delta * eps
-    return eta_suf, val
+    n, size = t.n, t.d + 2
+    pi = t.pi.reshape(n * n, size, size)
+    codes = (letters[:, :, 0] - 1) * n + letters[:, :, 1] - 1
+    out = np.zeros((codes.shape[0], size), dtype=complex)
+    out[:, -1] = 1.0
+    for start in range(0, codes.shape[0], _CHUNK_ROWS):
+        chunk = slice(start, start + _CHUNK_ROWS)
+        v = out[chunk]
+        for code in codes[chunk].T[::-1]:
+            v = np.einsum("mab,mb->ma", pi[code], v)
+        out[chunk] = v
+    return out
+
+
+def _rows(t: SchurmannTriple, letters: np.ndarray) -> np.ndarray:
+    """e_0 pi(w) = (eps(w), <eta(w*)|, L(w)) per row w, shape (count, d + 2).
+
+    pi(w)* = J pi(w*) J, J the swap of e_0 and e_last; w* is w reversed.
+    """
+    rows = _columns(t, np.asarray(letters)[:, ::-1]).conj()
+    rows[:, [0, -1]] = rows[:, [-1, 0]]
+    return rows
 
 
 def gen_functional_batch(t: SchurmannTriple, letters: np.ndarray) -> np.ndarray:
@@ -186,7 +188,7 @@ def gen_functional_batch(t: SchurmannTriple, letters: np.ndarray) -> np.ndarray:
 
     letters: int array of shape (count, length, 2) with 1-based indices.
     """
-    return _eta_L_batch(t, letters)[1]
+    return _columns(t, letters)[:, 0]
 
 
 # --- classification -----------------------------------------------------------
@@ -372,10 +374,9 @@ def fourier_symmetry(n: int, xs, tol: float = DEFAULT_CONFIG.tol) -> bool:
 
 
 def _trace_defect(t: SchurmannTriple, per_len: list[np.ndarray], max_len: int) -> float:
-    """Worst |L(uv) - L(vu)| = |<eta(u*), eta(v)> - <eta(v*), eta(u)>| over batch rows u, v."""
-    etas = [_eta_L_batch(t, batch)[0] for batch in per_len]
-    # conjugated eta of the adjoints; u* is u reversed, the generators being self-adjoint
-    etas_star = [_eta_L_batch(t, batch[:, ::-1])[0].conj() for batch in per_len]
+    """Worst |L(uv) - L(vu)| over batch rows u, v, with L(uv) = e_0 pi(u) pi(v) e_last."""
+    rows = [_rows(t, batch) for batch in per_len]
+    cols = [_columns(t, batch) for batch in per_len]
     worst = 0.0
     for la in range(1, max_len):
         for lb in range(1, max_len - la + 1):
@@ -383,8 +384,7 @@ def _trace_defect(t: SchurmannTriple, per_len: list[np.ndarray], max_len: int) -
                 raise BudgetError("too many word pairs; lower max_len")
             # np.inner, not @ on a transposed view: on a 2-core host the latter took 8 ms
             # for a (1296 x 4) by (4 x 16) product on a slow BLAS path, np.inner 0.06 ms
-            diff = (np.inner(etas_star[la - 1], etas[lb - 1])
-                    - np.inner(etas[la - 1], etas_star[lb - 1]))
+            diff = np.inner(rows[la - 1], cols[lb - 1]) - np.inner(cols[la - 1], rows[lb - 1])
             worst = max(worst, float(np.max(np.abs(diff), initial=0.0)))
     return worst
 
@@ -397,12 +397,11 @@ def is_tracial(
 ) -> bool:
     """Check L(uv) = L(vu) over reduced word pairs with |u| + |v| <= max_len.
 
-    Pair values come from the 2-cocycle identity
-    L(ab) = <eta(a*), eta(b)> + eps(a) L(b) + L(a) eps(b), whose eps-L terms
-    cancel in L(uv) - L(vu), leaving two Gram products of eta values per pair
-    of lengths; u* is u reversed.  The identity needs self-adjoint blocks
-    rho(p_ij)* = rho(p_ij), which every magic unitary has.  Also checks the
-    necessary condition |eta(a)| = |eta(a*)| on sampled elements of ker eps.
+    Pair values are Gram products of the first rows e_0 pi(u) and last
+    columns pi(v) e_last of the letter-matrix products, one per pair of
+    lengths, so the words uv and vu are never formed.  Also checks the
+    necessary condition |eta(a)| = |eta(a*)| on sampled elements of ker eps,
+    eta(a) from the column of a and the conjugate of eta(a*) from its row.
     """
     if max_len < 2:
         raise ValidationError("max_len must be >= 2 for traciality")
@@ -422,8 +421,8 @@ def is_tracial(
     # necessary condition via the GNS anti-unitary: |eta(a)| = |eta(a*)|
     for batch in _sweep_words(t.n, max_len, rng):
         take = batch if batch.shape[0] <= 64 else batch[rng.choice(batch.shape[0], 64, replace=False)]
-        na = np.linalg.norm(_eta_L_batch(t, take)[0], axis=1)
-        nastar = np.linalg.norm(_eta_L_batch(t, take[:, ::-1])[0], axis=1)
+        na = np.linalg.norm(_columns(t, take)[:, 1:-1], axis=1)
+        nastar = np.linalg.norm(_rows(t, take)[:, 1:-1], axis=1)
         if float(np.max(np.abs(na - nastar), initial=0.0)) > tol * scale:
             return False
     return True

@@ -10,11 +10,11 @@ that equality pattern, and every reduced k-letter word lies in the block of
 index sequences with no two adjacent entries equal: m = n (n-1)^(k-1) of
 them.  k = 1 is the fundamental semigroup exp(t A).
 
-L(U) on that block, L_B, comes from eta and L on the half-length blocks and
-one Gram product of eta values (the 2-cocycle identity, see _block_L), and
-a word's value from exp(t L_B) applied to the word's column only
-(scipy.sparse.linalg.expm_multiply, Al-Mohy & Higham 2011).  The identity
-needs self-adjoint blocks rho(p_ij)* = rho(p_ij), as every magic unitary has.
+L(U) on that block, L_B, is one product of the first rows e_0 pi(a) of the
+half-length block words with the last columns pi(b) e_last of the other
+half, pi the letter matrices of the triple (see schurmann and _block_L),
+and a word's value comes from exp(t L_B) applied to the word's column only
+(scipy.sparse.linalg.expm_multiply, Al-Mohy & Higham 2011).
 
 Also provides convolution of functionals, the Haar-state Gram matrix on the
 degree <= 2 span and the induced self-adjointness check for the Markov
@@ -30,7 +30,7 @@ import numpy as np
 from . import _kernel
 from .config import DEFAULT_CONFIG
 from .errors import BudgetError, ValidationError, check_time
-from .schurmann import SchurmannTriple, _eta_L_batch
+from .schurmann import SchurmannTriple, _columns, _rows
 from .words import Word, coproduct_terms
 
 #: unit roundoff of float64
@@ -104,12 +104,10 @@ def _block_L(t: SchurmannTriple, k: int, term_budget: int | None) -> np.ndarray:
     """L_B[I, J] = L(p(i_1,j_1) ... p(i_k,j_k)) over all m^2 pairs of block indices.
 
     Split each word after h = k // 2 letters, a = p(I', J') and b = p(I'', J''):
-    L(ab) = <eta(a*), eta(b)> + eps(a) L(b) + L(a) eps(b), where a* is a
-    reversed.  That needs self-adjoint blocks rho(p_ij)* = rho(p_ij), which
-    every magic unitary has.  So eta and L on the pairs of the h- and
-    (k-h)-letter blocks and one Gram product of eta values give every entry.
-    The k m^2 letters of the block are charged against term_budget before
-    anything is allocated.
+    L(ab) = e_0 pi(a) pi(b) e_last, so one product of the rows of the
+    h-letter block words with the columns of the (k-h)-letter ones gives
+    every entry.  The k m^2 letters of the block are charged against
+    term_budget before anything is allocated.
     """
     n = t.n
     m = math.prod(_radix(n, k))
@@ -119,15 +117,9 @@ def _block_L(t: SchurmannTriple, k: int, term_budget: int | None) -> np.ndarray:
     if k == 1:
         return t.letter_L
     h = k // 2
-    a = _block_words(n, h)
-    eta_a_star = _eta_L_batch(t, a[:, ::-1])[0]
-    eta_a, L_a = _eta_L_batch(t, a)
-    eta_b, L_b = (eta_a, L_a) if k == 2 * h else _eta_L_batch(t, _block_words(n, k - h))
+    # F[(I', J'), (I'', J'')] = L(ab)
+    F = np.inner(_rows(t, _block_words(n, h)), _columns(t, _block_words(n, k - h)))
     ma, mb = math.prod(_radix(n, h)), math.prod(_radix(n, k - h))
-    # F[(I', J'), (I'', J'')] = L(ab); eps(a) = 1 exactly on the rows I' = J'
-    F = np.inner(eta_a_star.conj(), eta_b)
-    F[:: ma + 1] += L_b
-    F[:, :: mb + 1] += L_a[:, None]
     # I = (I', I''): I' ends on another index than I'' starts with
     seqs = _block_indices(n, k)
     pa, pb = _position(seqs[:, :h], n), _position(seqs[:, h:], n)
@@ -164,7 +156,9 @@ def _evaluate(t: SchurmannTriple, time: float, words, term_budget: int | None) -
         state = np.random.get_state()
         np.random.seed(0)
         try:
-            E = scipy.sparse.linalg.expm_multiply(X, np.eye(len(X))[:, cols])
+            units = np.zeros((len(X), len(cols)))
+            units[cols, np.arange(len(cols))] = 1.0
+            E = scipy.sparse.linalg.expm_multiply(X, units)
         finally:
             np.random.set_state(state)
         for w, r, c in zip(roots, rows, where):
@@ -177,9 +171,7 @@ def conv_exp(
 ) -> tuple[complex, float]:
     """omega_t(w) = exp_*(time L)(w), from exp(time L_B) on the word's column.
 
-    L_B is the generator on the word's block, assembled from the 2-cocycle
-    identity; this needs self-adjoint blocks rho(p_ij)* = rho(p_ij).
-    Returns (value, err).  err = u ||time L_B||_1, with u the unit roundoff
+    L_B is the generator on the word's block (see _block_L).  Returns (value, err).  err = u ||time L_B||_1, with u the unit roundoff
     and L_B the block of w, is the scale of the rounding error of the
     exponential, not a rigorous bound; it is 0.0 for the zero and unit words.
     """

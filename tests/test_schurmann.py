@@ -7,14 +7,14 @@ import pytest
 
 from qperm.cohomology import h1_representatives
 from qperm.errors import ValidationError
-from qperm.magic import TwoBlockSpec, fourier, from_hadamard, from_permutation
+from qperm.magic import TwoBlockSpec, f4_phi, fourier, from_hadamard, from_permutation
 from qperm.schurmann import (
     _SAMPLE_PAIR_ROWS,
     _SAMPLE_WORDS,
     SchurmannTriple,
-    _eta_L_batch,
-    _eta_word,
+    _columns,
     _exhaustive,
+    _rows,
     _sweep_words,
     _trace_defect,
     cocycle_violation,
@@ -111,8 +111,8 @@ def reference_is_tracial(t, max_len, rng, tol=1e-9):
         take = batch if batch.shape[0] <= 64 else batch[rng.choice(batch.shape[0], 64, replace=False)]
         for letters in take.tolist():
             letters = [tuple(let) for let in letters]
-            na = np.linalg.norm(_eta_word(t, letters))
-            nastar = np.linalg.norm(_eta_word(t, letters[::-1]))
+            na = np.linalg.norm(eta(t, Word(letters, t.n)))
+            nastar = np.linalg.norm(eta(t, Word(letters[::-1], t.n)))
             if abs(na - nastar) > tol * scale:
                 return False
     return True
@@ -221,15 +221,17 @@ class TestEvaluation:
     def test_batch_eta_matches_scalar(self, rng):
         t = fourier_triple(4, rng)
         batch = np.array([w.letters for w in reduced_words(4, 3, min_len=3)[:200]])
-        etas = _eta_L_batch(t, batch)[0]
+        etas = _columns(t, batch)[:, 1:-1]
         for letters, e in zip(batch.tolist(), etas):
-            assert np.abs(_eta_word(t, [tuple(let) for let in letters]) - e).max() < 1e-12
+            assert np.abs(eta(t, Word([tuple(let) for let in letters], 4)) - e).max() < 1e-12
 
-    def test_batch_L_bit_identical_to_reference(self, rng):
+    def test_batch_L_matches_reference(self, rng):
         t = fourier_triple(4, rng)
         for length in (1, 3, 4):
             batch = _sweep_words(4, length)[-1]
-            assert np.array_equal(gen_functional_batch(t, batch), reference_L_batch(t, batch))
+            want = reference_L_batch(t, batch)
+            scale = 1.0 + float(np.max(np.abs(want)))
+            assert float(np.max(np.abs(gen_functional_batch(t, batch) - want))) <= 1e-14 * scale
 
     def test_batch_shape_check(self, rng):
         t = fourier_triple(3, rng)
@@ -433,3 +435,73 @@ class TestTraceDefect:
         assert got == reference_is_tracial(t, 4, np.random.default_rng(5))
         if label.startswith("fourier4"):
             assert not got
+
+
+def letter_triples():
+    """Fourier n=4, permutation d=2, complex two-block d=3 and F_4(0.7) triples."""
+    rng = np.random.default_rng(17)
+    perm = from_permutation((2, 3, 1, 4), 2)
+    P, Q = random_projection(rng, 3), random_projection(rng, 3)
+    v, w = (rng.normal(size=3) + 1j * rng.normal(size=3) for _ in range(2))
+    f4 = from_hadamard(f4_phi(0.7))
+    out = [("fourier4", fourier_triple(4, rng)),
+           ("permutation-d2", SchurmannTriple(perm, random_cocycle(perm, rng))),
+           ("two-block-d3", two_block_triple(TwoBlockSpec(P, Q), v - P @ v, w - Q @ w)),
+           ("f4(0.7)", SchurmannTriple(f4, random_cocycle(f4, rng)))]
+    return [pytest.param(t, id=label) for label, t in out]
+
+
+def random_letters(rng, n, count, length, reduced):
+    """(count, length, 2) letters; reduced rows change row and column at every step."""
+    out = rng.integers(1, n + 1, size=(count, length, 2))
+    if reduced:
+        for pos in range(1, length):
+            out[:, pos] = (out[:, pos - 1] - 1 + rng.integers(1, n, size=(count, 2))) % n + 1
+    return out
+
+
+def letter_product(t, letters):
+    """pi(w) as an explicit product of the letter matrices of t."""
+    mats = [t.pi[i - 1, j - 1] for i, j in letters]
+    return mats[0] if len(mats) == 1 else np.linalg.multi_dot(mats)
+
+
+class TestLetterMatrices:
+    @pytest.mark.parametrize("t", letter_triples())
+    def test_columns_and_rows_match_explicit_products(self, t):
+        rng = np.random.default_rng(23)
+        norm = max(1.0, float(np.max(np.linalg.norm(t.pi, 2, axis=(2, 3)))))
+        for length in range(1, 6):
+            for reduced in (True, False):
+                batch = random_letters(rng, t.n, 40, length, reduced)
+                want = np.array([letter_product(t, w) for w in batch.tolist()])
+                scale = norm ** length
+                assert np.abs(_columns(t, batch) - want[:, :, -1]).max() <= 1e-13 * scale
+                assert np.abs(_rows(t, batch) - want[:, 0, :]).max() <= 1e-13 * scale
+
+    @pytest.mark.parametrize("t", letter_triples())
+    def test_rows_hold_the_adjoint_cocycle(self, t):
+        # e_0 pi(w) = (eps(w), conj eta(w*), L(w)), w* = w reversed
+        rng = np.random.default_rng(29)
+        batch = random_letters(rng, t.n, 30, 3, True)
+        rows = _rows(t, batch)
+        for w, row in zip(batch.tolist(), rows):
+            w = [tuple(let) for let in w]
+            assert abs(row[0] - counit(Word(w, t.n))) < 1e-12
+            assert np.abs(row[1:-1] - eta(t, Word(w[::-1], t.n)).conj()).max() < 1e-12
+            assert abs(row[-1] - gen_functional(t, Word(w, t.n))) < 1e-12
+
+    @pytest.mark.parametrize("chunk", [1, 3])
+    def test_chunking_is_bit_identical(self, monkeypatch, chunk):
+        t = fourier_triple(4, np.random.default_rng(31))
+        batch = random_letters(np.random.default_rng(37), 4, 50, 4, False)
+        cols, rows = _columns(t, batch), _rows(t, batch)
+        monkeypatch.setattr("qperm.schurmann._CHUNK_ROWS", chunk)
+        assert np.array_equal(_columns(t, batch), cols)
+        assert np.array_equal(_rows(t, batch), rows)
+
+    def test_letter_table_is_read_only(self, rng):
+        t = fourier_triple(4, rng)
+        assert t.pi.shape == (4, 4, t.d + 2, t.d + 2)
+        with pytest.raises(ValueError):
+            t.pi[0, 0, 0, 0] = 1.0
