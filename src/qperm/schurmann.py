@@ -154,11 +154,11 @@ def _relation_defect(t: SchurmannTriple) -> float:
 def _columns(t: SchurmannTriple, letters: np.ndarray) -> np.ndarray:
     """pi(w) e_last = (L(w), eta(w), eps(w)) per row w, shape (count, d + 2).
 
-    letters: int array of shape (count, length, 2) with 1-based indices.
+    letters: int array of shape (count, length, 2) with 1-based indices in
+    1..n; unchecked here, since every caller builds them (`gen_functional_batch`
+    checks outside input).
     """
     letters = np.asarray(letters, dtype=np.int64)
-    if letters.ndim != 3 or letters.shape[2] != 2:
-        raise ValidationError("expected letters of shape (count, length, 2)")
     n, size = t.n, t.d + 2
     pi = t.pi.reshape(n * n, size, size)
     codes = (letters[:, :, 0] - 1) * n + letters[:, :, 1] - 1
@@ -188,6 +188,11 @@ def gen_functional_batch(t: SchurmannTriple, letters: np.ndarray) -> np.ndarray:
 
     letters: int array of shape (count, length, 2) with 1-based indices.
     """
+    letters = np.asarray(letters, dtype=np.int64)
+    if letters.ndim != 3 or letters.shape[2] != 2:
+        raise ValidationError("expected letters of shape (count, length, 2)")
+    if letters.size and (letters.min() < 1 or letters.max() > t.n):
+        raise ValidationError(f"letter indices must lie in 1..{t.n}")
     return _columns(t, letters)[:, 0]
 
 

@@ -7,12 +7,16 @@ sums, evaluated exactly with a roots-of-unity filter.
 
 Seed discipline: numpy SeedSequence(seed) is spawned once per cycle in the
 stored cycle order, and each cycle's stream is spawned again per sample
-block; results are independent of how blocks are scheduled, so parallel and
-serial execution agree for a fixed seed.
+block. Every block has its own bit generator and its tally is a vector of
+integer counts, so `simulate_marginals` tallies the blocks on a thread pool
+made for the call (one thread per usable CPU) and returns the same bytes as
+a serial run for a fixed seed, whatever the core count.
 """
 
 from __future__ import annotations
 
+import numbers
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,6 +126,52 @@ def exact_marginals(spec: PermProcessSpec, t: float) -> np.ndarray:
     return out
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _tally(task) -> np.ndarray:
+    """Histogram of one block's Poisson clock counts mod ell, as float64 counts.
+
+    task: (SeedSequence of the block, lam * t, draws, ell).
+    """
+    blk, lam_t, take, ell = task
+    raw = np.bincount(np.random.Generator(np.random.PCG64(blk)).poisson(lam_t, size=take))
+    return np.bincount(np.arange(raw.size) % ell, weights=raw, minlength=ell)
+
+
+def _tally_each(tasks) -> list[np.ndarray]:
+    return [_tally(task) for task in tasks]
+
+
+def _tally_all(tasks: list) -> list[np.ndarray]:
+    """`_tally` of every task, in order, on min(usable CPUs, tasks) threads.
+
+    The calling thread takes every w-th task itself and w - 1 helper threads
+    take the rest; numpy's array `poisson` releases the GIL.
+    """
+    workers = min(_usable_cpus(), len(tasks))
+    if workers <= 1:
+        return _tally_each(tasks)
+    from concurrent.futures import ThreadPoolExecutor
+
+    out: list = [None] * len(tasks)
+    with ThreadPoolExecutor(workers - 1) as pool:
+        helpers = [pool.submit(_tally_each, tasks[k::workers]) for k in range(1, workers)]
+        out[0::workers] = _tally_each(tasks[0::workers])
+        for k, future in enumerate(helpers, start=1):
+            out[k::workers] = future.result()
+    return out
+
+
+def _check_count(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ValidationError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 def simulate_marginals(
     spec: PermProcessSpec,
     t: float,
@@ -132,30 +182,30 @@ def simulate_marginals(
     """Tally X_t(i) = j over Poisson draws of the cycle clocks.
 
     Each cycle advances all its positions by the same Poisson count, so one
-    draw per cycle per sample decides the whole block row.
+    draw per cycle per sample decides the whole block row. The blocks of
+    every cycle are tallied on a thread pool made for this call; each tally
+    is an integer-valued float64 below 2**53, so the sums, and the returned
+    bytes, do not depend on the number of threads or their order.
     """
-    if samples < 1:
-        raise ValidationError("samples must be >= 1")
+    _check_count("samples", samples)
+    _check_count("block_size", block_size)
     check_time(t)
     n = spec.n
     probs = np.zeros((n, n))
     for i in range(1, n + 1):
         if spec.sigma[i - 1] == i:
             probs[i - 1, i - 1] = 1.0
-    root = np.random.SeedSequence(seed)
-    streams = root.spawn(len(spec.rates))
+    nblocks = (samples + block_size - 1) // block_size
+    streams = np.random.SeedSequence(seed).spawn(len(spec.rates))
+    tasks = []
     for cyc, lam, stream in zip(spec.cycles, spec.rates, streams):
+        for b, blk in enumerate(stream.spawn(nblocks)):
+            take = min(block_size, samples - b * block_size)
+            tasks.append((blk, lam * t, take, len(cyc)))
+    tallies = _tally_all(tasks)
+    for c, cyc in enumerate(spec.cycles):
         ell = len(cyc)
-        hist = np.zeros(ell)
-        blocks = stream.spawn((samples + block_size - 1) // block_size)
-        left = samples
-        for blk in blocks:
-            take = min(block_size, left)
-            left -= take
-            rng = np.random.Generator(np.random.PCG64(blk))
-            counts = rng.poisson(lam * t, size=take)
-            hist += np.bincount(counts % ell, minlength=ell)
-        hist /= samples
+        hist = sum(tallies[c * nblocks:(c + 1) * nblocks]) / samples
         for a, origin in enumerate(cyc):
             for r in range(ell):
                 probs[origin - 1, cyc[(a + r) % ell] - 1] = hist[r]

@@ -237,6 +237,17 @@ class TestEvaluation:
         t = fourier_triple(3, rng)
         with pytest.raises(ValidationError):
             gen_functional_batch(t, np.zeros((4, 3), dtype=np.int64))
+        with pytest.raises(ValidationError, match="shape"):
+            gen_functional_batch(t, np.ones((4, 3, 3), dtype=np.int64))
+
+    @pytest.mark.parametrize("letter", [(0, 1), (5, 1), (1, 5), (2, -1)])
+    def test_batch_letter_range_check(self, rng, letter):
+        # (0, 1) used to wrap to code -1 and return L(p_41); (5, 1) raised IndexError
+        t = fourier_triple(4, rng)
+        batch = np.array([[[1, 2], letter]], dtype=np.int64)
+        with pytest.raises(ValidationError, match="1..4"):
+            gen_functional_batch(t, batch)
+        assert gen_functional_batch(t, np.zeros((0, 2, 2), dtype=np.int64)).shape == (0,)
 
     def test_conditional_positivity_on_kernel(self, rng):
         # the Gram matrix L(a_i* a_j) on ker eps elements is PSD

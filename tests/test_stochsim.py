@@ -1,8 +1,16 @@
 """Classical-permutation Levy processes: exact marginals, sampling, bridge triple."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.stats
+
+import qperm
+from qperm import stochsim
 
 from qperm.errors import ValidationError
 from qperm.schurmann import gen_functional
@@ -20,6 +28,38 @@ from qperm.words import parse_word
 
 CYCLE4 = PermProcessSpec((2, 3, 4, 1), [1.0])
 MIXED = PermProcessSpec((2, 1, 4, 5, 3, 6), [0.5, 1.5])  # (1 2)(3 4 5), 6 fixed
+TWO_CYCLES = PermProcessSpec((2, 3, 4, 1, 6, 5), [1.0, 0.7])  # (1 2 3 4)(5 6)
+
+
+def reference_simulate(spec, t, samples, seed, block_size):
+    """The serial block loop: one block at a time, counts folded with `%`."""
+    n = spec.n
+    probs = np.zeros((n, n))
+    for i in range(1, n + 1):
+        if spec.sigma[i - 1] == i:
+            probs[i - 1, i - 1] = 1.0
+    root = np.random.SeedSequence(seed)
+    streams = root.spawn(len(spec.rates))
+    for cyc, lam, stream in zip(spec.cycles, spec.rates, streams):
+        ell = len(cyc)
+        hist = np.zeros(ell)
+        blocks = stream.spawn((samples + block_size - 1) // block_size)
+        left = samples
+        for blk in blocks:
+            take = min(block_size, left)
+            left -= take
+            rng = np.random.Generator(np.random.PCG64(blk))
+            counts = rng.poisson(lam * t, size=take)
+            hist += np.bincount(counts % ell, minlength=ell)
+        hist /= samples
+        for a, origin in enumerate(cyc):
+            for r in range(ell):
+                probs[origin - 1, cyc[(a + r) % ell] - 1] = hist[r]
+    stderr = np.sqrt(np.clip(probs * (1.0 - probs), 0.0, None) / samples)
+    for i in range(1, n + 1):
+        if spec.sigma[i - 1] == i:
+            stderr[i - 1, i - 1] = 0.0
+    return probs, stderr
 
 
 class TestSpec:
@@ -144,10 +184,74 @@ class TestSimulate:
         with pytest.raises(ValidationError):
             simulate_marginals(CYCLE4, 0.5, 0, seed=0)
 
+    @pytest.mark.parametrize("samples, block_size", [
+        (10, 0), (10, -3), (2.5, 512), (10.0, 512), (float("inf"), 512), (10, 512.0),
+        (10, float("nan")), ("10", 512), (True, 512), (10, None),
+    ])
+    def test_counts_must_be_positive_integers(self, samples, block_size):
+        # these used to raise ZeroDivisionError, OverflowError or TypeError
+        with pytest.raises(ValidationError, match="samples|block_size"):
+            simulate_marginals(MIXED, 0.5, samples, seed=0, block_size=block_size)
+
+    def test_numpy_integer_counts_accepted(self):
+        est = simulate_marginals(MIXED, 0.5, np.int64(1000), seed=2, block_size=np.int32(300))
+        want = reference_simulate(MIXED, 0.5, 1000, 2, 300)
+        assert np.array_equal(est.probs, want[0]) and np.array_equal(est.stderr, want[1])
+
     @pytest.mark.parametrize("t", [-0.5, float("nan"), float("inf"), float("-inf")])
     def test_bad_time_rejected(self, t):
         with pytest.raises(ValidationError, match="time"):
             simulate_marginals(CYCLE4, t, 10, seed=0)
+
+
+class TestThreadedTally:
+    """The blocks run on a thread pool; the bytes equal the serial block loop."""
+
+    CASES = [(1, 512), (512, 512), (2048, 512), (5000, 512), (70_001, 1 << 16)]
+
+    def assert_reference(self, spec, t, samples, seed, block_size):
+        est = simulate_marginals(spec, t, samples, seed=seed, block_size=block_size)
+        probs, stderr = reference_simulate(spec, t, samples, seed, block_size)
+        assert np.array_equal(est.probs, probs)
+        assert np.array_equal(est.stderr, stderr)
+
+    @pytest.mark.parametrize("spec", [MIXED, TWO_CYCLES], ids=["mixed", "two-cycles"])
+    @pytest.mark.parametrize("samples, block_size", CASES)
+    def test_bytes_match_serial_reference(self, spec, samples, block_size):
+        self.assert_reference(spec, 0.8, samples, samples + 17, block_size)
+
+    def test_one_cpu_runs_in_the_caller(self, monkeypatch):
+        import concurrent.futures
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was started with one usable CPU")
+
+        monkeypatch.setattr(stochsim, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+        for samples, block_size in self.CASES:
+            self.assert_reference(TWO_CYCLES, 1.1, samples, 3, block_size)
+
+    def test_more_threads_than_cores(self, monkeypatch):
+        # seven helpers write disjoint strides of one list under fast switching
+        monkeypatch.setattr(stochsim, "_usable_cpus", lambda: 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            self.assert_reference(MIXED, 0.6, 20_000, 5, 512)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_identity_spec_needs_no_tasks(self):
+        est = simulate_marginals(PermProcessSpec((1, 2, 3), []), 1.0, 100, seed=0)
+        assert np.array_equal(est.probs, np.eye(3))
+        assert not est.stderr.any()
+
+    def test_import_leaves_concurrent_futures_unloaded(self):
+        code = "import sys, qperm; print('concurrent.futures' in sys.modules)"
+        src = str(Path(qperm.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=src), check=True).stdout
+        assert out.strip() == "False"
 
 
 class TestPathSample:
