@@ -8,9 +8,10 @@ sums, evaluated exactly with a roots-of-unity filter.
 Seed discipline: numpy SeedSequence(seed) is spawned once per cycle in the
 stored cycle order, and each cycle's stream is spawned again per sample
 block. Every block has its own bit generator and its tally is a vector of
-integer counts, so `simulate_marginals` tallies the blocks on a thread pool
-made for the call (one thread per usable CPU) and returns the same bytes as
-a serial run for a fixed seed, whatever the core count.
+integer counts, so `simulate_marginals` tallies the blocks of large calls on
+a thread pool made for the call (at most one thread per usable CPU) and
+returns the same bytes as a serial run for a fixed seed, whatever the core
+count.
 """
 
 from __future__ import annotations
@@ -134,37 +135,31 @@ def _usable_cpus() -> int:
 
 
 def _tally(task) -> np.ndarray:
-    """Histogram of one block's Poisson clock counts mod ell, as float64 counts.
+    """Histogram of one block's Poisson clock counts mod ell.
 
     task: (SeedSequence of the block, lam * t, draws, ell).
     """
     blk, lam_t, take, ell = task
-    raw = np.bincount(np.random.Generator(np.random.PCG64(blk)).poisson(lam_t, size=take))
-    return np.bincount(np.arange(raw.size) % ell, weights=raw, minlength=ell)
-
-
-def _tally_each(tasks) -> list[np.ndarray]:
-    return [_tally(task) for task in tasks]
+    counts = np.random.Generator(np.random.PCG64(blk)).poisson(lam_t, size=take)
+    return np.bincount(np.remainder(counts, ell, out=counts), minlength=ell)
 
 
 def _tally_all(tasks: list) -> list[np.ndarray]:
-    """`_tally` of every task, in order, on min(usable CPUs, tasks) threads.
+    """`_tally` of every task, in order.
 
-    The calling thread takes every w-th task itself and w - 1 helper threads
-    take the rest; numpy's array `poisson` releases the GIL.
+    The tasks run on min(usable CPUs, tasks, draws // BLOCK_SIZE) threads, so
+    each thread gets at least a default block's worth of draws; numpy's array
+    `poisson` releases the GIL. With one thread the caller tallies them all
+    and no pool starts.
     """
-    workers = min(_usable_cpus(), len(tasks))
+    draws = sum(task[2] for task in tasks)
+    workers = min(_usable_cpus(), len(tasks), draws // BLOCK_SIZE)
     if workers <= 1:
-        return _tally_each(tasks)
+        return [_tally(task) for task in tasks]
     from concurrent.futures import ThreadPoolExecutor
 
-    out: list = [None] * len(tasks)
-    with ThreadPoolExecutor(workers - 1) as pool:
-        helpers = [pool.submit(_tally_each, tasks[k::workers]) for k in range(1, workers)]
-        out[0::workers] = _tally_each(tasks[0::workers])
-        for k, future in enumerate(helpers, start=1):
-            out[k::workers] = future.result()
-    return out
+    with ThreadPoolExecutor(workers) as pool:
+        return list(pool.map(_tally, tasks))
 
 
 def _check_count(name: str, value) -> None:
@@ -183,9 +178,10 @@ def simulate_marginals(
 
     Each cycle advances all its positions by the same Poisson count, so one
     draw per cycle per sample decides the whole block row. The blocks of
-    every cycle are tallied on a thread pool made for this call; each tally
-    is an integer-valued float64 below 2**53, so the sums, and the returned
-    bytes, do not depend on the number of threads or their order.
+    every cycle are tallied on a thread pool made for this call when there
+    are at least two default blocks' worth of draws (see `_tally_all`); each
+    tally is a vector of integer counts, so the sums, and the returned bytes,
+    do not depend on the number of threads or their order.
     """
     _check_count("samples", samples)
     _check_count("block_size", block_size)

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -232,14 +233,50 @@ class TestThreadedTally:
             self.assert_reference(TWO_CYCLES, 1.1, samples, 3, block_size)
 
     def test_more_threads_than_cores(self, monkeypatch):
-        # seven helpers write disjoint strides of one list under fast switching
+        # eight threads share 1,172 small blocks under fast switching
         monkeypatch.setattr(stochsim, "_usable_cpus", lambda: 8)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            self.assert_reference(MIXED, 0.6, 20_000, 5, 512)
+            self.assert_reference(MIXED, 0.6, 300_001, 5, 512)
         finally:
             sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("cpus, spec, samples, want", [
+        (8, MIXED, 5000, None),  # 10,000 draws: too few for a second thread
+        (8, TWO_CYCLES, 65_536, 2),  # two default blocks' worth of draws
+        (8, CYCLE4, 3 * 65_536, 3),
+        (8, MIXED, 300_001, 8),
+        (2, MIXED, 300_001, 2),
+    ])
+    def test_pool_size_follows_the_work(self, monkeypatch, cpus, spec, samples, want):
+        import concurrent.futures
+
+        sizes = []
+        real = concurrent.futures.ThreadPoolExecutor
+
+        def recording(max_workers):
+            sizes.append(max_workers)
+            return real(max_workers)
+
+        monkeypatch.setattr(stochsim, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", recording)
+        self.assert_reference(spec, 0.7, samples, 11, 512)
+        assert sizes == ([] if want is None else [want])
+
+    def test_large_clock_rate_matches_reference(self):
+        spec = PermProcessSpec((2, 3, 1, 5, 4), [1e7, 3e6])  # (1 2 3)(4 5)
+        self.assert_reference(spec, 1.0, 1000, 9, 512)
+
+    def test_block_memory_does_not_grow_with_the_clock_rate(self):
+        # counts near 1e6 fold into 3 residues in O(block_size) memory
+        tracemalloc.start()
+        try:
+            simulate_marginals(PermProcessSpec((2, 3, 1), [1e6]), 1.0, 1000, seed=4, block_size=512)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_identity_spec_needs_no_tasks(self):
         est = simulate_marginals(PermProcessSpec((1, 2, 3), []), 1.0, 100, seed=0)
