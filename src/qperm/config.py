@@ -20,7 +20,8 @@ class RunConfig:
     rank_threshold  singular values below rank_threshold * s_max count as zero
     max_word_len    default word length cap for symmetry / traciality sweeps
     seed            root seed for all sampling
-    term_budget     cap on raw scalar terms in coproduct expansions
+    term_budget     cap on the work of one expansion: raw scalar terms of a coproduct,
+                    and the k m^2 letters of a k-letter semigroup block (m block indices)
     """
 
     tol: float = 1e-9

@@ -78,21 +78,26 @@ def _opnorm(a: np.ndarray) -> float:
     return float(np.linalg.norm(a, 2)) if a.size else 0.0
 
 
+def _max_opnorm(stack: np.ndarray) -> float:
+    """Largest operator norm over a stack of matrices, shape (..., d, d)."""
+    return float(np.max(np.linalg.norm(stack, 2, axis=(-2, -1)))) if stack.size else 0.0
+
+
 def validate(M: MagicUnitary, tol: float = DEFAULT_CONFIG.tol) -> MagicReport:
-    """Check projection, orthogonality and row/column sum relations numerically."""
-    n, d = M.n, M.d
-    eye = np.eye(d)
-    proj = 0.0
-    orth = 0.0
-    for i in range(n):
-        for j in range(n):
-            P = M.blocks[i, j]
-            proj = max(proj, _opnorm(P @ P - P), _opnorm(P - P.conj().T))
-            for k in range(j + 1, n):
-                orth = max(orth, _opnorm(P @ M.blocks[i, k]))          # shared row
-                orth = max(orth, _opnorm(M.blocks[j, i] @ M.blocks[k, i]))  # shared column
-    rows = max(_opnorm(M.blocks[i].sum(axis=0) - eye) for i in range(n))
-    cols = max(_opnorm(M.blocks[:, j].sum(axis=0) - eye) for j in range(n))
+    """Check projection, orthogonality and row/column sum relations numerically.
+
+    One stacked operator norm per relation family: P^2 = P, P = P*, products
+    of distinct blocks in a shared row and in a shared column, row sums and
+    column sums.
+    """
+    P = M.blocks
+    eye = np.eye(M.d)
+    j, k = np.triu_indices(M.n, 1)
+    proj = max(_max_opnorm(P @ P - P), _max_opnorm(P - P.conj().swapaxes(-1, -2)))
+    orth = max(_max_opnorm(P[:, j] @ P[:, k]),  # shared row
+               _max_opnorm(P[j] @ P[k]))  # shared column
+    rows = _max_opnorm(P.sum(axis=1) - eye)
+    cols = _max_opnorm(P.sum(axis=0) - eye)
     return MagicReport(proj, orth, rows, cols, tol)
 
 

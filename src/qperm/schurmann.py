@@ -16,6 +16,15 @@ row carries the conjugate of xi_ij, the generators being self-adjoint.  So
 pi(w) e_last = (L(w), eta(w), eps(w)), and e_0 pi(w) = (eps(w), <eta(w*)|,
 L(w)) by pi(w)* = J pi(w*) J, J the swap of e_0 and e_last.
 
+The symmetry and traciality sweeps read every fully swept word length from
+a prefix tree of these products (`_grow`): the words of length k are those
+of length k - 1 with one compatible letter added, so each level is one
+matmul of the stacked letter matrices with the previous level's columns
+(letter prepended), rows (letter appended) or antipode columns (S of the
+appended letter prepended), followed by a gather of the compatible pairs.
+Sampled words, and outside input through `gen_functional_batch`, multiply
+their own letter matrices (`_columns`).
+
 Inner products are conjugate-linear in the first slot.
 """
 
@@ -23,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -249,28 +259,33 @@ def _exhaustive(n: int, max_len: int) -> bool:
     return n <= _EXHAUSTIVE_N and max_len <= _EXHAUSTIVE_LEN
 
 
-def _sweep_words(n: int, max_len: int, rng=None) -> list[np.ndarray]:
-    """Arrays of reduced words per length; exhaustive at small size, else sampled.
+def _word_count(n: int, length: int) -> int:
+    """Number of reduced words with `length` letters."""
+    return n * n * (n - 1) ** (2 * (length - 1))
 
-    In the sampled regime the shortest lengths are still enumerated in full
-    while their running count fits in _SAMPLE_WORDS; the rest of the quota is
-    split across the longer lengths by count and drawn with replacement.
+
+def _sweep_plan(n: int, max_len: int, rng=None) -> tuple[int, list[np.ndarray]]:
+    """(full, drawn): the lengths 1..full are swept in full, `drawn` samples the rest.
+
+    Exhaustive at small size.  In the sampled regime the shortest lengths are
+    still enumerated in full while their running count fits in _SAMPLE_WORDS;
+    the rest of the quota is split across the longer lengths by count and
+    drawn with replacement, one (m, length, 2) letter array per length.
     """
-    counts = np.array([n * n * ((n - 1) ** (2 * (ln - 1))) for ln in range(1, max_len + 1)], float)
+    counts = np.array([_word_count(n, ln) for ln in range(1, max_len + 1)], float)
     if counts.sum() > 10 ** 9:
         raise BudgetError("reduced-word sweep out of range")
     if _exhaustive(n, max_len):
-        full = max_len
-    else:
-        full = int(np.searchsorted(np.cumsum(counts), _SAMPLE_WORDS, side="right"))
-    out = [reduced_word_array(n, ln) for ln in range(1, full + 1)]
+        return max_len, []
+    full = int(np.searchsorted(np.cumsum(counts), _SAMPLE_WORDS, side="right"))
     if full == max_len:
-        return out
+        return full, []
     if rng is None:
         rng = np.random.default_rng(DEFAULT_CONFIG.seed)
     rest = counts[full:]
     left = _SAMPLE_WORDS - counts[:full].sum()
     quota = np.maximum(1, np.round(left * rest / rest.sum()).astype(int))
+    drawn = []
     for ln, m in enumerate(quota.tolist(), start=full + 1):
         rows = np.empty((m, ln), dtype=np.int64)
         cols = np.empty((m, ln), dtype=np.int64)
@@ -282,8 +297,82 @@ def _sweep_words(n: int, max_len: int, rng=None) -> list[np.ndarray]:
             coff = rng.integers(1, n, size=m)
             rows[:, pos] = (rows[:, pos - 1] - 1 + roff) % n + 1
             cols[:, pos] = (cols[:, pos - 1] - 1 + coff) % n + 1
-        out.append(np.stack([rows, cols], axis=2))
-    return out
+        drawn.append(np.stack([rows, cols], axis=2))
+    return full, drawn
+
+
+def _sweep_words(n: int, max_len: int, rng=None) -> list[np.ndarray]:
+    """Arrays of reduced words per length, the words `_sweep_plan` describes."""
+    full, drawn = _sweep_plan(n, max_len, rng)
+    return [reduced_word_array(n, ln) for ln in range(1, full + 1)] + drawn
+
+
+class _Level(NamedTuple):
+    """Letter-matrix products of the reduced words of one length.
+
+    Rows follow `reduced_word_array` order; a part left out is None.
+    first, last: letter codes (i - 1) n + j - 1 of each word's end letters.
+    cols: pi(w) e_last; rows: e_0 pi(w); scols: pi(S w) e_last.
+    """
+
+    first: np.ndarray
+    last: np.ndarray
+    cols: np.ndarray | None
+    rows: np.ndarray | None
+    scols: np.ndarray | None
+
+
+def _grow(t: SchurmannTriple, prev: _Level, take=None) -> _Level:
+    """The level one letter longer than prev, every part from prev's by one matmul.
+
+    A reduced word of length k is a letter a prepended to a word of length
+    k - 1 whose first letter is compatible with a (row and column differ),
+    taken a-major; it is also a word u of length k - 1 with a compatible
+    letter v appended, taken u-major.  Both orders are lexicographic, so
+    pi(a w') e_last = pi(a) pi(w') e_last, e_0 pi(u v) = e_0 pi(u) pi(v) and
+    pi(S(u v)) e_last = pi(S v) pi(S u) e_last line up word by word.
+    take: indices of the words of the new level to keep (default all).
+    """
+    n, s = t.n, t.d + 2
+    n2 = n * n
+    i, j = np.divmod(np.arange(n2), n)
+    compat = np.ones((n2 + 1, n2 + 1), dtype=bool)
+    compat[:n2, :n2] = (i[:, None] != i) & (j[:, None] != j)
+    head, suffix = np.nonzero(compat[:n2, prev.first])
+    prefix, tail = np.nonzero(compat[prev.last, :n2])
+    if take is not None:
+        head, suffix, prefix, tail = head[take], suffix[take], prefix[take], tail[take]
+    cols = rows = scols = None
+    if prev.cols is not None:
+        cols = (t.pi.reshape(n2 * s, s) @ prev.cols.T).reshape(n2, s, -1)[head, :, suffix]
+    if prev.rows is not None:
+        out = prev.rows @ t.pi.transpose(2, 0, 1, 3).reshape(s, n2 * s)
+        rows = out.reshape(-1, n2, s)[prefix, tail]
+    if prev.scols is not None:
+        anti = t.pi.transpose(1, 0, 2, 3).reshape(n2 * s, s)  # pi(S p_ij) = pi(p_ji)
+        scols = (anti @ prev.scols.T).reshape(n2, s, -1)[tail, :, prefix]
+    return _Level(head, tail, cols, rows, scols)
+
+
+def _tree(t: SchurmannTriple, max_len: int, rows: bool = False,
+          scols: bool = False) -> list[_Level]:
+    """[empty word, length 1, ..., length max_len], grown letter by letter.
+
+    The columns are always kept, rows and antipode columns on request.  The
+    empty word has letter code n^2, which may stand beside every letter.
+    """
+    unit = np.eye(t.d + 2, dtype=complex)
+    code = np.array([t.n * t.n])
+    levels = [_Level(code, code, unit[-1:], unit[:1] if rows else None,
+                     unit[-1:] if scols else None)]
+    for _ in range(max_len):
+        levels.append(_grow(t, levels[-1]))
+    return levels
+
+
+def _pick(rng, count: int, size: int):
+    """Indices of `size` distinct random rows out of `count`, or all rows if count <= size."""
+    return slice(None) if count <= size else rng.choice(count, size, replace=False)
 
 
 def is_symmetric_words(
@@ -295,16 +384,19 @@ def is_symmetric_words(
     """Check |L(S w) - L(w)| over reduced words of length <= max_len.
 
     Returns (symmetric, worst violation).  Exhaustive for n <= 4 and
-    max_len <= 4, sampled beyond that.
+    max_len <= 4, sampled beyond that.  The lengths swept in full are read
+    from the prefix tree of letter-matrix products (`_grow`), the drawn
+    words from their own products.
     """
     if max_len < 1:
         raise ValidationError("max_len must be >= 1")
     scale = 1.0 + float(np.max(np.abs(t.letter_L), initial=0.0))
-    worst = 0.0
-    for batch in _sweep_words(t.n, max_len, rng):
-        vals = gen_functional_batch(t, batch)
-        svals = gen_functional_batch(t, batch[:, ::-1, ::-1])  # antipode: reverse, swap indices
-        worst = max(worst, float(np.max(np.abs(vals - svals), initial=0.0)))
+    full, drawn = _sweep_plan(t.n, max_len, rng)
+    diffs = [lv.cols[:, 0] - lv.scols[:, 0] for lv in _tree(t, full, scols=True)[1:]]
+    for batch in drawn:
+        # antipode: reverse, swap indices
+        diffs.append(_columns(t, batch)[:, 0] - _columns(t, batch[:, ::-1, ::-1])[:, 0])
+    worst = max(float(np.max(np.abs(diff), initial=0.0)) for diff in diffs)
     return worst <= tol * scale, worst
 
 
@@ -378,14 +470,16 @@ def fourier_symmetry(n: int, xs, tol: float = DEFAULT_CONFIG.tol) -> bool:
     return worst <= tol * scale * scale
 
 
-def _trace_defect(t: SchurmannTriple, per_len: list[np.ndarray], max_len: int) -> float:
-    """Worst |L(uv) - L(vu)| over batch rows u, v, with L(uv) = e_0 pi(u) pi(v) e_last."""
-    rows = [_rows(t, batch) for batch in per_len]
-    cols = [_columns(t, batch) for batch in per_len]
+def _trace_defect(cols: list[np.ndarray], rows: list[np.ndarray]) -> float:
+    """Worst |L(uv) - L(vu)| over words u, v with |u| + |v| <= len(cols) + 1.
+
+    cols[k - 1], rows[k - 1]: pi(w) e_last and e_0 pi(w) of the words of
+    length k, and L(uv) = e_0 pi(u) pi(v) e_last.
+    """
     worst = 0.0
-    for la in range(1, max_len):
-        for lb in range(1, max_len - la + 1):
-            if per_len[la - 1].shape[0] * per_len[lb - 1].shape[0] > _MAX_WORD_PAIRS:
+    for la in range(1, len(cols) + 1):
+        for lb in range(1, len(cols) + 2 - la):
+            if cols[la - 1].shape[0] * cols[lb - 1].shape[0] > _MAX_WORD_PAIRS:
                 raise BudgetError("too many word pairs; lower max_len")
             # np.inner, not @ on a transposed view: on a 2-core host the latter took 8 ms
             # for a (1296 x 4) by (4 x 16) product on a slow BLAS path, np.inner 0.06 ms
@@ -404,33 +498,57 @@ def is_tracial(
 
     Pair values are Gram products of the first rows e_0 pi(u) and last
     columns pi(v) e_last of the letter-matrix products, one per pair of
-    lengths, so the words uv and vu are never formed.  Also checks the
-    necessary condition |eta(a)| = |eta(a*)| on sampled elements of ker eps,
-    eta(a) from the column of a and the conjugate of eta(a*) from its row.
+    lengths, so the words uv and vu are never formed; the lengths swept in
+    full are read from the prefix tree (`_grow`).  Also checks the necessary
+    condition |eta(a)| = |eta(a*)| on sampled elements of ker eps, eta(a)
+    from the column of a and the conjugate of eta(a*) from its row; sampled
+    words one letter longer than the tree are grown from its last level.
     """
     if max_len < 2:
         raise ValidationError("max_len must be >= 2 for traciality")
     scale = 1.0 + float(np.max(np.abs(t.letter_L), initial=0.0))
     if rng is None:
         rng = np.random.default_rng(DEFAULT_CONFIG.seed)
-    per_len = _sweep_words(t.n, max_len - 1, rng)
-    if not _exhaustive(t.n, max_len - 1):
-        # enumerated batches are sorted, so cut to a random subset, not a prefix
-        per_len = [
-            batch if batch.shape[0] <= _SAMPLE_PAIR_ROWS
-            else batch[rng.choice(batch.shape[0], _SAMPLE_PAIR_ROWS, replace=False)]
-            for batch in per_len
-        ]
-    if _trace_defect(t, per_len, max_len) > tol * scale:
+    full, drawn = _sweep_plan(t.n, max_len - 1, rng)
+    levels = _tree(t, full, rows=True)
+    # a full sweep keeps every word; else enumerated lengths are sorted, so cut
+    # them to a random subset, not a prefix
+    exhaustive = _exhaustive(t.n, max_len - 1)
+    cols, rows = [], []
+    for lv in levels[1:]:
+        keep = slice(None) if exhaustive else _pick(rng, lv.cols.shape[0], _SAMPLE_PAIR_ROWS)
+        cols.append(lv.cols[keep])
+        rows.append(lv.rows[keep])
+    for batch in drawn:
+        batch = batch[_pick(rng, batch.shape[0], _SAMPLE_PAIR_ROWS)]
+        cols.append(_columns(t, batch))
+        rows.append(_rows(t, batch))
+    if _trace_defect(cols, rows) > tol * scale:
         return False
-    # necessary condition via the GNS anti-unitary: |eta(a)| = |eta(a*)|
-    for batch in _sweep_words(t.n, max_len, rng):
-        take = batch if batch.shape[0] <= 64 else batch[rng.choice(batch.shape[0], 64, replace=False)]
-        na = np.linalg.norm(_columns(t, take)[:, 1:-1], axis=1)
-        nastar = np.linalg.norm(_rows(t, take)[:, 1:-1], axis=1)
-        if float(np.max(np.abs(na - nastar), initial=0.0)) > tol * scale:
+    # necessary condition via the GNS anti-unitary: |eta(a)| = |eta(a*)|; the
+    # fully swept lengths here reach at most one letter past the tree
+    full, drawn = _sweep_plan(t.n, max_len, rng)
+    for ln in range(1, full + 1):
+        keep = _pick(rng, _word_count(t.n, ln), 64)
+        if ln < len(levels):
+            gap = _adjoint_gap(levels[ln].cols[keep], levels[ln].rows[keep])
+        else:
+            grown = _grow(t, levels[-1], keep)
+            gap = _adjoint_gap(grown.cols, grown.rows)
+        if gap > tol * scale:
+            return False
+    for batch in drawn:
+        take = batch[_pick(rng, batch.shape[0], 64)]
+        if _adjoint_gap(_columns(t, take), _rows(t, take)) > tol * scale:
             return False
     return True
+
+
+def _adjoint_gap(cols: np.ndarray, rows: np.ndarray) -> float:
+    """Worst | |eta(a)| - |eta(a*)| | from the columns pi(a) e_last and rows e_0 pi(a)."""
+    na = np.linalg.norm(cols[:, 1:-1], axis=1)
+    nastar = np.linalg.norm(rows[:, 1:-1], axis=1)
+    return float(np.max(np.abs(na - nastar), initial=0.0))
 
 
 def symmetrize(t: SchurmannTriple):

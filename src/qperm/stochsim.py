@@ -16,6 +16,7 @@ count.
 
 from __future__ import annotations
 
+import math
 import numbers
 import os
 from dataclasses import dataclass
@@ -29,6 +30,8 @@ from .schurmann import SchurmannTriple
 
 #: samples drawn per substream block
 BLOCK_SIZE = 1 << 16
+#: the largest Poisson mean numpy's sampler accepts
+_POISSON_LAM_MAX = float(np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10)
 
 
 @dataclass(frozen=True)
@@ -63,8 +66,8 @@ class PermProcessSpec:
                 raise ValidationError(
                     f"{len(cycs)} nontrivial cycles but {len(rates)} rates given"
                 )
-        if any(lam <= 0 for lam in rates):
-            raise ValidationError("all cycle rates must be > 0")
+        if not all(math.isfinite(lam) and lam > 0 for lam in rates):
+            raise ValidationError(f"all cycle rates must be finite and > 0, got {rates}")
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "rates", tuple(rates))
 
@@ -181,11 +184,16 @@ def simulate_marginals(
     every cycle are tallied on a thread pool made for this call when there
     are at least two default blocks' worth of draws (see `_tally_all`); each
     tally is a vector of integer counts, so the sums, and the returned bytes,
-    do not depend on the number of threads or their order.
+    do not depend on the number of threads or their order.  A rate * t above
+    numpy's Poisson limit (about 9.2e18) raises ValidationError before any draw.
     """
     _check_count("samples", samples)
     _check_count("block_size", block_size)
     check_time(t)
+    if any(lam * t > _POISSON_LAM_MAX for lam in spec.rates):
+        raise ValidationError(
+            f"rate * t must be at most {_POISSON_LAM_MAX:.4g} for Poisson sampling"
+        )
     n = spec.n
     probs = np.zeros((n, n))
     for i in range(1, n + 1):

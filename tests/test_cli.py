@@ -283,6 +283,16 @@ class TestSimulate:
         assert (code, out) == (1, "")
         assert "time must be finite" in err
 
+    @pytest.mark.parametrize("rate, message", [
+        ("nan", "finite"), ("inf", "finite"), ("1e20", "rate * t"),
+    ])
+    def test_bad_rate_is_exit_1(self, capsys, rate, message):
+        args = list(self.ARGS)
+        args[args.index("--rates") + 1] = rate
+        code, out, err = run(capsys, *args)
+        assert (code, out) == (1, "")
+        assert err.startswith("qperm: error:") and message in err
+
     def test_csv(self, capsys):
         code, out, _ = run(capsys, *self.ARGS, "--format", "csv")
         lines = out.splitlines()

@@ -14,9 +14,11 @@ from qperm.schurmann import (
     SchurmannTriple,
     _columns,
     _exhaustive,
+    _grow,
     _rows,
     _sweep_words,
     _trace_defect,
+    _tree,
     cocycle_violation,
     eta,
     fourier_symmetry,
@@ -41,6 +43,7 @@ from qperm.words import (
     counit,
     defining_relations,
     parse_word,
+    reduced_word_array,
     reduced_words,
     unit_word,
 )
@@ -116,6 +119,17 @@ def reference_is_tracial(t, max_len, rng, tol=1e-9):
             if abs(na - nastar) > tol * scale:
                 return False
     return True
+
+
+def reference_is_symmetric_words(t, max_len, tol=1e-9, rng=None):
+    """is_symmetric_words by gathered letter-matrix products of every swept word and its antipode."""
+    scale = 1.0 + float(np.max(np.abs(t.letter_L), initial=0.0))
+    worst = 0.0
+    for batch in _sweep_words(t.n, max_len, rng):
+        vals = gen_functional_batch(t, batch)
+        svals = gen_functional_batch(t, batch[:, ::-1, ::-1])  # antipode: reverse, swap indices
+        worst = max(worst, float(np.max(np.abs(vals - svals), initial=0.0)))
+    return worst <= tol * scale, worst
 
 
 def counterexample_data():
@@ -433,7 +447,7 @@ class TestTraceDefect:
             per_len = [b[rng.choice(b.shape[0], min(b.shape[0], _SAMPLE_PAIR_ROWS), replace=False)]
                        for b in per_len]
         scale = 1.0 + float(np.max(np.abs(t.letter_L), initial=0.0))
-        fast = _trace_defect(t, per_len, max_len)
+        fast = _trace_defect([_columns(t, b) for b in per_len], [_rows(t, b) for b in per_len])
         slow = concat_trace_defect(t, per_len, max_len)
         assert abs(fast - slow) <= 1e-12 * scale
         assert (fast <= 1e-9 * scale) == (slow <= 1e-9 * scale)
@@ -516,3 +530,117 @@ class TestLetterMatrices:
         assert t.pi.shape == (4, 4, t.d + 2, t.d + 2)
         with pytest.raises(ValueError):
             t.pi[0, 0, 0, 0] = 1.0
+
+
+def tree_triples():
+    """Fourier and permutation d=2 triples at n = 2..4, complex two-block d=3 and F_4(0.7)."""
+    rng = np.random.default_rng(41)
+    out = [(f"fourier{n}", fourier_triple(n, rng)) for n in (2, 3, 4)]
+    for n in (2, 3, 4):
+        rep = from_permutation(tuple(range(2, n + 1)) + (1,), 2)
+        out.append((f"permutation{n}-d2", SchurmannTriple(rep, random_cocycle(rep, rng))))
+    P, Q = random_projection(rng, 3), random_projection(rng, 3)
+    v, w = (rng.normal(size=3) + 1j * rng.normal(size=3) for _ in range(2))
+    out.append(("two-block-d3", two_block_triple(TwoBlockSpec(P, Q), v - P @ v, w - Q @ w)))
+    f4 = from_hadamard(f4_phi(0.7))
+    out.append(("f4(0.7)", SchurmannTriple(f4, random_cocycle(f4, rng))))
+    return [pytest.param(t, id=label) for label, t in out]
+
+
+class TestPrefixTree:
+    @pytest.mark.parametrize("t", tree_triples())
+    def test_levels_match_gathered_products(self, t):
+        norm = max(1.0, float(np.max(np.linalg.norm(t.pi, 2, axis=(2, 3)))))
+        levels = _tree(t, 4, rows=True, scols=True)
+        assert len(levels) == 5
+        for k in range(1, 5):
+            words = reduced_word_array(t.n, k)
+            lv = levels[k]
+            scale = norm ** k
+            assert lv.cols.shape == lv.rows.shape == lv.scols.shape == (words.shape[0], t.d + 2)
+            assert np.abs(lv.cols - _columns(t, words)).max() <= 1e-13 * scale
+            assert np.abs(lv.rows - _rows(t, words)).max() <= 1e-13 * scale
+            assert np.abs(lv.scols - _columns(t, words[:, ::-1, ::-1])).max() <= 1e-13 * scale
+            codes = (words[:, :, 0] - 1) * t.n + words[:, :, 1] - 1
+            assert np.array_equal(lv.first, codes[:, 0])
+            assert np.array_equal(lv.last, codes[:, -1])
+
+    @pytest.mark.parametrize("t", tree_triples())
+    def test_taken_words_are_rows_of_the_full_level(self, t):
+        levels = _tree(t, 3, rows=True, scols=True)
+        full = _grow(t, levels[-1])
+        take = np.random.default_rng(43).permutation(full.cols.shape[0])[:50]
+        part = _grow(t, levels[-1], take)
+        for name in ("first", "last", "cols", "rows", "scols"):
+            assert np.array_equal(getattr(part, name), getattr(full, name)[take])
+
+    def test_parts_left_out_stay_out(self, rng):
+        t = fourier_triple(3, rng)
+        lv = _tree(t, 2)[-1]
+        assert lv.rows is None and lv.scols is None
+        assert lv.cols.shape == (36, t.d + 2)
+
+
+def sweep_triples():
+    """Symmetric and tracial triples, and negative controls, at n = 3..6."""
+    rng = np.random.default_rng(47)
+    spec, xi, zeta = counterexample_data()
+    out = [("two-block-counterexample", two_block_triple(spec, xi, zeta)),
+           ("fourier3", fourier_triple(3, rng)), ("fourier4", fourier_triple(4, rng)),
+           ("fourier5", fourier_triple(5, rng)), ("cycle4", cycle_triple(4)),
+           ("cycle6", cycle_triple(6)),
+           ("transpositions", SchurmannTriple(from_permutation((2, 1, 4, 3)), np.ones((4, 1))))]
+    P, Q = random_projection(rng, 3), random_projection(rng, 3)
+    v, w = (rng.normal(size=3) + 1j * rng.normal(size=3) for _ in range(2))
+    out.append(("two-block-d3", two_block_triple(TwoBlockSpec(P, Q), v - P @ v, w - Q @ w)))
+    A, B = rng.normal(size=(3, 3)), rng.normal(size=(3, 3))
+    P, Q = (np.linalg.qr(m)[0][:, :1] @ np.linalg.qr(m)[0][:, :1].T for m in (A, B))
+    v, w = rng.normal(size=3), rng.normal(size=3)
+    out.append(("two-block-real", two_block_triple(TwoBlockSpec(P, Q), v - P @ v, w - Q @ w)))
+    rep = from_permutation((2, 1, 4, 3, 5), 2)
+    out.append(("perm21435x2", SchurmannTriple(rep, random_cocycle(rep, rng))))
+    return [pytest.param(label, t, id=label) for label, t in out]
+
+
+class TestSweepsMatchReference:
+    @pytest.mark.parametrize("label,t", sweep_triples())
+    def test_symmetry_verdict_and_worst(self, label, t):
+        scale = 1.0 + float(np.max(np.abs(t.letter_L), initial=0.0))
+        for max_len in (1, 2, 3, 4, 5):
+            rng_a, rng_b = np.random.default_rng(53), np.random.default_rng(53)
+            got = is_symmetric_words(t, max_len, rng=rng_a)
+            want = reference_is_symmetric_words(t, max_len, rng=rng_b)
+            assert got[0] == want[0]
+            assert abs(got[1] - want[1]) <= 1e-14 * scale
+            assert rng_a.bit_generator.state == rng_b.bit_generator.state
+        symmetric = is_symmetric_words(t, 4)[0]
+        if label in ("two-block-counterexample", "two-block-d3", "fourier4", "cycle4", "cycle6"):
+            assert not symmetric
+        if label in ("two-block-real", "transpositions"):
+            assert symmetric
+
+    @pytest.mark.parametrize("label,t", sweep_triples())
+    def test_traciality_verdict_and_draws(self, label, t):
+        for max_len in (2, 3, 4):
+            rng_a, rng_b = np.random.default_rng(59), np.random.default_rng(59)
+            got = is_tracial(t, max_len, rng=rng_a)
+            assert got == reference_is_tracial(t, max_len, rng_b)
+            if got:
+                assert rng_a.bit_generator.state == rng_b.bit_generator.state
+        tracial = is_tracial(t, 4)
+        if label in ("two-block-counterexample", "fourier4"):
+            assert not tracial
+        if label in ("cycle4", "cycle6", "transpositions"):
+            assert tracial
+
+    @pytest.mark.parametrize("t", [pytest.param(cycle_triple(4), id="cycle4"),
+                                   pytest.param(fourier_triple(3, np.random.default_rng(61)),
+                                                id="fourier3")])
+    def test_traciality_past_the_exhaustive_lengths(self, t):
+        # n <= 4, max_len 5: pairs from the full tree to length 4, the eta
+        # check on enumerated lengths 1-3 and drawn lengths 4-5
+        rng_a, rng_b = np.random.default_rng(67), np.random.default_rng(67)
+        got = is_tracial(t, 5, rng=rng_a)
+        assert got == reference_is_tracial(t, 5, rng_b)
+        if got:
+            assert rng_a.bit_generator.state == rng_b.bit_generator.state

@@ -429,7 +429,8 @@ class TestBlockEngine:
     def test_memory_does_not_grow_with_block_letters(self, rng):
         # Fourier n = 8, 3 letters: m = 392, and the m^2 words of the block
         # gather 153,664 * 8 * 8 complex entries (157 MB) per position when
-        # evaluated at once; row slices keep the peak near 40 MB
+        # evaluated at once; split after one letter, the block is one product
+        # of 64 rows with 3,136 columns and the peak stays near 25 MB
         t = fourier_triple(8, rng)
         w = parse_word("p(1,2) p(2,5) p(7,1)", 8)
         tracemalloc.start()

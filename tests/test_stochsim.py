@@ -93,6 +93,13 @@ class TestSpec:
         spec = PermProcessSpec((1, 2, 3), [])
         assert spec.cycles == []
 
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_rate(self, rate):
+        with pytest.raises(ValidationError, match="finite"):
+            PermProcessSpec((2, 1), [rate])
+        with pytest.raises(ValidationError, match="finite"):
+            PermProcessSpec((2, 1, 4, 5, 3, 6), {1: 0.5, 3: rate})
+
 
 class TestExactMarginals:
     def test_time_zero_is_identity(self):
@@ -203,6 +210,17 @@ class TestSimulate:
     def test_bad_time_rejected(self, t):
         with pytest.raises(ValidationError, match="time"):
             simulate_marginals(CYCLE4, t, 10, seed=0)
+
+    @pytest.mark.parametrize("rate, t", [(1e20, 1.0), (1e10, 1e9), (1e300, 1e300)])
+    def test_poisson_mean_past_numpy_limit_rejected(self, rate, t):
+        # numpy's sampler raises a bare ValueError ("lam value too large") here
+        with pytest.raises(ValidationError, match="rate \\* t"):
+            simulate_marginals(PermProcessSpec((2, 1), [rate]), t, 10, seed=0)
+
+    def test_poisson_mean_at_numpy_limit_accepted(self):
+        lam = float(np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10)
+        est = simulate_marginals(PermProcessSpec((2, 1), [lam]), 1.0, 10, seed=0)
+        assert np.allclose(est.probs.sum(axis=1), 1.0)
 
 
 class TestThreadedTally:
