@@ -593,8 +593,8 @@ def sweep_triples():
     P, Q = random_projection(rng, 3), random_projection(rng, 3)
     v, w = (rng.normal(size=3) + 1j * rng.normal(size=3) for _ in range(2))
     out.append(("two-block-d3", two_block_triple(TwoBlockSpec(P, Q), v - P @ v, w - Q @ w)))
-    A, B = rng.normal(size=(3, 3)), rng.normal(size=(3, 3))
-    P, Q = (np.linalg.qr(m)[0][:, :1] @ np.linalg.qr(m)[0][:, :1].T for m in (A, B))
+    qa, qb = (np.linalg.qr(rng.normal(size=(3, 3)))[0][:, :1] for _ in range(2))
+    P, Q = qa @ qa.T, qb @ qb.T
     v, w = rng.normal(size=3), rng.normal(size=3)
     out.append(("two-block-real", two_block_triple(TwoBlockSpec(P, Q), v - P @ v, w - Q @ w)))
     rep = from_permutation((2, 1, 4, 3, 5), 2)
