@@ -5,13 +5,23 @@ nontrivial cycle of sigma; positions inside a cycle of length ell shift by
 the clock count mod ell, so the marginal probabilities are modular Poisson
 sums, evaluated exactly with a roots-of-unity filter.
 
+Clock counts: a cycle whose mean rate * t is below 10 draws its counts from a
+Walker alias table of Poisson(rate * t) (Walker 1977, Vose 1991), built once
+per call, with one float64 uniform per count. At a mean of 10 and above,
+where numpy's own sampler switches from the multiplication method to PTRS,
+whose cost does not grow with the mean, the counts come from
+`Generator.poisson`. Seeded outputs below the switch therefore differ from
+versions that drew every count with `Generator.poisson`.
+
 Seed discipline: numpy SeedSequence(seed) is spawned once per cycle in the
 stored cycle order, and each cycle's stream is spawned again per sample
 block. Every block has its own bit generator and its tally is a vector of
-integer counts, so `simulate_marginals` tallies the blocks of large calls on
-a thread pool made for the call (at most one thread per usable CPU) and
-returns the same bytes as a serial run for a fixed seed, whatever the core
-count.
+integer counts, taken in sub-chunks of 8,192 draws so that per-thread
+temporaries do not grow with the block size; the chunks continue one
+stream, so they draw exactly what one call for the whole block would.
+`simulate_marginals` tallies the blocks of large calls on a thread pool made
+for the call (at most one thread per usable CPU) and returns the same bytes
+as a serial run for a fixed seed, whatever the core count.
 """
 
 from __future__ import annotations
@@ -32,6 +42,10 @@ from .schurmann import SchurmannTriple
 BLOCK_SIZE = 1 << 16
 #: the largest Poisson mean numpy's sampler accepts
 _POISSON_LAM_MAX = float(np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10)
+#: below this mean counts come from an alias table; numpy switches to PTRS here
+_ALIAS_LAM_MAX = 10.0
+#: draws tallied per numpy call, so temporaries stay O(1) in the block size
+_CHUNK = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -137,14 +151,94 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _alias_table(lam_t: float) -> tuple[np.ndarray, np.ndarray]:
+    """Walker alias table (prob, alias) of Poisson(lam_t), built as in Vose (1991).
+
+    The pmf runs p_k = p_{k-1} * lam_t / k from e^{-lam_t} until a term no
+    longer changes the float sum, and is renormalised; column i of K keeps i
+    with probability prob[i] and gives alias[i] otherwise.
+    """
+    term = math.exp(-lam_t)
+    pmf, total = [term], term
+    while True:
+        term = term * lam_t / len(pmf)
+        if total + term == total:
+            break
+        pmf.append(term)
+        total += term
+    size = len(pmf)
+    scaled = [size * p / total for p in pmf]
+    prob, alias = [1.0] * size, list(range(size))
+    small = [k for k, q in enumerate(scaled) if q < 1.0]
+    large = [k for k, q in enumerate(scaled) if q >= 1.0]
+    while small and large:
+        s, g = small.pop(), large.pop()
+        prob[s], alias[s] = scaled[s], g
+        scaled[g] = (scaled[g] + scaled[s]) - 1.0
+        (small if scaled[g] < 1.0 else large).append(g)
+    return np.array(prob), np.array(alias, dtype=np.intp)
+
+
+class _PoissonVariate:
+    """Poisson(lam_t) counts drawn from a numpy Generator.
+
+    Below `_ALIAS_LAM_MAX` a uniform u picks x = K u in column i = floor(x)
+    of the alias table and gives i if x < thresh[i] = i + prob[i], else
+    alias[i]: one uniform per count. At and above it, `Generator.poisson`.
+    """
+
+    def __init__(self, lam_t: float):
+        self.lam_t = lam_t
+        self.thresh = self.alias = None
+        if lam_t < _ALIAS_LAM_MAX:
+            prob, self.alias = _alias_table(lam_t)
+            self.thresh = np.arange(len(prob)) + prob
+
+    def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """`size` counts in one call."""
+        if self.alias is None:
+            return rng.poisson(self.lam_t, size)
+        x = rng.random(size)
+        x *= len(self.alias)  # K u < K for every float64 u < 1
+        col = x.astype(np.intp)
+        return np.where(x < self.thresh[col], col, self.alias[col])
+
+    def tally(self, rng: np.random.Generator, take: int, ell: int) -> np.ndarray:
+        """Histogram of `take` counts mod ell, the draws of `draw(rng, take)`.
+
+        The draws run in chunks of `_CHUNK`; on the alias side each chunk
+        tallies the codes 2i (column i kept) and 2i + 1 (alias[i] taken), and
+        the codes fold into residues once at the end.
+        """
+        chunks = [min(_CHUNK, take - s) for s in range(0, take, _CHUNK)]
+        hist = np.zeros(ell, dtype=np.int64)
+        if self.alias is None:
+            for m in chunks:
+                counts = rng.poisson(self.lam_t, m)
+                hist += np.bincount(np.remainder(counts, ell, out=counts), minlength=ell)
+            return hist
+        size = len(self.alias)
+        codes = np.zeros(2 * size, dtype=np.int64)
+        for m in chunks:
+            x = rng.random(m)
+            x *= size
+            col = x.astype(np.intp)
+            taken = x >= self.thresh[col]
+            col <<= 1
+            col += taken
+            codes += np.bincount(col, minlength=2 * size)
+        values = np.column_stack([np.arange(size), self.alias]).ravel()
+        np.add.at(hist, values % ell, codes)
+        return hist
+
+
 def _tally(task) -> np.ndarray:
     """Histogram of one block's Poisson clock counts mod ell.
 
-    task: (SeedSequence of the block, lam * t, draws, ell).
+    task: (SeedSequence of the block, _PoissonVariate of the cycle, draws, ell).
     """
-    blk, lam_t, take, ell = task
-    counts = np.random.Generator(np.random.PCG64(blk)).poisson(lam_t, size=take)
-    return np.bincount(np.remainder(counts, ell, out=counts), minlength=ell)
+    blk, variate, take, ell = task
+    return variate.tally(np.random.Generator(np.random.PCG64(blk)), take, ell)
 
 
 def _tally_all(tasks: list) -> list[np.ndarray]:
@@ -152,8 +246,8 @@ def _tally_all(tasks: list) -> list[np.ndarray]:
 
     The tasks run on min(usable CPUs, tasks, draws // BLOCK_SIZE) threads, so
     each thread gets at least a default block's worth of draws; numpy's array
-    `poisson` releases the GIL. With one thread the caller tallies them all
-    and no pool starts.
+    sampling and arithmetic release the GIL, its `bincount` does not. With
+    one thread the caller tallies them all and no pool starts.
     """
     draws = sum(task[2] for task in tasks)
     workers = min(_usable_cpus(), len(tasks), draws // BLOCK_SIZE)
@@ -180,12 +274,18 @@ def simulate_marginals(
     """Tally X_t(i) = j over Poisson draws of the cycle clocks.
 
     Each cycle advances all its positions by the same Poisson count, so one
-    draw per cycle per sample decides the whole block row. The blocks of
-    every cycle are tallied on a thread pool made for this call when there
-    are at least two default blocks' worth of draws (see `_tally_all`); each
-    tally is a vector of integer counts, so the sums, and the returned bytes,
-    do not depend on the number of threads or their order.  A rate * t above
-    numpy's Poisson limit (about 9.2e18) raises ValidationError before any draw.
+    draw per cycle per sample decides the whole block row. A cycle with
+    rate * t below 10 draws its counts from one alias table of
+    Poisson(rate * t), one float64 uniform each; at 10 and above they come
+    from `Generator.poisson` (PTRS). Seeded estimates below 10 differ from
+    versions that used `Generator.poisson` throughout. Every block is tallied
+    in sub-chunks of 8,192 draws, so memory does not grow with `block_size`.
+    The blocks of every cycle are tallied on a thread pool made for this call
+    when there are at least two default blocks' worth of draws (see
+    `_tally_all`); each tally is a vector of integer counts, so the sums, and
+    the returned bytes, do not depend on the number of threads or their
+    order.  A rate * t above numpy's Poisson limit (about 9.2e18) raises
+    ValidationError before any draw.
     """
     _check_count("samples", samples)
     _check_count("block_size", block_size)
@@ -203,9 +303,10 @@ def simulate_marginals(
     streams = np.random.SeedSequence(seed).spawn(len(spec.rates))
     tasks = []
     for cyc, lam, stream in zip(spec.cycles, spec.rates, streams):
+        variate = _PoissonVariate(lam * t)
         for b, blk in enumerate(stream.spawn(nblocks)):
             take = min(block_size, samples - b * block_size)
-            tasks.append((blk, lam * t, take, len(cyc)))
+            tasks.append((blk, variate, take, len(cyc)))
     tallies = _tally_all(tasks)
     for c, cyc in enumerate(spec.cycles):
         ell = len(cyc)
@@ -252,39 +353,36 @@ def process_triple(spec: PermProcessSpec, vectors=None) -> SchurmannTriple:
 
 
 def path_sample(spec: PermProcessSpec, times, seed: int) -> list[tuple[int, ...]]:
-    """Sample one path via exponential inter-arrival times; X_t on the grid.
+    """Sample one path; X_t on the grid.
 
-    The grid must be nondecreasing and start at >= 0.
+    The grid must be finite, nondecreasing and start at >= 0. Each cycle
+    draws one Poisson(rate * dt) count per grid interval, with the variate
+    of `simulate_marginals`, and its shift at a grid time is the running sum
+    mod ell, so the cost does not depend on the rates. A rate * dt above
+    numpy's Poisson limit raises ValidationError before any draw.
     """
     times = [float(v) for v in times]
-    if any(b < a for a, b in zip(times, times[1:])) or (times and times[0] < 0):
+    for v in times:
+        check_time(v)
+    if any(b < a for a, b in zip(times, times[1:])):
         raise ValidationError("time grid must be nondecreasing and nonnegative")
-    n = spec.n
-    horizon = times[-1] if times else 0.0
-    root = np.random.SeedSequence(seed)
-    streams = root.spawn(len(spec.rates))
-    jump_times: list[np.ndarray] = []
-    for lam, stream in zip(spec.rates, streams):
+    steps = np.diff(times, prepend=0.0)
+    if any(lam * dt > _POISSON_LAM_MAX for lam in spec.rates for dt in steps):
+        raise ValidationError(
+            f"rate * dt must be at most {_POISSON_LAM_MAX:.4g} for Poisson sampling"
+        )
+    streams = np.random.SeedSequence(seed).spawn(len(spec.rates))
+    shifts = []
+    for cyc, lam, stream in zip(spec.cycles, spec.rates, streams):
         rng = np.random.Generator(np.random.PCG64(stream))
-        arrivals = []
-        clock = 0.0
-        while True:
-            gaps = rng.exponential(1.0 / lam, size=64)
-            for g in gaps:
-                clock += g
-                if clock > horizon:
-                    break
-                arrivals.append(clock)
-            if clock > horizon:
-                break
-        jump_times.append(np.asarray(arrivals))
+        counts = [int(_PoissonVariate(lam * dt).draw(rng, 1)[0]) % len(cyc) for dt in steps]
+        shifts.append(np.cumsum(counts) % len(cyc))
     out = []
-    for t in times:
-        images = list(range(1, n + 1))
-        for cyc, arr in zip(spec.cycles, jump_times):
+    for k in range(len(times)):
+        images = list(range(1, spec.n + 1))
+        for cyc, shift in zip(spec.cycles, shifts):
             ell = len(cyc)
-            shift = int(np.searchsorted(arr, t, side="right")) % ell
             for a, origin in enumerate(cyc):
-                images[origin - 1] = cyc[(a + shift) % ell]
+                images[origin - 1] = cyc[(a + int(shift[k])) % ell]
         out.append(tuple(images))
     return out

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -33,7 +34,8 @@ TWO_CYCLES = PermProcessSpec((2, 3, 4, 1, 6, 5), [1.0, 0.7])  # (1 2 3 4)(5 6)
 
 
 def reference_simulate(spec, t, samples, seed, block_size):
-    """The serial block loop: one block at a time, counts folded with `%`."""
+    """The serial block loop: one block at a time, one `draw` call per block
+    with the sampler's own variate, counts folded with `%`."""
     n = spec.n
     probs = np.zeros((n, n))
     for i in range(1, n + 1):
@@ -43,6 +45,7 @@ def reference_simulate(spec, t, samples, seed, block_size):
     streams = root.spawn(len(spec.rates))
     for cyc, lam, stream in zip(spec.cycles, spec.rates, streams):
         ell = len(cyc)
+        variate = stochsim._PoissonVariate(lam * t)
         hist = np.zeros(ell)
         blocks = stream.spawn((samples + block_size - 1) // block_size)
         left = samples
@@ -50,7 +53,7 @@ def reference_simulate(spec, t, samples, seed, block_size):
             take = min(block_size, left)
             left -= take
             rng = np.random.Generator(np.random.PCG64(blk))
-            counts = rng.poisson(lam * t, size=take)
+            counts = variate.draw(rng, take)
             hist += np.bincount(counts % ell, minlength=ell)
         hist /= samples
         for a, origin in enumerate(cyc):
@@ -150,6 +153,65 @@ class TestExactMarginals:
             exact_marginals(MIXED, t)
 
 
+class TestPoissonVariate:
+    """The clock-count sampler: alias table below mean 10, numpy's PTRS above."""
+
+    ALIAS_MEANS = [1e-9, 0.15, 1.0, 2.25, 9.999]
+
+    @staticmethod
+    def implied_pmf(variate):
+        # column i keeps i with probability prob[i] and gives alias[i] otherwise
+        size = len(variate.alias)
+        prob = variate.thresh - np.arange(size)
+        pmf = prob.copy()
+        np.add.at(pmf, variate.alias, 1.0 - prob)
+        return pmf / size
+
+    @pytest.mark.parametrize("lam_t", ALIAS_MEANS)
+    def test_alias_table_matches_poisson_pmf(self, lam_t):
+        variate = stochsim._PoissonVariate(lam_t)
+        pmf = self.implied_pmf(variate)
+        want = scipy.stats.poisson.pmf(np.arange(len(pmf)), lam_t)
+        assert np.max(np.abs(pmf - want)) <= 1e-15
+        assert scipy.stats.poisson.sf(len(pmf) - 1, lam_t) <= 1e-15
+
+    def test_switch_to_numpy_sampler_at_mean_ten(self):
+        assert stochsim._PoissonVariate(9.999).alias is not None
+        assert stochsim._PoissonVariate(10.0).alias is None
+        assert stochsim._PoissonVariate(12.0).alias is None
+
+    @pytest.mark.parametrize("lam_t", ALIAS_MEANS + [10.0, 12.0])
+    def test_draws_pass_chi_square(self, lam_t):
+        draws = 10**6
+        counts = stochsim._PoissonVariate(lam_t).draw(np.random.default_rng(42), draws)
+        top = int(counts.max()) + 1
+        observed = np.bincount(counts, minlength=top).astype(float)
+        expected = draws * scipy.stats.poisson.pmf(np.arange(top), lam_t)
+        expected[-1] += draws * scipy.stats.poisson.sf(top - 1, lam_t)
+        # merge the sparse tails into their neighbours until every bin expects >= 5
+        lo, hi = 0, top
+        while hi - lo > 1 and expected[lo] < 5:
+            expected[lo + 1] += expected[lo]
+            observed[lo + 1] += observed[lo]
+            lo += 1
+        while hi - lo > 1 and expected[hi - 1] < 5:
+            expected[hi - 2] += expected[hi - 1]
+            observed[hi - 2] += observed[hi - 1]
+            hi -= 1
+        if hi - lo == 1:  # lam_t = 1e-9: nonzero counts are 1e-3 expected
+            assert observed[lo] == draws
+            return
+        result = scipy.stats.chisquare(observed[lo:hi], expected[lo:hi])
+        assert result.pvalue > 1e-3
+
+    @pytest.mark.parametrize("lam_t", [0.7, 12.0, 1e6])
+    def test_chunked_tally_continues_one_stream(self, lam_t):
+        take, ell = 3 * stochsim._CHUNK + 5, 3
+        hist = stochsim._PoissonVariate(lam_t).tally(np.random.default_rng(8), take, ell)
+        counts = stochsim._PoissonVariate(lam_t).draw(np.random.default_rng(8), take)
+        assert np.array_equal(hist, np.bincount(counts % ell, minlength=ell))
+
+
 class TestSimulate:
     def test_deterministic_for_fixed_seed(self):
         a = simulate_marginals(MIXED, 0.7, 5000, seed=3)
@@ -172,6 +234,11 @@ class TestSimulate:
         exact = exact_marginals(MIXED, 1.0)
         guard = est.stderr + 1e-12
         assert np.all(np.abs(est.probs - exact) <= 4.0 * guard + 1e-9)
+
+    def test_time_zero_is_identity(self):
+        est = simulate_marginals(TWO_CYCLES, 0.0, 5000, seed=2)
+        assert np.array_equal(est.probs, np.eye(6))
+        assert not est.stderr.any()
 
     def test_fixed_point_entries_exact(self):
         est = simulate_marginals(MIXED, 1.0, 1000, seed=0)
@@ -296,6 +363,16 @@ class TestThreadedTally:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    def test_block_memory_does_not_grow_with_the_block_size(self):
+        # one block of 10**6 draws is tallied in sub-chunks
+        tracemalloc.start()
+        try:
+            simulate_marginals(CYCLE4, 1.0, 10**6, seed=0, block_size=10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     def test_identity_spec_needs_no_tasks(self):
         est = simulate_marginals(PermProcessSpec((1, 2, 3), []), 1.0, 100, seed=0)
         assert np.array_equal(est.probs, np.eye(3))
@@ -322,6 +399,16 @@ class TestPathSample:
         result = scipy.stats.chisquare(counts, exact_row * paths)
         assert result.pvalue > 1e-3
 
+    def test_later_grid_points_sum_the_increments(self):
+        # X at the second grid point has the law of time 0.9, not of the step 0.5
+        exact_row = exact_marginals(CYCLE4, 0.9)[0]
+        counts = np.zeros(4)
+        paths = 4000
+        for k in range(paths):
+            state = path_sample(CYCLE4, [0.4, 0.9], seed=5000 + k)[1]
+            counts[state[0] - 1] += 1
+        assert scipy.stats.chisquare(counts, exact_row * paths).pvalue > 1e-3
+
     def test_identity_permutation_constant_path(self):
         spec = PermProcessSpec((1, 2, 3), [])
         states = path_sample(spec, [0.0, 1.0, 5.0], seed=2)
@@ -343,6 +430,29 @@ class TestPathSample:
             path_sample(CYCLE4, [1.0, 0.5], seed=0)
         with pytest.raises(ValidationError):
             path_sample(CYCLE4, [-1.0, 0.5], seed=0)
+
+    def test_cost_does_not_grow_with_the_rate(self):
+        # one Poisson count per grid interval, not one exponential gap per jump
+        start = time.perf_counter()
+        tracemalloc.start()
+        try:
+            states = path_sample(PermProcessSpec((2, 3, 1), [1e9]), [0.0, 0.5, 1.0], seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - start < 1.0
+        assert peak < 1 << 20
+        assert states[0] == (1, 2, 3) and all(sorted(s) == [1, 2, 3] for s in states)
+
+    @pytest.mark.parametrize("rate, grid", [(1e20, [1.0]), (1e10, [0.5, 1e9])])
+    def test_poisson_mean_past_numpy_limit_rejected(self, rate, grid):
+        with pytest.raises(ValidationError, match="rate \\* dt"):
+            path_sample(PermProcessSpec((2, 1), [rate]), grid, seed=0)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_grid_rejected(self, bad):
+        with pytest.raises(ValidationError, match="time"):
+            path_sample(CYCLE4, [0.5, bad], seed=0)
 
     def test_path_is_right_continuous_in_jumps(self):
         # consecutive grid states differ by an admissible cycle power
