@@ -16,19 +16,17 @@ versions that drew every count with `Generator.poisson`.
 Seed discipline: numpy SeedSequence(seed) is spawned once per cycle in the
 stored cycle order, and each cycle's stream is spawned again per sample
 block. Every block has its own bit generator and its tally is a vector of
-integer counts, taken in sub-chunks of 8,192 draws so that per-thread
+integer counts, taken in sub-chunks of 8,192 draws so that its
 temporaries do not grow with the block size; the chunks continue one
 stream, so they draw exactly what one call for the whole block would.
-`simulate_marginals` tallies the blocks of large calls on a thread pool made
-for the call (at most one thread per usable CPU) and returns the same bytes
-as a serial run for a fixed seed, whatever the core count.
+`simulate_marginals` tallies the blocks in the caller's thread, one after
+another: numpy's `bincount` holds the GIL, so a thread pool gained nothing.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,13 +142,6 @@ def exact_marginals(spec: PermProcessSpec, t: float) -> np.ndarray:
     return out
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _alias_table(lam_t: float) -> tuple[np.ndarray, np.ndarray]:
     """Walker alias table (prob, alias) of Poisson(lam_t), built as in Vose (1991).
 
@@ -232,33 +223,6 @@ class _PoissonVariate:
         return hist
 
 
-def _tally(task) -> np.ndarray:
-    """Histogram of one block's Poisson clock counts mod ell.
-
-    task: (SeedSequence of the block, _PoissonVariate of the cycle, draws, ell).
-    """
-    blk, variate, take, ell = task
-    return variate.tally(np.random.Generator(np.random.PCG64(blk)), take, ell)
-
-
-def _tally_all(tasks: list) -> list[np.ndarray]:
-    """`_tally` of every task, in order.
-
-    The tasks run on min(usable CPUs, tasks, draws // BLOCK_SIZE) threads, so
-    each thread gets at least a default block's worth of draws; numpy's array
-    sampling and arithmetic release the GIL, its `bincount` does not. With
-    one thread the caller tallies them all and no pool starts.
-    """
-    draws = sum(task[2] for task in tasks)
-    workers = min(_usable_cpus(), len(tasks), draws // BLOCK_SIZE)
-    if workers <= 1:
-        return [_tally(task) for task in tasks]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(workers) as pool:
-        return list(pool.map(_tally, tasks))
-
-
 def _check_count(name: str, value) -> None:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
         raise ValidationError(f"{name} must be an integer >= 1, got {value!r}")
@@ -278,14 +242,12 @@ def simulate_marginals(
     rate * t below 10 draws its counts from one alias table of
     Poisson(rate * t), one float64 uniform each; at 10 and above they come
     from `Generator.poisson` (PTRS). Seeded estimates below 10 differ from
-    versions that used `Generator.poisson` throughout. Every block is tallied
-    in sub-chunks of 8,192 draws, so memory does not grow with `block_size`.
-    The blocks of every cycle are tallied on a thread pool made for this call
-    when there are at least two default blocks' worth of draws (see
-    `_tally_all`); each tally is a vector of integer counts, so the sums, and
-    the returned bytes, do not depend on the number of threads or their
-    order.  A rate * t above numpy's Poisson limit (about 9.2e18) raises
-    ValidationError before any draw.
+    versions that used `Generator.poisson` throughout. The blocks are tallied
+    one after another in the calling thread, each in sub-chunks of 8,192
+    draws, so memory does not grow with `block_size`; each tally is a vector
+    of integer counts, so the returned bytes depend only on the seed, the
+    sample count and the block size.  A rate * t above numpy's Poisson limit
+    (about 9.2e18) raises ValidationError before any draw.
     """
     _check_count("samples", samples)
     _check_count("block_size", block_size)
@@ -301,16 +263,14 @@ def simulate_marginals(
             probs[i - 1, i - 1] = 1.0
     nblocks = (samples + block_size - 1) // block_size
     streams = np.random.SeedSequence(seed).spawn(len(spec.rates))
-    tasks = []
     for cyc, lam, stream in zip(spec.cycles, spec.rates, streams):
+        ell = len(cyc)
         variate = _PoissonVariate(lam * t)
+        hist = np.zeros(ell, dtype=np.int64)
         for b, blk in enumerate(stream.spawn(nblocks)):
             take = min(block_size, samples - b * block_size)
-            tasks.append((blk, variate, take, len(cyc)))
-    tallies = _tally_all(tasks)
-    for c, cyc in enumerate(spec.cycles):
-        ell = len(cyc)
-        hist = sum(tallies[c * nblocks:(c + 1) * nblocks]) / samples
+            hist += variate.tally(np.random.Generator(np.random.PCG64(blk)), take, ell)
+        hist = hist / samples
         for a, origin in enumerate(cyc):
             for r in range(ell):
                 probs[origin - 1, cyc[(a + r) % ell] - 1] = hist[r]

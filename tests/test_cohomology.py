@@ -8,6 +8,7 @@ import pytest
 
 from qperm.cohomology import (
     SubspaceBasis,
+    _nullspace,
     _svd,
     coboundary_map,
     coboundary_space,
@@ -23,9 +24,9 @@ from qperm.cohomology import (
     split_tuple,
     stack_tuple,
 )
-from qperm.config import RunConfig
+from qperm.config import DEFAULT_CONFIG, RunConfig
 from qperm.errors import ValidationError
-from qperm.magic import TwoBlockSpec, f4_phi, fourier, from_hadamard, from_permutation, two_block
+from qperm.magic import MagicUnitary, TwoBlockSpec, f4_phi, fourier, from_hadamard, from_permutation, two_block
 from qperm.perms import identity, random_permutation
 
 
@@ -33,6 +34,25 @@ def random_projection(rng, d, rank):
     A = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     q = np.linalg.qr(A)[0][:, :rank]
     return q @ q.conj().T
+
+
+def stacked_constraint_matrix(M):
+    """Reference: the n^2 d x nd stack of the full-width d-row constraint blocks."""
+    n, d = M.n, M.d
+    rows = []
+    for i in range(n):
+        block = np.zeros((d, n * d), dtype=complex)
+        block[:, i * d : (i + 1) * d] = M.blocks[i, i]
+        rows.append(block)
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            block = np.zeros((d, n * d), dtype=complex)
+            block[:, i * d : (i + 1) * d] = M.blocks[i, j]
+            block[:, j * d : (j + 1) * d] = -M.blocks[i, j]
+            rows.append(block)
+    return np.vstack(rows)
 
 
 class TestPermutation:
@@ -95,6 +115,79 @@ class TestFourier:
         assert h1_dim(from_hadamard(f4_phi(np.pi / 2))) == 3
 
 
+def _constraint_cases():
+    rng = np.random.default_rng(7)
+    cases = [(f"fourier{n}", from_hadamard(fourier(n)), True) for n in range(2, 13)]
+    cases += [(f"f4_{label}", from_hadamard(f4_phi(phi)), True)
+              for label, phi in (("0.7", 0.7), ("pi/2", np.pi / 2), ("pi/2+1e-9", np.pi / 2 + 1e-9))]
+    for sigma in ((2, 1, 4, 3), (2, 3, 1, 5, 4), (2, 1, 3)):
+        word = "".join(map(str, sigma))
+        cases += [(f"perm{word}x{d}", from_permutation(sigma, d), True) for d in (1, 2)]
+    for d, rp, rq in ((3, 1, 2), (4, 2, 2), (5, 1, 3)):
+        spec = TwoBlockSpec(random_projection(rng, d, rp), random_projection(rng, d, rq))
+        cases.append((f"two_block{d}", two_block(spec), True))
+    full = rng.normal(size=(3, 3, 4, 4)) + 1j * rng.normal(size=(3, 3, 4, 4))
+    low = np.einsum("abi,abj->abij", rng.normal(size=(3, 3, 4)) + 1j * rng.normal(size=(3, 3, 4)),
+                    rng.normal(size=(3, 3, 4)) + 1j * rng.normal(size=(3, 3, 4)))
+    cases += [("random_full", MagicUnitary(full), False), ("random_rank1", MagicUnitary(low), False)]
+    return cases
+
+
+CONSTRAINT_CASES = _constraint_cases()
+DEFAULT_THRESHOLD = DEFAULT_CONFIG.rank_threshold
+
+
+class TestCompressedConstraints:
+    """cocycle_constraint_matrix against the stacked n^2 d x nd reference."""
+
+    @pytest.mark.parametrize("name,M,magic", CONSTRAINT_CASES, ids=[c[0] for c in CONSTRAINT_CASES])
+    def test_singular_values_match_stack(self, name, M, magic):
+        C = cocycle_constraint_matrix(M)
+        s = np.linalg.svd(C, compute_uv=False)
+        ref = np.linalg.svd(stacked_constraint_matrix(M), compute_uv=False)
+        tol = 1e-12 * max(1.0, ref[0])
+        assert C.shape[1] == M.n * M.d and len(s) <= len(ref)
+        assert np.max(np.abs(s - ref[: len(s)])) <= tol
+        assert np.max(ref[len(s):], initial=0.0) <= tol
+
+    @pytest.mark.parametrize("name,M,magic", CONSTRAINT_CASES, ids=[c[0] for c in CONSTRAINT_CASES])
+    def test_cocycle_space_matches_stack(self, name, M, magic):
+        Z = cocycle_space(M).vectors
+        K = _nullspace(stacked_constraint_matrix(M), DEFAULT_THRESHOLD)
+        assert Z.shape == K.shape
+        assert np.max(np.abs(Z.T @ Z.conj() - K.T @ K.conj()), initial=0.0) <= 1e-10
+        if magic:
+            ref_h1 = len(K) - coboundary_space(M).dim
+            assert h1_dim(M) == ref_h1
+
+    @pytest.mark.parametrize("name,M,magic", [c for c in CONSTRAINT_CASES if c[2]],
+                             ids=[c[0] for c in CONSTRAINT_CASES if c[2]])
+    def test_magic_unitary_gives_nd_rows(self, name, M, magic):
+        assert cocycle_constraint_matrix(M).shape == (M.n * M.d, M.n * M.d)
+
+    def test_rank_decision_at_small_singular_value(self):
+        # F4 just past pi/2: two singular values near 1e-9 sit under the threshold
+        M = from_hadamard(f4_phi(np.pi / 2 + 1e-9))
+        S = stacked_constraint_matrix(M)
+        for A in (S, cocycle_constraint_matrix(M)):
+            s = np.linalg.svd(A, compute_uv=False)
+            assert np.sum((s > 1e-11) & (s < DEFAULT_THRESHOLD)) == 2
+        assert len(_nullspace(S, DEFAULT_THRESHOLD)) == cocycle_space(M).dim == 6
+        assert h1_dim(M) == 3
+
+    def test_fourier24_memory(self):
+        # the stacked matrix alone is 13824 x 576 complex, 127 MB
+        M = from_hadamard(fourier(24))
+        tracemalloc.start()
+        try:
+            dim = cocycle_space(M).dim
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert dim == 24 + fourier_h1_formula(24) - 1
+        assert peak < 40 * 2 ** 20
+
+
 class TestSpaces:
     def test_split_stack_round_trip(self, rng):
         vec = rng.normal(size=12) + 1j * rng.normal(size=12)
@@ -142,7 +235,17 @@ class TestSpaces:
             two_block(TwoBlockSpec(random_projection(rng, 3, 1), random_projection(rng, 3, 2))),
         ]
         for M in reps:
-            assert gaussian_subspace(M).dim == 0
+            n, d = M.n, M.d
+            rows = [stacked_constraint_matrix(M)]
+            for a in range(n):
+                for b in range(n):
+                    op = M.blocks[a, b] - (np.eye(d) if a == b else 0.0)
+                    for i in range(n):
+                        block = np.zeros((d, n * d), dtype=complex)
+                        block[:, i * d : (i + 1) * d] = op
+                        rows.append(block)
+            ref = len(_nullspace(np.vstack(rows), DEFAULT_THRESHOLD))
+            assert gaussian_subspace(M).dim == ref == 0
 
     def test_orthonormality_defect_detects_bad_rows(self):
         bad = SubspaceBasis(np.array([[1.0, 0.0], [1.0, 0.0]]))
@@ -274,7 +377,7 @@ class TestSvdHelper:
             RunConfig(rank_threshold=big)
 
     def test_gaussian_subspace_memory(self):
-        # the constraint matrix is 4608 x 64; a full SVD's U alone is 340 MB
+        # the stacked constraints are 4608 x 64; a full SVD's U alone is 340 MB
         M = from_hadamard(fourier(8))
         tracemalloc.start()
         try:

@@ -291,7 +291,7 @@ class TestSimulate:
 
 
 class TestThreadedTally:
-    """The blocks run on a thread pool; the bytes equal the serial block loop."""
+    """The blocks are tallied in the caller; the bytes equal the serial block loop."""
 
     CASES = [(1, 512), (512, 512), (2048, 512), (5000, 512), (70_001, 1 << 16)]
 
@@ -306,48 +306,16 @@ class TestThreadedTally:
     def test_bytes_match_serial_reference(self, spec, samples, block_size):
         self.assert_reference(spec, 0.8, samples, samples + 17, block_size)
 
-    def test_one_cpu_runs_in_the_caller(self, monkeypatch):
+    def test_large_call_starts_no_thread_pool(self, monkeypatch):
         import concurrent.futures
 
         def no_pool(*args, **kwargs):
-            raise AssertionError("a pool was started with one usable CPU")
+            raise AssertionError("simulate_marginals constructed a ThreadPoolExecutor")
 
-        monkeypatch.setattr(stochsim, "_usable_cpus", lambda: 1)
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
-        for samples, block_size in self.CASES:
-            self.assert_reference(TWO_CYCLES, 1.1, samples, 3, block_size)
-
-    def test_more_threads_than_cores(self, monkeypatch):
-        # eight threads share 1,172 small blocks under fast switching
-        monkeypatch.setattr(stochsim, "_usable_cpus", lambda: 8)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            self.assert_reference(MIXED, 0.6, 300_001, 5, 512)
-        finally:
-            sys.setswitchinterval(interval)
-
-    @pytest.mark.parametrize("cpus, spec, samples, want", [
-        (8, MIXED, 5000, None),  # 10,000 draws: too few for a second thread
-        (8, TWO_CYCLES, 65_536, 2),  # two default blocks' worth of draws
-        (8, CYCLE4, 3 * 65_536, 3),
-        (8, MIXED, 300_001, 8),
-        (2, MIXED, 300_001, 2),
-    ])
-    def test_pool_size_follows_the_work(self, monkeypatch, cpus, spec, samples, want):
-        import concurrent.futures
-
-        sizes = []
-        real = concurrent.futures.ThreadPoolExecutor
-
-        def recording(max_workers):
-            sizes.append(max_workers)
-            return real(max_workers)
-
-        monkeypatch.setattr(stochsim, "_usable_cpus", lambda: cpus)
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", recording)
-        self.assert_reference(spec, 0.7, samples, 11, 512)
-        assert sizes == ([] if want is None else [want])
+        monkeypatch.setattr(concurrent.futures.ThreadPoolExecutor, "__init__", no_pool)
+        est = simulate_marginals(TWO_CYCLES, 1.0, 2_000_000, seed=7)
+        assert est.samples == 2_000_000
+        assert np.allclose(est.probs.sum(axis=1), 1.0)
 
     def test_large_clock_rate_matches_reference(self):
         spec = PermProcessSpec((2, 3, 1, 5, 4), [1e7, 3e6])  # (1 2 3)(4 5)
