@@ -8,25 +8,33 @@ Reduction applies the orientable magic-unitary relations only:
     p_ij p_ik -> 0 (j != k)      adjacent letters sharing a row
     p_ji p_ki -> 0 (j != k)      adjacent letters sharing a column
 
-A single left-to-right scan suffices: collapsing an equal letter never
-shortens the kept stack, so no new adjacencies appear behind the cursor.
+All three live in `_append`, folded over a word by `reduce_letters` and per
+leg by `expand_legs`.  A single left-to-right scan suffices: collapsing an
+equal letter never shortens the kept word, so no new adjacencies appear.
 """
 
 from __future__ import annotations
 
 
+def _append(reduced, letter):
+    # append one letter to an already-reduced word; None marks the zero word
+    if reduced:
+        top = reduced[-1]
+        if top == letter:
+            return reduced
+        if top[0] == letter[0] or top[1] == letter[1]:
+            return None
+    return reduced + (letter,)
+
+
 def reduce_letters(letters):
     """Reduce a letter tuple; return the reduced tuple, or None if the word is zero."""
-    kept = []
+    kept = ()
     for let in letters:
-        if kept:
-            top = kept[-1]
-            if top == let:
-                continue
-            if top[0] == let[0] or top[1] == let[1]:
-                return None
-        kept.append(let)
-    return tuple(kept)
+        kept = _append(kept, let)
+        if kept is None:
+            return None
+    return kept
 
 
 def expand_legs(letters, n, legs):
@@ -61,17 +69,6 @@ def expand_legs(letters, n, legs):
 
     letter_rec(0, tuple(() for _ in range(m)))
     return out
-
-
-def _append(reduced, letter):
-    # append one letter to an already-reduced word; None marks the zero word
-    if reduced:
-        top = reduced[-1]
-        if top == letter:
-            return reduced
-        if top[0] == letter[0] or top[1] == letter[1]:
-            return None
-    return reduced + (letter,)
 
 
 def reduced_words_exact(n, length):

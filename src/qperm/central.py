@@ -22,14 +22,7 @@ from .errors import ValidationError
 
 def chebyshev_u(s: int, x: float) -> float:
     """U_s(x) by the three-term recursion U_{s+1} = x U_s - U_{s-1}."""
-    if s < 0:
-        raise ValidationError("s must be >= 0")
-    prev, cur = 1.0, float(x)  # U_0, U_1
-    if s == 0:
-        return prev
-    for _ in range(s - 1):
-        prev, cur = cur, x * cur - prev
-    return cur
+    return chebyshev_u_with_prime(s, x)[0]
 
 
 def chebyshev_u_with_prime(s: int, x: float) -> tuple[float, float]:

@@ -25,6 +25,7 @@ from .errors import BudgetError, QpermError, ValidationError
 from .magic import (
     HadamardMatrix,
     MagicUnitary,
+    _complex_from_json,
     f4_phi,
     fourier,
     from_hadamard,
@@ -121,10 +122,17 @@ def _to_csv(rows) -> str:
     return buf.getvalue()
 
 
+def _save(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc}") from exc
+
+
 def _write(text: str, args) -> int:
     if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _save(args.out, text)
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -164,13 +172,6 @@ def _parse_atoms(text: str) -> list[tuple[float, float]]:
     return atoms
 
 
-def _complex_array(obj, shape, what: str) -> np.ndarray:
-    arr = np.asarray(obj, dtype=float)
-    if arr.ndim != len(shape) + 1 or arr.shape[:-1] != shape or arr.shape[-1] != 2:
-        raise ValidationError(f"{what}: expected shape {shape} of [re, im] pairs")
-    return arr[..., 0] + 1j * arr[..., 1]
-
-
 def _rep_from_args(args) -> MagicUnitary:
     if args.fourier is not None:
         return from_hadamard(fourier(args.fourier))
@@ -189,7 +190,9 @@ def _triple_from_args(args) -> SchurmannTriple:
         if not isinstance(data, dict) or "rep" not in data or "xs" not in data:
             raise ValidationError("triple file must be a JSON object {rep, xs}")
         rep = MagicUnitary.from_json(data["rep"])
-        xs = _complex_array(data["xs"], (rep.n, rep.d), "xs")
+        xs = _complex_from_json(data["xs"])
+        if xs.shape != (rep.n, rep.d):
+            raise ValidationError(f"xs: expected shape {(rep.n, rep.d)} of [re, im] pairs")
         return SchurmannTriple(rep, xs, check_rep=True)
     sigma = parse_cycles(args.sigma, args.n)
     rates = _parse_floats(args.rates, "--rates")
@@ -303,16 +306,15 @@ def _cmd_central(args) -> int:
 def _cmd_simulate(args) -> int:
     sigma = parse_cycles(args.sigma, args.n)
     spec = PermProcessSpec(sigma, _parse_floats(args.rates, "--rates"))
+    if args.paths is not None and args.times is None:
+        raise ValidationError("--paths needs --times with the sampling grid")
     est = simulate_marginals(spec, args.t, args.samples, args.seed)
     if args.paths is not None:
-        if args.times is None:
-            raise ValidationError("--paths needs --times with the sampling grid")
         grid = _parse_floats(args.times, "--times")
         rows = [["t"] + [str(i) for i in range(1, spec.n + 1)]]
         for tt, image in zip(grid, path_sample(spec, grid, args.seed)):
             rows.append([tt] + list(image))
-        with open(args.paths, "w", encoding="utf-8") as fh:
-            fh.write(_to_csv(rows))
+        _save(args.paths, _to_csv(rows))
     if args.format == "csv":
         rows = [["i", "j", "prob", "stderr"]]
         for i in range(spec.n):

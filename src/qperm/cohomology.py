@@ -28,7 +28,7 @@ import numpy as np
 from . import perms
 from .config import DEFAULT_CONFIG
 from .errors import ValidationError
-from .magic import MagicUnitary
+from .magic import MagicUnitary, _projection_deviation
 
 
 @dataclass(frozen=True)
@@ -278,12 +278,7 @@ def projection_meet(
     if P.shape != Q.shape or P.ndim != 2 or P.shape[0] != P.shape[1]:
         raise ValidationError("projections must be square and equally sized")
     d = P.shape[0]
-    dev = max(
-        float(np.linalg.norm(P @ P - P, 2)),
-        float(np.linalg.norm(P - P.conj().T, 2)),
-        float(np.linalg.norm(Q @ Q - Q, 2)),
-        float(np.linalg.norm(Q - Q.conj().T, 2)),
-    )
+    dev = _projection_deviation(np.stack([P, Q]))
     if dev > tol:
         raise ValidationError(f"inputs are not projections: max deviation {dev:.3e}")
     gap = (np.eye(d) - P) + (np.eye(d) - Q)

@@ -74,13 +74,15 @@ class MagicReport:
         return max(self.projection, self.orthogonality, self.row_sums, self.col_sums)
 
 
-def _opnorm(a: np.ndarray) -> float:
-    return float(np.linalg.norm(a, 2)) if a.size else 0.0
-
-
 def _max_opnorm(stack: np.ndarray) -> float:
     """Largest operator norm over a stack of matrices, shape (..., d, d)."""
     return float(np.max(np.linalg.norm(stack, 2, axis=(-2, -1)))) if stack.size else 0.0
+
+
+def _projection_deviation(stack: np.ndarray) -> float:
+    """Largest violation of S^2 = S and S = S* over a stack of matrices, operator norm."""
+    return max(_max_opnorm(stack @ stack - stack),
+               _max_opnorm(stack - stack.conj().swapaxes(-1, -2)))
 
 
 def validate(M: MagicUnitary, tol: float = DEFAULT_CONFIG.tol) -> MagicReport:
@@ -93,7 +95,7 @@ def validate(M: MagicUnitary, tol: float = DEFAULT_CONFIG.tol) -> MagicReport:
     P = M.blocks
     eye = np.eye(M.d)
     j, k = np.triu_indices(M.n, 1)
-    proj = max(_max_opnorm(P @ P - P), _max_opnorm(P - P.conj().swapaxes(-1, -2)))
+    proj = _projection_deviation(P)
     orth = max(_max_opnorm(P[:, j] @ P[:, k]),  # shared row
                _max_opnorm(P[j] @ P[k]))  # shared column
     rows = _max_opnorm(P.sum(axis=1) - eye)
@@ -142,7 +144,7 @@ class HadamardMatrix:
         """Max deviation from unimodularity and from H H* = n I."""
         H = self.H
         uni = float(np.max(np.abs(np.abs(H) - 1.0))) if H.size else 0.0
-        gram = _opnorm(H @ H.conj().T - self.n * np.eye(self.n))
+        gram = _max_opnorm(H @ H.conj().T - self.n * np.eye(self.n))
         return max(uni, gram)
 
     def to_json(self) -> dict:
@@ -235,12 +237,7 @@ class TwoBlockSpec:
         return self.P.shape[0]
 
     def deviation(self) -> float:
-        return max(
-            _opnorm(self.P @ self.P - self.P),
-            _opnorm(self.P - self.P.conj().T),
-            _opnorm(self.Q @ self.Q - self.Q),
-            _opnorm(self.Q - self.Q.conj().T),
-        )
+        return _projection_deviation(np.stack([self.P, self.Q]))
 
 
 def two_block(spec: TwoBlockSpec, tol: float = DEFAULT_CONFIG.tol) -> MagicUnitary:

@@ -36,11 +36,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cohomology import coboundary_map, split_tuple, stack_tuple
+from .cohomology import _cocycle_blocks, coboundary_map, split_tuple, stack_tuple
 from .config import DEFAULT_CONFIG
 from .errors import BudgetError, ValidationError
 from .magic import MagicUnitary, TwoBlockSpec, apply, fourier, from_hadamard, validate
-from .words import LinComb, Word, counit, defining_relations, reduced_word_array
+from .words import LinComb, Word, _random_word_array, counit, defining_relations, reduced_word_array
 
 #: exhaustive word sweeps switch to sampling above these sizes
 _EXHAUSTIVE_N = 4
@@ -109,12 +109,10 @@ class SchurmannTriple:
 def cocycle_violation(rep: MagicUnitary, xs) -> float:
     """Worst violation of the cocycle conditions for a candidate tuple."""
     xs = np.asarray(xs, dtype=complex)
+    blocks, plus, minus = _cocycle_blocks(rep)
     worst = 0.0
-    for i in range(rep.n):
-        worst = max(worst, float(np.linalg.norm(rep.blocks[i, i] @ xs[i])))
-        for j in range(rep.n):
-            if i != j:
-                worst = max(worst, float(np.linalg.norm(rep.blocks[i, j] @ (xs[i] - xs[j]))))
+    for block, i, j in zip(blocks, plus.tolist(), minus.tolist()):
+        worst = max(worst, float(np.linalg.norm(block @ (xs[i] if j < 0 else xs[i] - xs[j]))))
     return worst
 
 
@@ -285,20 +283,8 @@ def _sweep_plan(n: int, max_len: int, rng=None) -> tuple[int, list[np.ndarray]]:
     rest = counts[full:]
     left = _SAMPLE_WORDS - counts[:full].sum()
     quota = np.maximum(1, np.round(left * rest / rest.sum()).astype(int))
-    drawn = []
-    for ln, m in enumerate(quota.tolist(), start=full + 1):
-        rows = np.empty((m, ln), dtype=np.int64)
-        cols = np.empty((m, ln), dtype=np.int64)
-        rows[:, 0] = rng.integers(1, n + 1, size=m)
-        cols[:, 0] = rng.integers(1, n + 1, size=m)
-        for pos in range(1, ln):
-            # next letter differs from the previous in both row and column
-            roff = rng.integers(1, n, size=m)
-            coff = rng.integers(1, n, size=m)
-            rows[:, pos] = (rows[:, pos - 1] - 1 + roff) % n + 1
-            cols[:, pos] = (cols[:, pos - 1] - 1 + coff) % n + 1
-        drawn.append(np.stack([rows, cols], axis=2))
-    return full, drawn
+    return full, [_random_word_array(rng, n, m, ln)
+                  for ln, m in enumerate(quota.tolist(), start=full + 1)]
 
 
 def _sweep_words(n: int, max_len: int, rng=None) -> list[np.ndarray]:

@@ -63,7 +63,7 @@ from .schurmann import (
 )
 from .semigroup import conv_exp, fundamental_semigroup, generator_matrix
 from .stochsim import PermProcessSpec, exact_marginals, process_triple, simulate_marginals
-from .words import LinComb, Word, adjoint, coproduct_terms, counit
+from .words import LinComb, Word, _random_word_array, adjoint, coproduct_terms, counit
 
 
 @dataclass(frozen=True)
@@ -151,15 +151,7 @@ def random_triple(
 
 def random_reduced_word(rng, n: int, max_len: int = 4, min_len: int = 1) -> Word:
     length = int(rng.integers(min_len, max_len + 1))
-    i = int(rng.integers(1, n + 1))
-    j = int(rng.integers(1, n + 1))
-    letters = [(i, j)]
-    for _ in range(length - 1):
-        # differ from the previous letter in both row and column
-        i = (i - 1 + int(rng.integers(1, n))) % n + 1
-        j = (j - 1 + int(rng.integers(1, n))) % n + 1
-        letters.append((i, j))
-    return Word(letters, n)
+    return Word(_random_word_array(rng, n, 1, length)[0].tolist(), n)
 
 
 def random_lincomb(rng, n: int, max_len: int = 3, terms: int = 3) -> LinComb:

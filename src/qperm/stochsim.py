@@ -120,6 +120,21 @@ def _modular_poisson(lam_t: float, ell: int) -> np.ndarray:
     return (weights @ phases).real / ell
 
 
+def _spread(spec: PermProcessSpec, laws) -> np.ndarray:
+    """The n x n marginal matrix from one residue law per nontrivial cycle.
+
+    Entry (i, j) inside a cycle is laws[c][r], r the cycle distance from i
+    to j; fixed points give 1 on the diagonal; entries across cycles vanish.
+    """
+    out = np.diag([1.0 if image == i else 0.0 for i, image in enumerate(spec.sigma, start=1)])
+    for cyc, law in zip(spec.cycles, laws):
+        ell = len(cyc)
+        for a, origin in enumerate(cyc):
+            for r in range(ell):
+                out[origin - 1, cyc[(a + r) % ell] - 1] = law[r]
+    return out
+
+
 def exact_marginals(spec: PermProcessSpec, t: float) -> np.ndarray:
     """Entry (i, j): probability that X_t maps i to j.
 
@@ -128,18 +143,8 @@ def exact_marginals(spec: PermProcessSpec, t: float) -> np.ndarray:
     across different cycles vanish.
     """
     check_time(t)
-    n = spec.n
-    out = np.zeros((n, n))
-    for i in range(1, n + 1):
-        if spec.sigma[i - 1] == i:
-            out[i - 1, i - 1] = 1.0
-    for cyc, lam in zip(spec.cycles, spec.rates):
-        ell = len(cyc)
-        probs = _modular_poisson(lam * t, ell)
-        for a, origin in enumerate(cyc):
-            for r in range(ell):
-                out[origin - 1, cyc[(a + r) % ell] - 1] = probs[r]
-    return out
+    return _spread(spec, [_modular_poisson(lam * t, len(cyc))
+                          for cyc, lam in zip(spec.cycles, spec.rates)])
 
 
 def _alias_table(lam_t: float) -> tuple[np.ndarray, np.ndarray]:
@@ -256,13 +261,9 @@ def simulate_marginals(
         raise ValidationError(
             f"rate * t must be at most {_POISSON_LAM_MAX:.4g} for Poisson sampling"
         )
-    n = spec.n
-    probs = np.zeros((n, n))
-    for i in range(1, n + 1):
-        if spec.sigma[i - 1] == i:
-            probs[i - 1, i - 1] = 1.0
     nblocks = (samples + block_size - 1) // block_size
     streams = np.random.SeedSequence(seed).spawn(len(spec.rates))
+    laws = []
     for cyc, lam, stream in zip(spec.cycles, spec.rates, streams):
         ell = len(cyc)
         variate = _PoissonVariate(lam * t)
@@ -270,15 +271,10 @@ def simulate_marginals(
         for b, blk in enumerate(stream.spawn(nblocks)):
             take = min(block_size, samples - b * block_size)
             hist += variate.tally(np.random.Generator(np.random.PCG64(blk)), take, ell)
-        hist = hist / samples
-        for a, origin in enumerate(cyc):
-            for r in range(ell):
-                probs[origin - 1, cyc[(a + r) % ell] - 1] = hist[r]
+        laws.append(hist / samples)
+    probs = _spread(spec, laws)
+    # fixed points have probs exactly 1, so their stderr is exactly 0
     stderr = np.sqrt(np.clip(probs * (1.0 - probs), 0.0, None) / samples)
-    # deterministic entries carry no sampling error
-    for i in range(1, n + 1):
-        if spec.sigma[i - 1] == i:
-            stderr[i - 1, i - 1] = 0.0
     return MarginalEstimate(t, probs, stderr, samples, seed)
 
 

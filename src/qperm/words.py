@@ -310,6 +310,24 @@ def reduced_word_array(n: int, length: int) -> np.ndarray:
     return out
 
 
+def _random_word_array(rng, n: int, count: int, length: int) -> np.ndarray:
+    """`count` random reduced words of `length` >= 1 letters, int64 shape (count, length, 2).
+
+    The first letter is uniform; each next one shifts row, then column, by a
+    uniform offset in 1..n-1 mod n, so both differ from the previous letter's.
+    """
+    rows = np.empty((count, length), dtype=np.int64)
+    cols = np.empty((count, length), dtype=np.int64)
+    rows[:, 0] = rng.integers(1, n + 1, size=count)
+    cols[:, 0] = rng.integers(1, n + 1, size=count)
+    for pos in range(1, length):
+        roff = rng.integers(1, n, size=count)
+        coff = rng.integers(1, n, size=count)
+        rows[:, pos] = (rows[:, pos - 1] - 1 + roff) % n + 1
+        cols[:, pos] = (cols[:, pos - 1] - 1 + coff) % n + 1
+    return np.stack([rows, cols], axis=2)
+
+
 def reduced_words(n: int, max_len: int, min_len: int = 1) -> list[Word]:
     """All reduced words with min_len <= length <= max_len."""
     out = []

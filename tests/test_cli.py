@@ -315,6 +315,22 @@ class TestSimulate:
         assert code == 1
         assert "--times" in err
 
+    def test_paths_without_times_fails_before_sampling(self, capsys, tmp_path, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("simulate_marginals ran")
+
+        monkeypatch.setattr("qperm.cli.simulate_marginals", forbidden)
+        code, out, err = run(capsys, *self.ARGS, "--paths", str(tmp_path / "p.csv"))
+        assert (code, out) == (1, "")
+        assert err == "qperm: error: --paths needs --times with the sampling grid\n"
+
+    def test_unwritable_paths_file_is_exit_1(self, capsys, tmp_path):
+        dest = tmp_path / "missing" / "p.csv"
+        code, out, err = run(capsys, *self.ARGS, "--paths", str(dest), "--times", "0,1")
+        assert (code, out) == (1, "")
+        assert err.startswith(f"qperm: error: cannot write {dest}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
 
 class TestSelftest:
     def test_list_names(self, capsys):
@@ -356,6 +372,13 @@ class TestPlumbing:
         assert code == 0
         assert out == ""
         assert dest.read_text() == '{"zdim":4,"bdim":3,"h1dim":1}\n'
+
+    def test_unwritable_out_file_is_exit_1(self, capsys, tmp_path):
+        dest = tmp_path / "missing" / "res.json"
+        code, out, err = run(capsys, "cohomology", "--fourier", "4", "--out", str(dest))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"qperm: error: cannot write {dest}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

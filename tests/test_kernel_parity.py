@@ -171,3 +171,37 @@ def test_sweep_words_matches_kernel_sweep(n, max_len):
         assert g.dtype == w.dtype and np.array_equal(g, w)
     # both consumed the same draws
     assert rng_got.integers(1 << 62) == rng_want.integers(1 << 62)
+
+
+def reference_reduce_letters(letters):
+    """The stack loop `reduce_letters` ran before it became a fold of `_append`."""
+    kept = []
+    for let in letters:
+        if kept:
+            top = kept[-1]
+            if top == let:
+                continue
+            if top[0] == let[0] or top[1] == let[1]:
+                return None
+        kept.append(let)
+    return tuple(kept)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_reduce_letters_matches_reference_loop_every_word(n):
+    for length in range(0, 5):
+        for w in all_words(n, length):
+            assert _kernel.reduce_letters(w) == reference_reduce_letters(w)
+
+
+def test_reduce_letters_matches_reference_loop_random(rng):
+    zero = 0
+    for _ in range(3000):
+        n = int(rng.integers(2, 6))
+        letters = random_letters(rng, n, int(rng.integers(0, 9)))
+        # repeat some letters in place, so collapses happen as well as kills
+        letters = tuple(let for let in letters for _ in range(int(rng.integers(1, 3))))
+        got = _kernel.reduce_letters(letters)
+        assert got == reference_reduce_letters(letters)
+        zero += got is None
+    assert 0 < zero < 3000

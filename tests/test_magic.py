@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from qperm.cohomology import projection_meet
 from qperm.errors import ValidationError
 from qperm.magic import (
     HadamardMatrix,
@@ -209,3 +210,46 @@ class TestWireFormats:
         Hm = f4_phi(2.2)
         back = HadamardMatrix.from_json(Hm.to_json())
         assert np.allclose(Hm.H, back.H)
+
+
+def reference_projection_deviation(P, Q):
+    """The four separate norms `TwoBlockSpec.deviation` and `projection_meet` took before."""
+    return max(
+        float(np.linalg.norm(P @ P - P, 2)),
+        float(np.linalg.norm(P - P.conj().T, 2)),
+        float(np.linalg.norm(Q @ Q - Q, 2)),
+        float(np.linalg.norm(Q - Q.conj().T, 2)),
+    )
+
+
+def near_projection(rng, d, scale):
+    """A random projection plus a complex perturbation of size about `scale`."""
+    noise = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    return random_projection(rng, d, int(rng.integers(0, d + 1))) + scale * noise
+
+
+class TestSharedProjectionCheck:
+    def test_pairs_match_reference_norms(self, rng):
+        failed = 0
+        for _ in range(500):
+            d = int(rng.integers(1, 7))
+            P = near_projection(rng, d, 10.0 ** rng.uniform(-16, -1))
+            Q = near_projection(rng, d, 10.0 ** rng.uniform(-16, -1))
+            want = reference_projection_deviation(P, Q)
+            assert TwoBlockSpec(P, Q).deviation() == want
+            try:
+                projection_meet(P, Q)
+            except ValidationError as exc:
+                assert str(exc) == f"inputs are not projections: max deviation {want:.3e}"
+                failed += 1
+            else:
+                assert want <= 1e-9
+        assert 0 < failed < 500
+
+    def test_validate_matches_per_block_norms(self, rng):
+        for _ in range(50):
+            n, d = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+            blocks = np.array([[near_projection(rng, d, 10.0 ** rng.uniform(-16, -1))
+                                for _ in range(n)] for _ in range(n)])
+            want = max(reference_projection_deviation(b, b) for b in blocks.reshape(-1, d, d))
+            assert validate(MagicUnitary(blocks)).projection == want

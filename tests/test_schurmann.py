@@ -6,8 +6,17 @@ import numpy as np
 import pytest
 
 from qperm.cohomology import h1_representatives
+from qperm.config import DEFAULT_CONFIG
 from qperm.errors import ValidationError
-from qperm.magic import TwoBlockSpec, f4_phi, fourier, from_hadamard, from_permutation
+from qperm.magic import (
+    MagicUnitary,
+    TwoBlockSpec,
+    f4_phi,
+    fourier,
+    from_hadamard,
+    from_permutation,
+    two_block,
+)
 from qperm.schurmann import (
     _SAMPLE_PAIR_ROWS,
     _SAMPLE_WORDS,
@@ -16,7 +25,9 @@ from qperm.schurmann import (
     _exhaustive,
     _grow,
     _rows,
+    _sweep_plan,
     _sweep_words,
+    _word_count,
     _trace_defect,
     _tree,
     cocycle_violation,
@@ -644,3 +655,82 @@ class TestSweepsMatchReference:
         assert got == reference_is_tracial(t, 5, rng_b)
         if got:
             assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+
+def reference_cocycle_violation(rep, xs):
+    """The double loop `cocycle_violation` ran before it read `_cocycle_blocks`."""
+    xs = np.asarray(xs, dtype=complex)
+    worst = 0.0
+    for i in range(rep.n):
+        worst = max(worst, float(np.linalg.norm(rep.blocks[i, i] @ xs[i])))
+        for j in range(rep.n):
+            if i != j:
+                worst = max(worst, float(np.linalg.norm(rep.blocks[i, j] @ (xs[i] - xs[j]))))
+    return worst
+
+
+def reference_sweep_plan(n, max_len, rng=None):
+    """`_sweep_plan` with the per-length drawing loop it had before the shared sampler."""
+    counts = np.array([_word_count(n, ln) for ln in range(1, max_len + 1)], float)
+    if _exhaustive(n, max_len):
+        return max_len, []
+    full = int(np.searchsorted(np.cumsum(counts), _SAMPLE_WORDS, side="right"))
+    if full == max_len:
+        return full, []
+    if rng is None:
+        rng = np.random.default_rng(DEFAULT_CONFIG.seed)
+    rest = counts[full:]
+    left = _SAMPLE_WORDS - counts[:full].sum()
+    quota = np.maximum(1, np.round(left * rest / rest.sum()).astype(int))
+    drawn = []
+    for ln, m in enumerate(quota.tolist(), start=full + 1):
+        rows = np.empty((m, ln), dtype=np.int64)
+        cols = np.empty((m, ln), dtype=np.int64)
+        rows[:, 0] = rng.integers(1, n + 1, size=m)
+        cols[:, 0] = rng.integers(1, n + 1, size=m)
+        for pos in range(1, ln):
+            roff = rng.integers(1, n, size=m)
+            coff = rng.integers(1, n, size=m)
+            rows[:, pos] = (rows[:, pos - 1] - 1 + roff) % n + 1
+            cols[:, pos] = (cols[:, pos - 1] - 1 + coff) % n + 1
+        drawn.append(np.stack([rows, cols], axis=2))
+    return full, drawn
+
+
+def _reps(rng):
+    """Magic unitaries of every construction, and raw blocks that are not magic."""
+    reps = [from_hadamard(fourier(n)) for n in range(2, 7)]
+    reps += [from_hadamard(f4_phi(phi)) for phi in (0.3, np.pi / 2)]
+    reps += [from_permutation((2, 3, 1, 5, 4), 2), from_permutation((1, 2, 3))]
+    P = np.diag([1.0, 0.0, 1.0]).astype(complex)
+    q = np.ones(3) / np.sqrt(3.0)
+    reps.append(two_block(TwoBlockSpec(P, np.outer(q, q))))
+    for n, d in ((3, 2), (4, 3)):
+        reps.append(MagicUnitary(rng.normal(size=(n, n, d, d)) + 1j * rng.normal(size=(n, n, d, d))))
+    return reps
+
+
+class TestSharedRules:
+    def test_cocycle_violation_matches_reference_loop(self, rng):
+        reps = _reps(rng)
+        for k in range(300):
+            rep = reps[k % len(reps)]
+            shape = (rep.n, rep.d)
+            cocycle = random_cocycle(rep, rng, float(rng.uniform(0.1, 3.0)))
+            noise = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            for xs in (cocycle, noise, cocycle + 1e-9 * noise, np.zeros(shape)):
+                assert cocycle_violation(rep, xs) == reference_cocycle_violation(rep, xs)
+
+    @pytest.mark.parametrize("n, max_len", [(4, 5), (4, 6), (5, 4), (5, 5), (6, 3), (7, 4)])
+    def test_sweep_plan_draws_match_reference_loop(self, n, max_len):
+        for seed in range(5):
+            a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+            full, drawn = _sweep_plan(n, max_len, a)
+            want_full, want = reference_sweep_plan(n, max_len, b)
+            assert full == want_full and len(drawn) == len(want) > 0
+            for got, ref in zip(drawn, want):
+                assert got.dtype == np.int64 and np.array_equal(got, ref)
+            assert a.bit_generator.state == b.bit_generator.state
+        # the default generator is seeded the same way
+        assert all(np.array_equal(x, y) for x, y in
+                   zip(_sweep_plan(5, 4)[1], reference_sweep_plan(5, 4)[1]))

@@ -2,9 +2,11 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from qperm.errors import BudgetError, ValidationError
+from qperm.selftest import random_reduced_word
 from qperm.words import (
     LinComb,
     Word,
@@ -227,3 +229,29 @@ class TestWireFormats:
 
     def test_format_lincomb_zero(self):
         assert format_lincomb(LinComb.zero(4)) == "0"
+
+
+def reference_random_reduced_word(rng, n, max_len=4, min_len=1):
+    """The scalar loop `selftest.random_reduced_word` ran before the shared sampler."""
+    length = int(rng.integers(min_len, max_len + 1))
+    i = int(rng.integers(1, n + 1))
+    j = int(rng.integers(1, n + 1))
+    letters = [(i, j)]
+    for _ in range(length - 1):
+        i = (i - 1 + int(rng.integers(1, n))) % n + 1
+        j = (j - 1 + int(rng.integers(1, n))) % n + 1
+        letters.append((i, j))
+    return Word(letters, n)
+
+
+class TestRandomWords:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 7])
+    def test_matches_reference_loop_and_generator_state(self, n):
+        for seed in range(200):
+            for bounds in ((1, 1), (2, 2), (3, 3), (5, 5), (4, 1)):
+                a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+                got = random_reduced_word(a, n, *bounds)
+                want = reference_random_reduced_word(b, n, *bounds)
+                assert got == want
+                assert a.bit_generator.state == b.bit_generator.state
+                assert a.integers(1 << 62) == b.integers(1 << 62)
