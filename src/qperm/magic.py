@@ -286,7 +286,10 @@ def _complex_to_json(a: np.ndarray) -> list:
 
 
 def _complex_from_json(obj) -> np.ndarray:
-    arr = np.asarray(obj, dtype=float)
+    try:
+        arr = np.asarray(obj, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"complex JSON arrays must be rectangular arrays of numbers: {exc}") from exc
     if arr.ndim < 1 or arr.shape[-1] != 2:
         raise ValidationError("complex JSON arrays must have a trailing [re, im] axis")
     return arr[..., 0] + 1j * arr[..., 1]

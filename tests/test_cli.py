@@ -146,6 +146,16 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--triple", str(path))
         assert code == 1
 
+    @pytest.mark.parametrize("xs", [[[[0, 0], [0, 0]], [[0, 0]]], "abc", [[[0, "x"]]]])
+    def test_ragged_or_non_numeric_xs_is_exit_1(self, capsys, tmp_path, xs):
+        rep = from_hadamard(fourier(2))
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"rep": rep.to_json(), "xs": xs}))
+        code, out, err = run(capsys, "verify", "--triple", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("qperm: error: complex JSON arrays must be rectangular arrays of numbers")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_sigma_without_rates_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--sigma", "(1 2)"])

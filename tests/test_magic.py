@@ -211,6 +211,11 @@ class TestWireFormats:
         back = HadamardMatrix.from_json(Hm.to_json())
         assert np.allclose(Hm.H, back.H)
 
+    @pytest.mark.parametrize("entries", [[[[1, 0]], [[1, 0], [0, 0]]], [[["1", "x"]]], {"re": 1}])
+    def test_ragged_or_non_numeric_entries_are_validation_errors(self, entries):
+        with pytest.raises(ValidationError, match="rectangular arrays of numbers"):
+            HadamardMatrix.from_json({"H": entries})
+
 
 def reference_projection_deviation(P, Q):
     """The four separate norms `TwoBlockSpec.deviation` and `projection_meet` took before."""

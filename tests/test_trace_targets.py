@@ -23,4 +23,3 @@ def test_target_resolves_to_a_callable(module, attr):
         owner = getattr(owner, part)
     assert callable(owner)
     assert inspect.isfunction(owner) or inspect.ismethod(owner)
-
