@@ -306,15 +306,16 @@ def _cmd_central(args) -> int:
 def _cmd_simulate(args) -> int:
     sigma = parse_cycles(args.sigma, args.n)
     spec = PermProcessSpec(sigma, _parse_floats(args.rates, "--rates"))
-    if args.paths is not None and args.times is None:
-        raise ValidationError("--paths needs --times with the sampling grid")
-    est = simulate_marginals(spec, args.t, args.samples, args.seed)
+    # the path is cheap and draws from its own streams: a bad grid or file fails before sampling
     if args.paths is not None:
+        if args.times is None:
+            raise ValidationError("--paths needs --times with the sampling grid")
         grid = _parse_floats(args.times, "--times")
         rows = [["t"] + [str(i) for i in range(1, spec.n + 1)]]
         for tt, image in zip(grid, path_sample(spec, grid, args.seed)):
             rows.append([tt] + list(image))
         _save(args.paths, _to_csv(rows))
+    est = simulate_marginals(spec, args.t, args.samples, args.seed)
     if args.format == "csv":
         rows = [["i", "j", "prob", "stderr"]]
         for i in range(spec.n):

@@ -325,21 +325,24 @@ class TestSimulate:
         assert code == 1
         assert "--times" in err
 
-    def test_paths_without_times_fails_before_sampling(self, capsys, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("dest, extra, message", [
+        ("p.csv", (), "--paths needs --times with the sampling grid"),
+        ("p.csv", ("--times", "0,2,1"), "time grid must be nondecreasing and nonnegative"),
+        ("p.csv", ("--times", "0,nan"), "time must be finite and >= 0, got nan"),
+        ("missing/p.csv", ("--times", "0,1"), "cannot write {dest}: "),
+    ])
+    def test_bad_paths_request_fails_before_sampling(self, capsys, tmp_path, monkeypatch,
+                                                     dest, extra, message):
         def forbidden(*args, **kwargs):
             raise AssertionError("simulate_marginals ran")
 
         monkeypatch.setattr("qperm.cli.simulate_marginals", forbidden)
-        code, out, err = run(capsys, *self.ARGS, "--paths", str(tmp_path / "p.csv"))
+        dest = tmp_path / dest
+        code, out, err = run(capsys, *self.ARGS, "--paths", str(dest), *extra)
         assert (code, out) == (1, "")
-        assert err == "qperm: error: --paths needs --times with the sampling grid\n"
-
-    def test_unwritable_paths_file_is_exit_1(self, capsys, tmp_path):
-        dest = tmp_path / "missing" / "p.csv"
-        code, out, err = run(capsys, *self.ARGS, "--paths", str(dest), "--times", "0,1")
-        assert (code, out) == (1, "")
-        assert err.startswith(f"qperm: error: cannot write {dest}: ")
+        assert err.startswith("qperm: error: " + message.format(dest=dest))
         assert err.count("\n") == 1 and "Traceback" not in err
+        assert not dest.exists()
 
 
 class TestSelftest:
