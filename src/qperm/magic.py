@@ -292,4 +292,6 @@ def _complex_from_json(obj) -> np.ndarray:
         raise ValidationError(f"complex JSON arrays must be rectangular arrays of numbers: {exc}") from exc
     if arr.ndim < 1 or arr.shape[-1] != 2:
         raise ValidationError("complex JSON arrays must have a trailing [re, im] axis")
+    if not np.isfinite(arr).all():  # json reads NaN and Infinity
+        raise ValidationError("complex JSON arrays must hold finite numbers")
     return arr[..., 0] + 1j * arr[..., 1]

@@ -146,15 +146,29 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--triple", str(path))
         assert code == 1
 
-    @pytest.mark.parametrize("xs", [[[[0, 0], [0, 0]], [[0, 0]]], "abc", [[[0, "x"]]]])
-    def test_ragged_or_non_numeric_xs_is_exit_1(self, capsys, tmp_path, xs):
+    @pytest.mark.parametrize("xs, message", [
+        ([[[0, 0], [0, 0]], [[0, 0]]], "be rectangular arrays of numbers: "),
+        ("abc", "be rectangular arrays of numbers: "),
+        ([[[0, "x"]]], "be rectangular arrays of numbers: "),
+        ([[[float("nan"), 0], [0, 0]], [[0, 0], [0, 0]]], "hold finite numbers"),
+    ])
+    def test_malformed_xs_is_exit_1(self, capsys, tmp_path, xs, message):
         rep = from_hadamard(fourier(2))
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"rep": rep.to_json(), "xs": xs}))
         code, out, err = run(capsys, "verify", "--triple", str(path))
         assert (code, out) == (1, "")
-        assert err.startswith("qperm: error: complex JSON arrays must be rectangular arrays of numbers")
+        assert err.startswith("qperm: error: complex JSON arrays must " + message)
         assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_non_finite_magic_entries_are_exit_1(self, capsys, tmp_path):
+        blob = from_hadamard(fourier(2)).to_json()
+        blob["entries"][0][0][0][0] = [float("nan"), 0.0]
+        path = tmp_path / "rep.json"
+        path.write_text(json.dumps(blob))
+        code, out, err = run(capsys, "cohomology", "--magic", str(path))
+        assert (code, out) == (1, "")
+        assert err == "qperm: error: complex JSON arrays must hold finite numbers\n"
 
     def test_sigma_without_rates_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:

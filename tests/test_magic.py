@@ -211,9 +211,15 @@ class TestWireFormats:
         back = HadamardMatrix.from_json(Hm.to_json())
         assert np.allclose(Hm.H, back.H)
 
-    @pytest.mark.parametrize("entries", [[[[1, 0]], [[1, 0], [0, 0]]], [[["1", "x"]]], {"re": 1}])
-    def test_ragged_or_non_numeric_entries_are_validation_errors(self, entries):
-        with pytest.raises(ValidationError, match="rectangular arrays of numbers"):
+    @pytest.mark.parametrize("entries, message", [
+        ([[[1, 0]], [[1, 0], [0, 0]]], "rectangular arrays of numbers"),
+        ([[["1", "x"]]], "rectangular arrays of numbers"),
+        ({"re": 1}, "rectangular arrays of numbers"),
+        ([[[1, 0], [1, 0]], [[1, 0], [float("nan"), 0]]], "finite numbers"),
+        ([[[1, 0], [1, float("inf")]], [[1, 0], [-1, 0]]], "finite numbers"),
+    ])
+    def test_malformed_entries_are_validation_errors(self, entries, message):
+        with pytest.raises(ValidationError, match=message):
             HadamardMatrix.from_json({"H": entries})
 
 
