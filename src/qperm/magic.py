@@ -28,6 +28,7 @@ class MagicUnitary:
         blocks = np.asarray(blocks, dtype=complex)
         if blocks.ndim != 4 or blocks.shape[0] != blocks.shape[1] or blocks.shape[2] != blocks.shape[3]:
             raise ValidationError(f"expected shape (n, n, d, d), got {blocks.shape}")
+        _require_finite(blocks, "magic unitary blocks")
         object.__setattr__(self, "n", int(blocks.shape[0]))
         object.__setattr__(self, "d", int(blocks.shape[2]))
         blocks.setflags(write=False)
@@ -133,6 +134,7 @@ class HadamardMatrix:
         H = np.asarray(self.H, dtype=complex)
         if H.ndim != 2 or H.shape[0] != H.shape[1]:
             raise ValidationError("Hadamard matrix must be square")
+        _require_finite(H, "Hadamard matrix entries")
         H.setflags(write=False)
         object.__setattr__(self, "H", H)
 
@@ -292,6 +294,11 @@ def _complex_from_json(obj) -> np.ndarray:
         raise ValidationError(f"complex JSON arrays must be rectangular arrays of numbers: {exc}") from exc
     if arr.ndim < 1 or arr.shape[-1] != 2:
         raise ValidationError("complex JSON arrays must have a trailing [re, im] axis")
-    if not np.isfinite(arr).all():  # json reads NaN and Infinity
-        raise ValidationError("complex JSON arrays must hold finite numbers")
+    _require_finite(arr, "complex JSON arrays")  # json reads NaN and Infinity
     return arr[..., 0] + 1j * arr[..., 1]
+
+
+def _require_finite(arr: np.ndarray, what: str) -> None:
+    """Raise ValidationError if `arr` holds a NaN or an infinite entry."""
+    if not np.isfinite(arr).all():
+        raise ValidationError(f"{what} must hold finite numbers")

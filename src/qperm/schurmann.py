@@ -39,7 +39,7 @@ import numpy as np
 from .cohomology import _cocycle_blocks, coboundary_map, split_tuple, stack_tuple
 from .config import DEFAULT_CONFIG
 from .errors import BudgetError, ValidationError
-from .magic import MagicUnitary, TwoBlockSpec, apply, fourier, from_hadamard, validate
+from .magic import MagicUnitary, TwoBlockSpec, _require_finite, apply, fourier, from_hadamard, validate
 from .words import LinComb, Word, _random_word_array, counit, defining_relations, reduced_word_array
 
 #: exhaustive word sweeps switch to sampling above these sizes
@@ -69,6 +69,7 @@ class SchurmannTriple:
         xs = np.asarray(xs, dtype=complex)
         if xs.shape != (n, d):
             raise ValidationError(f"expected cocycle tuple of shape ({n}, {d}), got {xs.shape}")
+        _require_finite(xs, "cocycle tuple")
         scale = 1.0 + float(np.max(np.linalg.norm(xs, axis=1), initial=0.0))
         worst = cocycle_violation(rep, xs)
         if worst > tol * scale:
@@ -107,13 +108,15 @@ class SchurmannTriple:
 
 
 def cocycle_violation(rep: MagicUnitary, xs) -> float:
-    """Worst violation of the cocycle conditions for a candidate tuple."""
+    """Worst violation of the cocycle conditions for a candidate tuple.
+
+    NaN or infinite entries give a non-finite result, never a small one.
+    """
     xs = np.asarray(xs, dtype=complex)
     blocks, plus, minus = _cocycle_blocks(rep)
-    worst = 0.0
-    for block, i, j in zip(blocks, plus.tolist(), minus.tolist()):
-        worst = max(worst, float(np.linalg.norm(block @ (xs[i] if j < 0 else xs[i] - xs[j]))))
-    return worst
+    return float(np.max([np.linalg.norm(block @ (xs[i] if j < 0 else xs[i] - xs[j]))
+                         for block, i, j in zip(blocks, plus.tolist(), minus.tolist())],
+                        initial=0.0))
 
 
 def triple_from_stacked(rep: MagicUnitary, vec, tol: float = DEFAULT_CONFIG.tol) -> SchurmannTriple:

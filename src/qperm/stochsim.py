@@ -5,22 +5,26 @@ nontrivial cycle of sigma; positions inside a cycle of length ell shift by
 the clock count mod ell, so the marginal probabilities are modular Poisson
 sums, evaluated exactly with a roots-of-unity filter.
 
-Clock counts: a cycle whose mean rate * t is below 10 draws its counts from a
-Walker alias table of Poisson(rate * t) (Walker 1977, Vose 1991), built once
-per call, with one float64 uniform per count. At a mean of 10 and above,
-where numpy's own sampler switches from the multiplication method to PTRS,
-whose cost does not grow with the mean, the counts come from
-`Generator.poisson`. Seeded outputs below the switch therefore differ from
-versions that drew every count with `Generator.poisson`.
+Clock counts: a cycle whose mean rate * t is below 10 samples from a Walker
+alias table of Poisson(rate * t) (Walker 1977, Vose 1991), built once per
+call. `simulate_marginals` keeps only the histogram of each block's alias
+codes, which is multinomial, so it takes one `Generator.multinomial` draw
+per block over the 2K codes of the table and folds the codes into residues
+mod the cycle length; `path_sample` maps one float64 uniform per count
+through the table. At a mean of 10 and above, where numpy's own sampler
+switches from the multiplication method to PTRS, whose cost does not grow
+with the mean, the counts come from `Generator.poisson`, tallied in chunks
+of 8,192 draws that continue one stream, so temporaries do not grow with
+the block size. Seeded `simulate_marginals` outputs below the switch
+therefore differ from versions that drew one uniform per count, and from
+older ones that drew every count with `Generator.poisson`; `path_sample`
+draws are unchanged.
 
 Seed discipline: numpy SeedSequence(seed) is spawned once per cycle in the
 stored cycle order, and each cycle's stream is spawned again per sample
 block. Every block has its own bit generator and its tally is a vector of
-integer counts, taken in sub-chunks of 8,192 draws so that its
-temporaries do not grow with the block size; the chunks continue one
-stream, so they draw exactly what one call for the whole block would.
-`simulate_marginals` tallies the blocks in the caller's thread, one after
-another: numpy's `bincount` holds the GIL, so a thread pool gained nothing.
+integer counts. `simulate_marginals` tallies the blocks in the caller's
+thread, one after another, so the output does not depend on the core count.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ BLOCK_SIZE = 1 << 16
 _POISSON_LAM_MAX = float(np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10)
 #: below this mean counts come from an alias table; numpy switches to PTRS here
 _ALIAS_LAM_MAX = 10.0
-#: draws tallied per numpy call, so temporaries stay O(1) in the block size
+#: PTRS draws tallied per numpy call, so temporaries stay O(1) in the block size
 _CHUNK = 1 << 13
 
 
@@ -180,15 +184,21 @@ class _PoissonVariate:
 
     Below `_ALIAS_LAM_MAX` a uniform u picks x = K u in column i = floor(x)
     of the alias table and gives i if x < thresh[i] = i + prob[i], else
-    alias[i]: one uniform per count. At and above it, `Generator.poisson`.
+    alias[i]: one uniform per count. The outcome is code 2i (column i kept,
+    value i) with probability q_2i = prob[i] / K, or code 2i + 1 (value
+    alias[i]) with q_2i+1 = (1 - prob[i]) / K. At and above it,
+    `Generator.poisson`.
     """
 
     def __init__(self, lam_t: float):
         self.lam_t = lam_t
-        self.thresh = self.alias = None
+        self.prob = self.thresh = self.alias = self.code_probs = self.code_values = None
         if lam_t < _ALIAS_LAM_MAX:
-            prob, self.alias = _alias_table(lam_t)
-            self.thresh = np.arange(len(prob)) + prob
+            self.prob, self.alias = _alias_table(lam_t)
+            size = len(self.prob)
+            self.thresh = np.arange(size) + self.prob
+            self.code_probs = np.column_stack([self.prob, 1.0 - self.prob]).ravel() / size
+            self.code_values = np.column_stack([np.arange(size), self.alias]).ravel()
 
     def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """`size` counts in one call."""
@@ -200,31 +210,21 @@ class _PoissonVariate:
         return np.where(x < self.thresh[col], col, self.alias[col])
 
     def tally(self, rng: np.random.Generator, take: int, ell: int) -> np.ndarray:
-        """Histogram of `take` counts mod ell, the draws of `draw(rng, take)`.
+        """Histogram of `take` Poisson(lam_t) counts mod ell.
 
-        The draws run in chunks of `_CHUNK`; on the alias side each chunk
-        tallies the codes 2i (column i kept) and 2i + 1 (alias[i] taken), and
-        the codes fold into residues once at the end.
+        On the alias side the histogram of the codes over `take` draws is
+        Multinomial(take, code_probs), so one multinomial draw gives it in
+        O(K) work, and the codes fold into residues. At and above
+        `_ALIAS_LAM_MAX` the counts come from `Generator.poisson` in chunks of
+        `_CHUNK`, which continue one stream.
         """
-        chunks = [min(_CHUNK, take - s) for s in range(0, take, _CHUNK)]
         hist = np.zeros(ell, dtype=np.int64)
         if self.alias is None:
-            for m in chunks:
-                counts = rng.poisson(self.lam_t, m)
+            for start in range(0, take, _CHUNK):
+                counts = rng.poisson(self.lam_t, min(_CHUNK, take - start))
                 hist += np.bincount(np.remainder(counts, ell, out=counts), minlength=ell)
-            return hist
-        size = len(self.alias)
-        codes = np.zeros(2 * size, dtype=np.int64)
-        for m in chunks:
-            x = rng.random(m)
-            x *= size
-            col = x.astype(np.intp)
-            taken = x >= self.thresh[col]
-            col <<= 1
-            col += taken
-            codes += np.bincount(col, minlength=2 * size)
-        values = np.column_stack([np.arange(size), self.alias]).ravel()
-        np.add.at(hist, values % ell, codes)
+        else:
+            np.add.at(hist, self.code_values % ell, rng.multinomial(take, self.code_probs))
         return hist
 
 
@@ -244,15 +244,17 @@ def simulate_marginals(
 
     Each cycle advances all its positions by the same Poisson count, so one
     draw per cycle per sample decides the whole block row. A cycle with
-    rate * t below 10 draws its counts from one alias table of
-    Poisson(rate * t), one float64 uniform each; at 10 and above they come
-    from `Generator.poisson` (PTRS). Seeded estimates below 10 differ from
-    versions that used `Generator.poisson` throughout. The blocks are tallied
-    one after another in the calling thread, each in sub-chunks of 8,192
-    draws, so memory does not grow with `block_size`; each tally is a vector
-    of integer counts, so the returned bytes depend only on the seed, the
-    sample count and the block size.  A rate * t above numpy's Poisson limit
-    (about 9.2e18) raises ValidationError before any draw.
+    rate * t below 10 takes one multinomial draw per block over the codes
+    of one alias table of Poisson(rate * t), in O(K) work for a table of K
+    columns whatever the block size; at 10 and above the counts come from
+    `Generator.poisson` (PTRS) in chunks of 8,192 draws, so memory does not
+    grow with `block_size`. Seeded estimates below 10 differ from versions
+    that drew one uniform per count or used `Generator.poisson` throughout;
+    `path_sample` is unchanged. The blocks are tallied one after another in
+    the calling thread; each tally is a vector of integer counts, so the
+    returned bytes depend only on the seed, the sample count and the block
+    size.  A rate * t above numpy's Poisson limit (about 9.2e18) raises
+    ValidationError before any draw.
     """
     _check_count("samples", samples)
     _check_count("block_size", block_size)

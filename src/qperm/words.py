@@ -315,17 +315,18 @@ def _random_word_array(rng, n: int, count: int, length: int) -> np.ndarray:
 
     The first letter is uniform; each next one shifts row, then column, by a
     uniform offset in 1..n-1 mod n, so both differ from the previous letter's.
+    One word is drawn with scalar `rng.integers` calls, which give the values
+    and generator state of size-1 draws at a fraction of their overhead.
     """
-    rows = np.empty((count, length), dtype=np.int64)
-    cols = np.empty((count, length), dtype=np.int64)
-    rows[:, 0] = rng.integers(1, n + 1, size=count)
-    cols[:, 0] = rng.integers(1, n + 1, size=count)
-    for pos in range(1, length):
-        roff = rng.integers(1, n, size=count)
-        coff = rng.integers(1, n, size=count)
-        rows[:, pos] = (rows[:, pos - 1] - 1 + roff) % n + 1
-        cols[:, pos] = (cols[:, pos - 1] - 1 + coff) % n + 1
-    return np.stack([rows, cols], axis=2)
+    size = None if count == 1 else count
+    row = rng.integers(1, n + 1, size=size)
+    col = rng.integers(1, n + 1, size=size)
+    letters = [(row, col)]
+    for _ in range(1, length):
+        row = (row - 1 + rng.integers(1, n, size=size)) % n + 1
+        col = (col - 1 + rng.integers(1, n, size=size)) % n + 1
+        letters.append((row, col))
+    return np.array(letters, dtype=np.int64).reshape(length, 2, count).transpose(2, 0, 1).copy()
 
 
 def reduced_words(n: int, max_len: int, min_len: int = 1) -> list[Word]:

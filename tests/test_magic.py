@@ -136,6 +136,26 @@ class TestConstructions:
             two_block(TwoBlockSpec(A, A))
 
 
+class TestFiniteEntries:
+    """NaN and infinite entries are rejected where the object is built."""
+
+    BAD = [float("nan"), float("inf"), float("-inf"), complex(0.0, float("nan"))]
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_magic_unitary_rejects_non_finite_block(self, bad):
+        blocks = from_permutation((2, 1), d=2).blocks.copy()
+        blocks[0, 1, 1, 0] = bad
+        with pytest.raises(ValidationError, match="finite"):
+            MagicUnitary(blocks)
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_hadamard_matrix_rejects_non_finite_entry(self, bad):
+        H = fourier(3).H.copy()
+        H[2, 1] = bad
+        with pytest.raises(ValidationError, match="finite"):
+            HadamardMatrix(H)
+
+
 class TestDephase:
     def test_first_row_and_column_are_ones(self, rng):
         Hm = f4_phi(1.3)

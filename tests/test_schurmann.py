@@ -162,6 +162,17 @@ class TestConstruction:
         with pytest.raises(ValidationError):
             SchurmannTriple(rep, bad)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"),
+                                     complex(0.0, float("nan"))])
+    def test_rejects_non_finite_cocycle(self, bad):
+        rep = from_hadamard(fourier(2))
+        xs = np.zeros((2, 2), dtype=complex)
+        xs[0, 0] = bad
+        with np.errstate(invalid="ignore"):  # inf * 0 in the block products
+            assert not np.isfinite(cocycle_violation(rep, xs))
+        with pytest.raises(ValidationError, match="finite"):
+            SchurmannTriple(rep, xs)
+
     def test_rejects_shape_mismatch(self):
         rep = from_permutation((2, 3, 1))
         with pytest.raises(ValidationError):

@@ -33,9 +33,19 @@ MIXED = PermProcessSpec((2, 1, 4, 5, 3, 6), [0.5, 1.5])  # (1 2)(3 4 5), 6 fixed
 TWO_CYCLES = PermProcessSpec((2, 3, 4, 1, 6, 5), [1.0, 0.7])  # (1 2 3 4)(5 6)
 
 
+def alias_codes(lam_t):
+    """Code probabilities and values of the Poisson(lam_t) alias table: code 2i
+    keeps column i with probability prob[i] / K, code 2i + 1 gives alias[i]."""
+    prob, alias = stochsim._alias_table(lam_t)
+    size = len(prob)
+    return (np.ravel([prob, 1.0 - prob], order="F") / size,
+            np.ravel([np.arange(size), alias], order="F"))
+
+
 def reference_simulate(spec, t, samples, seed, block_size):
-    """The serial block loop: one block at a time, one `draw` call per block
-    with the sampler's own variate, counts folded with `%`."""
+    """The serial block loop: one block at a time on its own PCG64 stream.
+    Below mean 10 a block is one multinomial draw over the alias table's
+    codes; at 10 and above, one `Generator.poisson` call. Counts fold with `%`."""
     n = spec.n
     probs = np.zeros((n, n))
     for i in range(1, n + 1):
@@ -45,7 +55,6 @@ def reference_simulate(spec, t, samples, seed, block_size):
     streams = root.spawn(len(spec.rates))
     for cyc, lam, stream in zip(spec.cycles, spec.rates, streams):
         ell = len(cyc)
-        variate = stochsim._PoissonVariate(lam * t)
         hist = np.zeros(ell)
         blocks = stream.spawn((samples + block_size - 1) // block_size)
         left = samples
@@ -53,8 +62,11 @@ def reference_simulate(spec, t, samples, seed, block_size):
             take = min(block_size, left)
             left -= take
             rng = np.random.Generator(np.random.PCG64(blk))
-            counts = variate.draw(rng, take)
-            hist += np.bincount(counts % ell, minlength=ell)
+            if lam * t < 10:
+                q, values = alias_codes(lam * t)
+                hist += np.bincount(values % ell, weights=rng.multinomial(take, q), minlength=ell)
+            else:
+                hist += np.bincount(rng.poisson(lam * t, take) % ell, minlength=ell)
         hist /= samples
         for a, origin in enumerate(cyc):
             for r in range(ell):
@@ -204,12 +216,83 @@ class TestPoissonVariate:
         result = scipy.stats.chisquare(observed[lo:hi], expected[lo:hi])
         assert result.pvalue > 1e-3
 
-    @pytest.mark.parametrize("lam_t", [0.7, 12.0, 1e6])
+    @pytest.mark.parametrize("lam_t", [12.0, 1e6])
     def test_chunked_tally_continues_one_stream(self, lam_t):
         take, ell = 3 * stochsim._CHUNK + 5, 3
         hist = stochsim._PoissonVariate(lam_t).tally(np.random.default_rng(8), take, ell)
         counts = stochsim._PoissonVariate(lam_t).draw(np.random.default_rng(8), take)
         assert np.array_equal(hist, np.bincount(counts % ell, minlength=ell))
+
+    @pytest.mark.parametrize("lam_t", [0.7])
+    def test_alias_tally_is_one_folded_multinomial(self, lam_t):
+        take, ell = 3 * stochsim._CHUNK + 5, 3
+        hist = stochsim._PoissonVariate(lam_t).tally(np.random.default_rng(8), take, ell)
+        q, values = alias_codes(lam_t)
+        codes = np.random.default_rng(8).multinomial(take, q)
+        assert np.array_equal(hist, np.bincount(values % ell, weights=codes, minlength=ell))
+
+
+class TestTallyLaw:
+    """Over many seeds each residue count of a call has the binomial mean and
+    variance of `samples` iid Poisson counts folded mod ell, and the pooled
+    residues pass a chi-square test; a biased tally fails these checks."""
+
+    SEEDS, SAMPLES, BLOCK = 400, 4000, 1000  # four blocks per call
+    MEANS = [0.3, 2.25]
+
+    def residue_counts(self, lam_t):
+        spec = PermProcessSpec((2, 3, 4, 1), [lam_t])  # row 1 holds residues 0..3
+        rows = [simulate_marginals(spec, 1.0, self.SAMPLES, seed=s, block_size=self.BLOCK).probs[0]
+                for s in range(self.SEEDS)]
+        return np.rint(np.array(rows) * self.SAMPLES)
+
+    def law_failures(self, counts, lam_t):
+        seeds, ell = counts.shape
+        k = np.arange(200)
+        p = np.bincount(k % ell, weights=scipy.stats.poisson.pmf(k, lam_t), minlength=ell)
+        var = self.SAMPLES * p * (1.0 - p)
+        mean_z = (counts.mean(axis=0) - self.SAMPLES * p) / np.sqrt(var / seeds)
+        # spread of a sample variance of binomial counts, excess kurtosis included
+        kurtosis = (1.0 - 6.0 * p * (1.0 - p)) / var
+        ratio_sd = np.sqrt(2.0 / (seeds - 1) + kurtosis / seeds)
+        var_z = (counts.var(axis=0, ddof=1) / var - 1.0) / ratio_sd
+        pooled = scipy.stats.chisquare(counts.sum(axis=0), seeds * self.SAMPLES * p)
+        failures = []
+        if np.max(np.abs(mean_z)) > 5.0:
+            failures.append("mean")
+        if np.max(np.abs(var_z)) > 5.0:
+            failures.append("variance")
+        if pooled.pvalue < 1e-4:
+            failures.append("chi-square")
+        return failures
+
+    @pytest.mark.parametrize("lam_t", MEANS)
+    def test_residues_follow_the_folded_poisson_law(self, lam_t):
+        assert self.law_failures(self.residue_counts(lam_t), lam_t) == []
+
+    @pytest.mark.parametrize("lam_t", MEANS)
+    def test_one_tally_reused_for_every_block_fails(self, lam_t, monkeypatch):
+        tally = stochsim._PoissonVariate.tally
+
+        def first_block_only(variate, rng, take, ell):
+            if not hasattr(variate, "first"):
+                variate.first = tally(variate, rng, take, ell)
+            return variate.first
+
+        monkeypatch.setattr(stochsim._PoissonVariate, "tally", first_block_only)
+        assert "variance" in self.law_failures(self.residue_counts(lam_t), lam_t)
+
+    @pytest.mark.parametrize("lam_t", MEANS)
+    def test_code_probabilities_shifted_by_one_fail(self, lam_t, monkeypatch):
+        init = stochsim._PoissonVariate.__init__
+
+        def shifted(variate, mean):
+            init(variate, mean)
+            variate.code_probs = np.roll(variate.code_probs, 1)
+
+        monkeypatch.setattr(stochsim._PoissonVariate, "__init__", shifted)
+        failures = self.law_failures(self.residue_counts(lam_t), lam_t)
+        assert "mean" in failures and "chi-square" in failures
 
 
 class TestSimulate:
@@ -332,7 +415,7 @@ class TestThreadedTally:
         assert peak < 1 << 20
 
     def test_block_memory_does_not_grow_with_the_block_size(self):
-        # one block of 10**6 draws is tallied in sub-chunks
+        # one block of 10**6 draws is one multinomial draw over the alias codes
         tracemalloc.start()
         try:
             simulate_marginals(CYCLE4, 1.0, 10**6, seed=0, block_size=10**6)
