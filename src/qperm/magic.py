@@ -229,6 +229,7 @@ class TwoBlockSpec:
         Q = np.asarray(self.Q, dtype=complex)
         if P.shape != Q.shape or P.ndim != 2 or P.shape[0] != P.shape[1]:
             raise ValidationError("P and Q must be square matrices of equal size")
+        _require_finite(np.stack([P, Q]), "two-block projections")
         P.setflags(write=False)
         Q.setflags(write=False)
         object.__setattr__(self, "P", P)

@@ -155,6 +155,14 @@ class TestFiniteEntries:
         with pytest.raises(ValidationError, match="finite"):
             HadamardMatrix(H)
 
+    @pytest.mark.parametrize("bad", BAD)
+    def test_two_block_spec_rejects_non_finite_entry(self, bad):
+        # numpy's SVD used to fail on it in `deviation` with LinAlgError
+        P = np.diag([1.0, 0.0, 1.0]).astype(complex)
+        P[1, 1] = bad
+        with pytest.raises(ValidationError, match="finite"):
+            TwoBlockSpec(P, np.eye(3))
+
 
 class TestDephase:
     def test_first_row_and_column_are_ones(self, rng):
