@@ -32,6 +32,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -184,21 +185,25 @@ class _PoissonVariate:
 
     Below `_ALIAS_LAM_MAX` a uniform u picks x = K u in column i = floor(x)
     of the alias table and gives i if x < thresh[i] = i + prob[i], else
-    alias[i]: one uniform per count. The outcome is code 2i (column i kept,
-    value i) with probability q_2i = prob[i] / K, or code 2i + 1 (value
-    alias[i]) with q_2i+1 = (1 - prob[i]) / K. At and above it,
-    `Generator.poisson`.
+    alias[i]: one uniform per count. At and above it, `Generator.poisson`.
     """
 
     def __init__(self, lam_t: float):
         self.lam_t = lam_t
-        self.prob = self.thresh = self.alias = self.code_probs = self.code_values = None
+        self.prob = self.thresh = self.alias = None
         if lam_t < _ALIAS_LAM_MAX:
             self.prob, self.alias = _alias_table(lam_t)
-            size = len(self.prob)
-            self.thresh = np.arange(size) + self.prob
-            self.code_probs = np.column_stack([self.prob, 1.0 - self.prob]).ravel() / size
-            self.code_values = np.column_stack([np.arange(size), self.alias]).ravel()
+            self.thresh = np.arange(len(self.prob)) + self.prob
+
+    @cached_property
+    def codes(self) -> tuple[np.ndarray, np.ndarray]:
+        """(q, values) of the 2K outcomes of one alias draw: code 2i keeps column i
+        (value i) with q_2i = prob[i] / K, code 2i + 1 gives alias[i] with
+        q_2i+1 = (1 - prob[i]) / K. Built on first use, so `path_sample`'s
+        one-count variates skip it."""
+        size = len(self.prob)
+        return (np.column_stack([self.prob, 1.0 - self.prob]).ravel() / size,
+                np.column_stack([np.arange(size), self.alias]).ravel())
 
     def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """`size` counts in one call."""
@@ -212,11 +217,11 @@ class _PoissonVariate:
     def tally(self, rng: np.random.Generator, take: int, ell: int) -> np.ndarray:
         """Histogram of `take` Poisson(lam_t) counts mod ell.
 
-        On the alias side the histogram of the codes over `take` draws is
-        Multinomial(take, code_probs), so one multinomial draw gives it in
-        O(K) work, and the codes fold into residues. At and above
-        `_ALIAS_LAM_MAX` the counts come from `Generator.poisson` in chunks of
-        `_CHUNK`, which continue one stream.
+        On the alias side the histogram of the `codes` over `take` draws is
+        Multinomial(take, q), so one multinomial draw gives it in O(K) work,
+        and the codes fold into residues. At and above `_ALIAS_LAM_MAX` the
+        counts come from `Generator.poisson` in chunks of `_CHUNK`, which
+        continue one stream.
         """
         hist = np.zeros(ell, dtype=np.int64)
         if self.alias is None:
@@ -224,7 +229,8 @@ class _PoissonVariate:
                 counts = rng.poisson(self.lam_t, min(_CHUNK, take - start))
                 hist += np.bincount(np.remainder(counts, ell, out=counts), minlength=ell)
         else:
-            np.add.at(hist, self.code_values % ell, rng.multinomial(take, self.code_probs))
+            q, values = self.codes
+            np.add.at(hist, values % ell, rng.multinomial(take, q))
         return hist
 
 

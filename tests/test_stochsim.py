@@ -288,7 +288,8 @@ class TestTallyLaw:
 
         def shifted(variate, mean):
             init(variate, mean)
-            variate.code_probs = np.roll(variate.code_probs, 1)
+            q, values = variate.codes
+            variate.codes = np.roll(q, 1), values
 
         monkeypatch.setattr(stochsim._PoissonVariate, "__init__", shifted)
         failures = self.law_failures(self.residue_counts(lam_t), lam_t)
