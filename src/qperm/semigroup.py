@@ -14,7 +14,9 @@ L(U) on that block, L_B, is one product of the first rows e_0 pi(a) of the
 half-length block words with the last columns pi(b) e_last of the other
 half, pi the letter matrices of the triple (see schurmann and _block_L),
 and a word's value comes from exp(t L_B) applied to the word's column only
-(scipy.sparse.linalg.expm_multiply, Al-Mohy & Higham 2011).
+(_expm_action: truncated Taylor with scaling, Al-Mohy & Higham 2011, with the
+Taylor degree m* and the number of scaling steps s chosen from ||t L_B||_1
+alone, so it needs no norm estimate and no random numbers).
 
 Also provides convolution of functionals, the Haar-state Gram matrix on the
 degree <= 2 span and the induced self-adjointness check for the Markov
@@ -36,6 +38,57 @@ from .words import Word, coproduct_terms
 #: unit roundoff of float64
 _UNIT_ROUNDOFF = float(np.finfo(float).eps) / 2
 
+#: theta_m for double precision (Al-Mohy & Higham, SIAM J. Sci. Comput. 33
+#: (2011) 488, Table 3.1): m Taylor terms of exp(X) meet the unit roundoff
+#: for ||X||_1 <= theta_m
+_DEGREES = np.array(list(range(1, 31)) + [35, 40, 45, 50, 55])
+_THETA = np.array([
+    2.29e-16, 2.58e-8, 1.39e-5, 3.40e-4, 2.40e-3, 9.07e-3, 2.38e-2, 5.00e-2,
+    8.96e-2, 1.44e-1, 2.14e-1, 3.00e-1, 4.00e-1, 5.14e-1, 6.41e-1, 7.81e-1,
+    9.31e-1, 1.09, 1.26, 1.44, 1.62, 1.82, 2.01, 2.22, 2.43, 2.64, 2.86, 3.08,
+    3.31, 3.54, 4.7, 6.0, 7.2, 8.5, 9.9,
+])
+
+
+def _inf_norm(X: np.ndarray) -> float:
+    # np.linalg.norm(X, inf) without its argument checks, which cost more
+    # than the sum on a few columns of a word block
+    return float(np.abs(X).sum(axis=1).max())
+
+
+def _expm_action(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """exp(A) B, by truncated Taylor with scaling (Al-Mohy & Higham 2011, Alg. 3.2).
+
+    A is shifted by mu = tr(A) / m, and s steps of m* Taylor terms of
+    exp((A - mu I) / s) are taken, with (m*, s) minimising m* s over
+    s = ceil(||A - mu I||_1 / theta_m*).  A step stops early once two
+    consecutive terms are below the unit roundoff relative to the partial
+    sum (inf-norms).  Cost: at most m* s products with A, linear in ||A||_1.
+    """
+    size = len(A)
+    mu = np.trace(A) / size
+    A = A - mu * np.eye(size)
+    norm = float(np.linalg.norm(A, 1))
+    terms, s = 0, 1
+    if norm > 0:
+        steps = np.ceil(norm / _THETA)
+        best = int(np.argmin(_DEGREES * steps))  # the smallest degree on a tie
+        terms, s = int(_DEGREES[best]), int(steps[best])
+    eta = np.exp(mu / s)
+    F = B
+    for _ in range(s):
+        c1 = _inf_norm(B)
+        for j in range(terms):
+            B = (1.0 / (s * (j + 1))) * (A @ B)
+            c2 = _inf_norm(B)
+            F = F + B
+            if c1 + c2 <= _UNIT_ROUNDOFF * _inf_norm(F):
+                break
+            c1 = c2
+        F = eta * F
+        B = F
+    return F
+
 
 def generator_matrix(t: SchurmannTriple, tol: float = DEFAULT_CONFIG.tol) -> np.ndarray:
     """A_ij = L(p_ij): nonnegative off-diagonal, zero row and column sums."""
@@ -54,10 +107,9 @@ def generator_matrix(t: SchurmannTriple, tol: float = DEFAULT_CONFIG.tol) -> np.
 
 def fundamental_semigroup(t: SchurmannTriple, time: float) -> np.ndarray:
     """exp(time * A) on the fundamental coefficients; a stochastic matrix."""
-    import scipy.linalg
-
     check_time(time)
-    return scipy.linalg.expm(time * generator_matrix(t))
+    A = generator_matrix(t)
+    return _expm_action(time * A, np.eye(len(A)))
 
 
 def convolve(f, g, w: Word, term_budget: int | None = None) -> complex:
@@ -128,8 +180,6 @@ def _block_L(t: SchurmannTriple, k: int, term_budget: int | None) -> np.ndarray:
 
 def _evaluate(t: SchurmannTriple, time: float, words, term_budget: int | None) -> dict:
     """{word: (value, err)}: per reduced word length, exp(time L_B) on the columns in use."""
-    import scipy.sparse.linalg
-
     check_time(time)
     out: dict = {}
     by_len: dict = {}
@@ -150,17 +200,9 @@ def _evaluate(t: SchurmannTriple, time: float, words, term_budget: int | None) -
         seqs = np.array(list(roots.values()))
         rows = _position(seqs[:, :, 0], t.n)
         cols, where = np.unique(_position(seqs[:, :, 1], t.n), return_inverse=True)
-        # expm_multiply estimates norms of powers of X from numpy's global RNG
-        # once ||X - mu I||_1 > 63 / len(cols); a fixed seed, restored afterwards,
-        # keeps the values reproducible and the caller's RNG untouched
-        state = np.random.get_state()
-        np.random.seed(0)
-        try:
-            units = np.zeros((len(X), len(cols)))
-            units[cols, np.arange(len(cols))] = 1.0
-            E = scipy.sparse.linalg.expm_multiply(X, units)
-        finally:
-            np.random.set_state(state)
+        units = np.zeros((len(X), len(cols)))
+        units[cols, np.arange(len(cols))] = 1.0
+        E = _expm_action(X, units)
         for w, r, c in zip(roots, rows, where):
             out[w] = (complex(E[r, c]), err)
     return out
@@ -184,7 +226,7 @@ def state_table(
     """omega_t evaluated on an iterable of words.
 
     Per reduced word length, exp(time L_B) is applied to the block columns the
-    words use, in one expm_multiply call; L_B as in conv_exp.
+    words use, in one _expm_action call; L_B as in conv_exp.
     """
     return {w: val for w, (val, _) in _evaluate(t, time, words, term_budget).items()}
 

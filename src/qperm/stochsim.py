@@ -335,16 +335,22 @@ def path_sample(spec: PermProcessSpec, times, seed: int) -> list[tuple[int, ...]
         raise ValidationError(
             f"rate * dt must be at most {_POISSON_LAM_MAX:.4g} for Poisson sampling"
         )
+    cycles = spec.cycles
     streams = np.random.SeedSequence(seed).spawn(len(spec.rates))
+    variates: dict = {}  # one variate, so one alias table, per distinct rate * dt
     shifts = []
-    for cyc, lam, stream in zip(spec.cycles, spec.rates, streams):
+    for cyc, lam, stream in zip(cycles, spec.rates, streams):
         rng = np.random.Generator(np.random.PCG64(stream))
-        counts = [int(_PoissonVariate(lam * dt).draw(rng, 1)[0]) % len(cyc) for dt in steps]
+        counts = []
+        for dt in steps:
+            if lam * dt not in variates:
+                variates[lam * dt] = _PoissonVariate(lam * dt)
+            counts.append(int(variates[lam * dt].draw(rng, 1)[0]) % len(cyc))
         shifts.append(np.cumsum(counts) % len(cyc))
     out = []
     for k in range(len(times)):
         images = list(range(1, spec.n + 1))
-        for cyc, shift in zip(spec.cycles, shifts):
+        for cyc, shift in zip(cycles, shifts):
             ell = len(cyc)
             for a, origin in enumerate(cyc):
                 images[origin - 1] = cyc[(a + int(shift[k])) % ell]

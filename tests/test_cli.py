@@ -2,12 +2,15 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qperm
 from qperm.cli import main
 from qperm.magic import MagicUnitary, f4_phi, fourier, from_hadamard
 
@@ -430,3 +433,42 @@ class TestPlumbing:
         assert '"values":[0,-0.25]' in out
         code, out, _ = run(capsys, "central", "--n", "4", "--atoms", "0:1", "--smax", "1")
         assert '"values":[0,-0.33333333333333331]' in out
+
+
+# sys.modules["scipy"] = None makes every import of scipy or a submodule raise
+WITHOUT_SCIPY = """
+import contextlib, io, json, sys
+sys.modules["scipy"] = None
+import numpy as np
+import qperm
+from qperm.cli import main
+
+rep = qperm.from_hadamard(qperm.fourier(4))
+t = qperm.SchurmannTriple(rep, qperm.random_cocycle(rep, np.random.default_rng(0)))
+words = [qperm.parse_word(text, 4) for text in ("p(1,2) p(2,3)", "p(1,1)", "p(1,2) p(2,3) p(3,4)")]
+qperm.conv_exp(t, 0.5, words[0])
+qperm.state_table(t, 0.5, words)
+qperm.fundamental_semigroup(t, 0.5)
+codes = {}
+for argv in (
+    ["semigroup", "--sigma", "(1 2)", "--rates", "1.0", "--time", "0,1", "--word", "p(1,1)"],
+    ["verify", "--sigma", "(1 2 3)", "--rates", "1.0"],
+    ["simulate", "--sigma", "(1 2 3 4)", "--rates", "1.0", "--t", "1.0", "--samples", "1000",
+     "--seed", "7"],
+    ["cohomology", "--fourier", "4"],
+    ["central", "--n", "4", "--smax", "2", "--atoms", "0:1"],
+):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes[argv[0]] = main(argv)
+print(json.dumps(codes))
+"""
+
+
+class TestWithoutScipy:
+    def test_library_and_cli_run_with_scipy_blocked(self):
+        src = str(Path(qperm.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", WITHOUT_SCIPY], capture_output=True,
+                              text=True, env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == dict.fromkeys(
+            ["semigroup", "verify", "simulate", "cohomology", "central"], 0)

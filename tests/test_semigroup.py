@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.linalg
 
 import qperm
 from qperm.errors import BudgetError, ValidationError
@@ -35,7 +36,7 @@ from qperm.semigroup import (
     markov_symmetry_check,
     state_table,
 )
-from qperm.semigroup import _block_L, _block_indices
+from qperm.semigroup import _block_L, _block_indices, _expm_action
 from qperm.words import LinComb, Word, counit, parse_word, reduced_words, unit_word
 
 
@@ -149,6 +150,76 @@ class TestFundamentalSemigroup:
     def test_non_finite_time_rejected(self, rng, time):
         with pytest.raises(ValidationError, match="time"):
             fundamental_semigroup(fourier_triple(3, rng), time)
+
+
+class TestExpmAction:
+    """_expm_action against scipy's dense expm, the oracle of the exponential."""
+
+    @staticmethod
+    def assert_matches(X, *col_sets, oracle=scipy.linalg.expm):
+        # tolerance fixed before the first run, as in test_state_table_matches_dense_expm:
+        # ten rounding-error scales u ||X||_1 per entry
+        E = oracle(X)
+        err = 2.0**-53 * float(np.linalg.norm(X, 1))
+        for cols in col_sets:
+            got = _expm_action(X, np.eye(len(X), dtype=X.dtype)[:, cols])
+            assert got.shape == (len(X), len(cols)) and got.dtype == E.dtype
+            assert float(np.max(np.abs(got - E[:, cols]))) <= 10 * err + 1e-14, (X.shape, cols)
+
+    @pytest.mark.parametrize("scale", [0.5, 5.0])
+    @pytest.mark.parametrize("family", ["fourier", "f4"])
+    def test_word_blocks(self, rng, family, scale):
+        H = fourier(4) if family == "fourier" else f4_phi(0.7)
+        rep = from_hadamard(H)
+        t = SchurmannTriple(rep, random_cocycle(rep, rng, scale))
+        for k in (1, 2, 3, 4, 5):
+            L = _block_L(t, k, None)
+            if not L.imag.any():  # k = 1: real, as _evaluate takes it
+                L = L.real
+            m = len(L)
+            several = sorted(rng.choice(m, size=3, replace=False).tolist())
+            # cost is linear in ||t L_B||_1 (up to 1.3e4 here): several columns
+            # up to 1e3 only, and the 324-block (k = 5) at t = 20 at scale 0.5
+            # only, where its column alone takes 1 s at scale 5
+            times = (0.0, 0.2, 1.0, 20.0) if k < 5 or scale < 1 else (0.0, 0.2, 1.0)
+            for time in times:
+                X = time * L
+                one = [int(rng.integers(m))]
+                if float(np.linalg.norm(X, 1)) <= 1e3:
+                    self.assert_matches(X, one, several)
+                else:
+                    self.assert_matches(X, one)
+
+    def test_real_and_complex_dense(self, rng):
+        # scipy.linalg.expm errs by up to 1.7e-12 on such non-normal matrices
+        # (against a 40-digit expm), so the oracle here is expm_multiply,
+        # the routine _expm_action replaced: the same algorithm below
+        # ||A||_1 = 63 / columns
+        oracle = lambda A: scipy.sparse.linalg.expm_multiply(A, np.eye(len(A)))
+        for _ in range(5):
+            A = rng.normal(size=(7, 7))
+            self.assert_matches(A, list(range(7)), [4], oracle=oracle)
+            self.assert_matches(A + 1j * rng.normal(size=(7, 7)), [2], [0, 6], oracle=oracle)
+
+    def test_real_block_stays_real(self, rng):
+        spec, xi, zeta = two_block_instance(rng)
+        L = _block_L(two_block_triple(spec, xi, zeta), 3, None)
+        assert not L.imag.any()
+        self.assert_matches(0.7 * L.real, [0, 5])
+
+    def test_zero_matrix(self, rng):
+        B = rng.normal(size=(6, 2)) + 1j * rng.normal(size=(6, 2))
+        assert np.array_equal(_expm_action(np.zeros((6, 6)), B), B)
+
+    @pytest.mark.parametrize("family", ["fourier", "permutation", "two_block", "f4"])
+    def test_fundamental_semigroup_matches_expm(self, rng, family):
+        t = family_triple(family, 4 if family != "two_block" else 3, rng)
+        A = generator_matrix(t)
+        for time in (0.0, 0.2, 1.0, 20.0):
+            T = fundamental_semigroup(t, time)
+            err = 2.0**-53 * float(np.linalg.norm(time * A, 1))
+            assert float(np.max(np.abs(T - scipy.linalg.expm(time * A)))) <= 10 * err + 1e-14
+            assert float(np.max(np.abs(T.sum(axis=1) - 1.0))) <= 10 * err + 1e-14
 
 
 class TestConvolve:
@@ -409,8 +480,9 @@ class TestBlockEngine:
                     assert abs(val - want) <= 10 * err + 1e-14, (scale, k, time, val, want)
 
     def test_values_independent_of_numpy_global_rng(self):
-        # at three columns expm_multiply estimates norms of powers of t L_B
-        # from numpy's global RNG; unseeded, these values vary in the last bits
+        # scipy's expm_multiply, used here before _expm_action, estimated norms
+        # of powers of t L_B from numpy's global RNG at three columns, and
+        # unseeded these values varied in the last bits
         rep = from_hadamard(fourier(4))
         t = SchurmannTriple(rep, random_cocycle(rep, np.random.default_rng(7), 3.0))
         words = [Word(letters, 4) for letters in (
@@ -430,7 +502,7 @@ class TestBlockEngine:
         # Fourier n = 8, 3 letters: m = 392, and the m^2 words of the block
         # gather 153,664 * 8 * 8 complex entries (157 MB) per position when
         # evaluated at once; split after one letter, the block is one product
-        # of 64 rows with 3,136 columns and the peak stays near 25 MB
+        # of 64 rows with 3,136 columns and the peak is about 8 MB
         t = fourier_triple(8, rng)
         w = parse_word("p(1,2) p(2,5) p(7,1)", 8)
         tracemalloc.start()

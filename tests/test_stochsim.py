@@ -438,6 +438,25 @@ class TestThreadedTally:
         assert out.strip() == "False"
 
 
+def reference_path(spec, times, seed):
+    """path_sample with a fresh variate, so a fresh alias table, per grid interval."""
+    shifts = []
+    streams = np.random.SeedSequence(seed).spawn(len(spec.rates))
+    for cyc, lam, stream in zip(spec.cycles, spec.rates, streams):
+        rng = np.random.Generator(np.random.PCG64(stream))
+        counts = [int(stochsim._PoissonVariate(lam * dt).draw(rng, 1)[0]) % len(cyc)
+                  for dt in np.diff(times, prepend=0.0)]
+        shifts.append(np.cumsum(counts) % len(cyc))
+    out = []
+    for k in range(len(times)):
+        images = list(range(1, spec.n + 1))
+        for cyc, shift in zip(spec.cycles, shifts):
+            for a, origin in enumerate(cyc):
+                images[origin - 1] = cyc[(a + int(shift[k])) % len(cyc)]
+        out.append(tuple(images))
+    return out
+
+
 class TestPathSample:
     def test_grid_values_cover_exact_distribution(self):
         # empirical law of X_t(1) over many paths vs the exact row, chi-square
@@ -505,6 +524,18 @@ class TestPathSample:
     def test_non_finite_grid_rejected(self, bad):
         with pytest.raises(ValidationError, match="time"):
             path_sample(CYCLE4, [0.5, bad], seed=0)
+
+    @pytest.mark.parametrize("grid", [
+        np.linspace(0.0, 5.0, 201),
+        np.cumsum(np.random.default_rng(11).exponential(0.05, 200)),
+    ])
+    def test_matches_one_variate_per_interval(self, grid):
+        # the variates shared between equal rate * dt give the draws of a
+        # fresh variate per grid interval; rate 12 takes PTRS on steps >= 0.84
+        spec = PermProcessSpec((2, 3, 4, 1, 6, 5, 8, 9, 7), [1.0, 0.7, 12.0])
+        grid = np.concatenate([grid, grid[-1] + [0.9, 0.9, 1.0]])
+        want = reference_path(spec, grid, seed=5)
+        assert path_sample(spec, grid, seed=5) == want
 
     def test_path_is_right_continuous_in_jumps(self):
         # consecutive grid states differ by an admissible cycle power

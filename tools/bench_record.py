@@ -7,8 +7,8 @@ Runs `perfbench/run.py` of the checkout for 35 s once per workload and seed
 own process from the root of the checkout, and writes the file to the
 current directory. It also times `conv_exp` on one fresh 5-letter word over a
 Fourier n=4 triple, whose block has 324 indices. The file holds every
-result line, `nproc`, and the Python, numpy and scipy versions, so two
-files from the same machine can be compared.
+result line, `nproc`, and the Python, numpy and scipy versions (scipy null
+when it is not installed), so two files from the same machine can be compared.
 """
 
 from __future__ import annotations
@@ -60,9 +60,19 @@ def micro_conv_exp(checkout: Path) -> dict:
             "exit": proc.returncode, "result": _last_json(proc.stdout)}
 
 
+# scipy is only a test dependency: its version is null where it is not installed
+VERSIONS = """
+import json, numpy
+try:
+    import scipy
+except ImportError:
+    scipy = None
+print(json.dumps([numpy.__version__, scipy and scipy.__version__]))
+"""
+
+
 def _versions(checkout: Path) -> dict:
-    code = "import json, numpy, scipy; print(json.dumps([numpy.__version__, scipy.__version__]))"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True).stdout
+    out = subprocess.run([sys.executable, "-c", VERSIONS], capture_output=True, text=True).stdout
     numpy_v, scipy_v = json.loads(out)
     commit = subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkout, capture_output=True,
                             text=True).stdout.strip()
