@@ -343,9 +343,10 @@ def path_sample(spec: PermProcessSpec, times, seed: int) -> list[tuple[int, ...]
         rng = np.random.Generator(np.random.PCG64(stream))
         counts = []
         for dt in steps:
-            if lam * dt not in variates:
-                variates[lam * dt] = _PoissonVariate(lam * dt)
-            counts.append(int(variates[lam * dt].draw(rng, 1)[0]) % len(cyc))
+            lam_t = lam * dt
+            if lam_t not in variates:
+                variates[lam_t] = _PoissonVariate(lam_t)
+            counts.append(int(variates[lam_t].draw(rng, 1)[0]) % len(cyc))
         shifts.append(np.cumsum(counts) % len(cyc))
     out = []
     for k in range(len(times)):
