@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 from numpy.polynomial import Polynomial
 
-from .errors import ValidationError
+from .errors import ValidationError, _require_finite
 
 
 def chebyshev_u(s: int, x: float) -> float:
@@ -105,6 +105,7 @@ class DiscreteMeasure:
 
     def __init__(self, atoms):
         atoms = tuple((float(x), float(w)) for x, w in atoms)
+        _require_finite(np.array(atoms), "atom positions and weights")
         for x, w in atoms:
             if w <= 0:
                 raise ValidationError(f"atom weight must be > 0, got {w}")
@@ -128,6 +129,7 @@ class AdInvariantSpec:
     def __post_init__(self):
         if self.n < 4:
             raise ValidationError("need n >= 4")
+        _require_finite(self.a, "drift coefficient a")
         if self.a < 0:
             raise ValidationError("drift coefficient a must be >= 0")
         for x, _ in self.nu.atoms:

@@ -18,10 +18,12 @@ class RunConfig:
 
     tol             projection / magic-unitary / functional tolerance
     rank_threshold  singular values below rank_threshold * s_max count as zero
-    max_word_len    default word length cap for symmetry / traciality sweeps
+    max_word_len    default word length cap for the symmetry / traciality checks
     seed            root seed for all sampling
     term_budget     cap on the work of one expansion: raw scalar terms of a coproduct,
-                    and the k m^2 letters of a k-letter semigroup block (m block indices)
+                    the k m^2 letters of a k-letter semigroup block (m block indices),
+                    and the complex entries of one stacked moment level of the
+                    symmetry / traciality checks
     """
 
     tol: float = 1e-9

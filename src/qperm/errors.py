@@ -1,6 +1,8 @@
-"""Exception types shared across the package, and the time check they share."""
+"""Exception types shared across the package, and the input checks they share."""
 
 import math
+
+import numpy as np
 
 
 class QpermError(Exception):
@@ -19,3 +21,9 @@ def check_time(time: float) -> None:
     """Raise ValidationError unless the time of a semigroup or process is finite and >= 0."""
     if not (time >= 0 and math.isfinite(time)):
         raise ValidationError(f"time must be finite and >= 0, got {time!r}")
+
+
+def _require_finite(arr, what: str) -> None:
+    """Raise ValidationError if `arr` holds a NaN or an infinite entry."""
+    if not np.isfinite(arr).all():
+        raise ValidationError(f"{what} must hold finite numbers")

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import perms
 from .config import DEFAULT_CONFIG
-from .errors import ValidationError
+from .errors import ValidationError, _require_finite
 from .words import LinComb, Word
 
 
@@ -116,6 +116,8 @@ def require_valid(M: MagicUnitary, tol: float = DEFAULT_CONFIG.tol) -> MagicUnit
 
 def from_permutation(sigma, d: int = 1) -> MagicUnitary:
     """P_ij = I_d if sigma(i) = j else 0 (the permutation representation with multiplicity d)."""
+    if d < 1:
+        raise ValidationError(f"multiplicity must be >= 1, got {d}")
     sigma = perms.check_perm(sigma)
     n = len(sigma)
     blocks = np.zeros((n, n, d, d), dtype=complex)
@@ -297,9 +299,3 @@ def _complex_from_json(obj) -> np.ndarray:
         raise ValidationError("complex JSON arrays must have a trailing [re, im] axis")
     _require_finite(arr, "complex JSON arrays")  # json reads NaN and Infinity
     return arr[..., 0] + 1j * arr[..., 1]
-
-
-def _require_finite(arr: np.ndarray, what: str) -> None:
-    """Raise ValidationError if `arr` holds a NaN or an infinite entry."""
-    if not np.isfinite(arr).all():
-        raise ValidationError(f"{what} must hold finite numbers")

@@ -16,14 +16,17 @@ row carries the conjugate of xi_ij, the generators being self-adjoint.  So
 pi(w) e_last = (L(w), eta(w), eps(w)), and e_0 pi(w) = (eps(w), <eta(w*)|,
 L(w)) by pi(w)* = J pi(w*) J, J the swap of e_0 and e_last.
 
-The symmetry and traciality sweeps read every fully swept word length from
-a prefix tree of these products (`_grow`): the words of length k are those
-of length k - 1 with one compatible letter added, so each level is one
-matmul of the stacked letter matrices with the previous level's columns
-(letter prepended), rows (letter appended) or antipode columns (S of the
-appended letter prepended), followed by a gather of the compatible pairs.
-Sampled words, and outside input through `gen_functional_batch`, multiply
-their own letter matrices (`_columns`).
+Symmetry and traciality are decided exactly from moments of these products
+(`_moments`): B^H B = mean of z_w^H z_w over all letter sequences w of one
+length, for a state z_w linear in pi(w), carried one length at a time as
+weighted rows through the Kraus factors of the letter matrices.  Since pi
+is a representation, a letter sequence is 0 or a reduced word no longer
+than itself, so an identity linear or bilinear in the states holds for
+every word of at most max_len letters exactly when these means of its
+squared defect vanish (the recursion that decides equivalence of weighted
+automata; Tzeng, SIAM J. Comput. 21 (1992) 216).  Words given as integer
+arrays, and outside input through `gen_functional_batch`, multiply their
+own letter matrices (`_columns`).
 
 Inner products are conjugate-linear in the first slot.
 """
@@ -32,24 +35,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .cohomology import _cocycle_blocks, coboundary_map, split_tuple, stack_tuple
 from .config import DEFAULT_CONFIG
-from .errors import BudgetError, ValidationError
-from .magic import MagicUnitary, TwoBlockSpec, _require_finite, apply, fourier, from_hadamard, validate
-from .words import LinComb, Word, _random_word_array, counit, defining_relations, reduced_word_array
+from .errors import BudgetError, ValidationError, _require_finite
+from .magic import MagicUnitary, TwoBlockSpec, apply, fourier, from_hadamard, validate
+from .words import LinComb, Word, counit, defining_relations
 
-#: exhaustive word sweeps switch to sampling above these sizes
-_EXHAUSTIVE_N = 4
-_EXHAUSTIVE_LEN = 4
-_SAMPLE_WORDS = 10_000
-#: word pairs one traciality check may evaluate; sampled batches are cut to
-#: isqrt of it so that every pair product fits
-_MAX_WORD_PAIRS = 200_000
-_SAMPLE_PAIR_ROWS = math.isqrt(_MAX_WORD_PAIRS)
 #: words per gathered letter-matrix product; bounds the (rows, d+2, d+2) gather
 _CHUNK_ROWS = 2048
 
@@ -256,137 +250,79 @@ def poisson_value(t: SchurmannTriple, v: np.ndarray, x: LinComb | Word) -> compl
     return complex(np.vdot(v, mat @ v) - counit(x) * np.vdot(v, v))
 
 
-def _exhaustive(n: int, max_len: int) -> bool:
-    return n <= _EXHAUSTIVE_N and max_len <= _EXHAUSTIVE_LEN
+def _bound(t: SchurmannTriple, tol: float) -> float:
+    """tol times the triple's scale 1 + max |L(p_ij)|; tol must be finite and > 0."""
+    if not (tol > 0 and math.isfinite(tol)):
+        raise ValidationError(f"tol must be finite and > 0, got {tol!r}")
+    return tol * (1.0 + float(np.max(np.abs(t.letter_L), initial=0.0)))
 
 
-def _word_count(n: int, length: int) -> int:
-    """Number of reduced words with `length` letters."""
-    return n * n * (n - 1) ** (2 * (length - 1))
+def _compress(stack: np.ndarray) -> np.ndarray:
+    """Rows diag(s) V^H of the SVD of `stack`: its Gram matrix, in at most `cols` rows.
 
-
-def _sweep_plan(n: int, max_len: int, rng=None) -> tuple[int, list[np.ndarray]]:
-    """(full, drawn): the lengths 1..full are swept in full, `drawn` samples the rest.
-
-    Exhaustive at small size.  In the sampled regime the shortest lengths are
-    still enumerated in full while their running count fits in _SAMPLE_WORDS;
-    the rest of the quota is split across the longer lengths by count and
-    drawn with replacement, one (m, length, 2) letter array per length.
+    Only singular values s <= cols eps s_max are dropped.  The rows keep their
+    weights; a direction normalised behind a rank cut would let a rounding
+    residue count as much as the data.
     """
-    counts = np.array([_word_count(n, ln) for ln in range(1, max_len + 1)], float)
-    if counts.sum() > 10 ** 9:
-        raise BudgetError("reduced-word sweep out of range")
-    if _exhaustive(n, max_len):
-        return max_len, []
-    full = int(np.searchsorted(np.cumsum(counts), _SAMPLE_WORDS, side="right"))
-    if full == max_len:
-        return full, []
-    if rng is None:
-        rng = np.random.default_rng(DEFAULT_CONFIG.seed)
-    rest = counts[full:]
-    left = _SAMPLE_WORDS - counts[:full].sum()
-    quota = np.maximum(1, np.round(left * rest / rest.sum()).astype(int))
-    return full, [_random_word_array(rng, n, m, ln)
-                  for ln, m in enumerate(quota.tolist(), start=full + 1)]
+    _, s, vh = np.linalg.svd(stack, full_matrices=False)
+    keep = s > stack.shape[1] * np.finfo(float).eps * s.max(initial=0.0)
+    return s[keep, None] * vh[keep]
 
 
-def _sweep_words(n: int, max_len: int, rng=None) -> list[np.ndarray]:
-    """Arrays of reduced words per length, the words `_sweep_plan` describes."""
-    full, drawn = _sweep_plan(n, max_len, rng)
-    return [reduced_word_array(n, ln) for ln in range(1, full + 1)] + drawn
+def _moments(start: np.ndarray, steps: np.ndarray, max_len: int) -> np.ndarray:
+    """Rows B, levels 0..max_len stacked, with B^H B = sum_j mean_{|w| = j} z_w^H z_w.
 
-
-class _Level(NamedTuple):
-    """Letter-matrix products of the reduced words of one length.
-
-    Rows follow `reduced_word_array` order; a part left out is None.
-    first, last: letter codes (i - 1) n + j - 1 of each word's end letters.
-    cols: pi(w) e_last; rows: e_0 pi(w); scols: pi(S w) e_last.
+    z_w, shape (m, s), is the state of a sequence w of letters a (indices
+    into steps), read as one row of m s entries: z_empty = start and
+    z_{wa} = z_w steps[a].  Level j averages over the len(steps)^j sequences
+    of j letters.  Kraus factors K_k with sum_k K_k^H Y K_k = mean_a
+    steps[a]^H Y steps[a] come from the SVD of the stacked steps, and level j
+    is the compressed stack [B_{j-1} K_k]_k, whose complex entries are
+    charged against the term budget before it is built.  Returns shape
+    (rows, m, s).
     """
-
-    first: np.ndarray
-    last: np.ndarray
-    cols: np.ndarray | None
-    rows: np.ndarray | None
-    scols: np.ndarray | None
-
-
-def _grow(t: SchurmannTriple, prev: _Level, take=None) -> _Level:
-    """The level one letter longer than prev, every part from prev's by one matmul.
-
-    A reduced word of length k is a letter a prepended to a word of length
-    k - 1 whose first letter is compatible with a (row and column differ),
-    taken a-major; it is also a word u of length k - 1 with a compatible
-    letter v appended, taken u-major.  Both orders are lexicographic, so
-    pi(a w') e_last = pi(a) pi(w') e_last, e_0 pi(u v) = e_0 pi(u) pi(v) and
-    pi(S(u v)) e_last = pi(S v) pi(S u) e_last line up word by word.
-    take: indices of the words of the new level to keep (default all).
-    """
-    n, s = t.n, t.d + 2
-    n2 = n * n
-    i, j = np.divmod(np.arange(n2), n)
-    compat = np.ones((n2 + 1, n2 + 1), dtype=bool)
-    compat[:n2, :n2] = (i[:, None] != i) & (j[:, None] != j)
-    head, suffix = np.nonzero(compat[:n2, prev.first])
-    prefix, tail = np.nonzero(compat[prev.last, :n2])
-    if take is not None:
-        head, suffix, prefix, tail = head[take], suffix[take], prefix[take], tail[take]
-    cols = rows = scols = None
-    if prev.cols is not None:
-        cols = (t.pi.reshape(n2 * s, s) @ prev.cols.T).reshape(n2, s, -1)[head, :, suffix]
-    if prev.rows is not None:
-        out = prev.rows @ t.pi.transpose(2, 0, 1, 3).reshape(s, n2 * s)
-        rows = out.reshape(-1, n2, s)[prefix, tail]
-    if prev.scols is not None:
-        anti = t.pi.transpose(1, 0, 2, 3).reshape(n2 * s, s)  # pi(S p_ij) = pi(p_ji)
-        scols = (anti @ prev.scols.T).reshape(n2, s, -1)[tail, :, prefix]
-    return _Level(head, tail, cols, rows, scols)
-
-
-def _tree(t: SchurmannTriple, max_len: int, rows: bool = False,
-          scols: bool = False) -> list[_Level]:
-    """[empty word, length 1, ..., length max_len], grown letter by letter.
-
-    The columns are always kept, rows and antipode columns on request.  The
-    empty word has letter code n^2, which may stand beside every letter.
-    """
-    unit = np.eye(t.d + 2, dtype=complex)
-    code = np.array([t.n * t.n])
-    levels = [_Level(code, code, unit[-1:], unit[:1] if rows else None,
-                     unit[-1:] if scols else None)]
+    m, s = start.shape
+    kraus = _compress(steps.reshape(len(steps), s * s)) / math.sqrt(len(steps))
+    kraus = kraus.reshape(-1, s, s)
+    levels = [start.reshape(1, m, s)]
     for _ in range(max_len):
-        levels.append(_grow(t, levels[-1]))
-    return levels
-
-
-def _pick(rng, count: int, size: int):
-    """Indices of `size` distinct random rows out of `count`, or all rows if count <= size."""
-    return slice(None) if count <= size else rng.choice(count, size, replace=False)
+        prev = levels[-1]
+        entries = len(kraus) * prev.size
+        if entries > DEFAULT_CONFIG.term_budget:
+            raise BudgetError(f"a moment level needs {entries} entries, over the term budget "
+                              f"{DEFAULT_CONFIG.term_budget}; lower max_len")
+        stack = (prev[None] @ kraus[:, None]).reshape(-1, m * s)
+        levels.append(_compress(stack).reshape(-1, m, s))
+    return np.concatenate(levels)
 
 
 def is_symmetric_words(
     t: SchurmannTriple,
     max_len: int = DEFAULT_CONFIG.max_word_len,
     tol: float = DEFAULT_CONFIG.tol,
-    rng=None,
 ) -> tuple[bool, float]:
-    """Check |L(S w) - L(w)| over reduced words of length <= max_len.
+    """Decide L(S w) = L(w) for every word of at most max_len letters.
 
-    Returns (symmetric, worst violation).  Exhaustive for n <= 4 and
-    max_len <= 4, sampled beyond that.  The lengths swept in full are read
-    from the prefix tree of letter-matrix products (`_grow`), the drawn
-    words from their own products.
+    Returns (symmetric, defect), the defect being the root of the sum over
+    lengths j <= max_len of the mean of |L(w) - L(S w)|^2 over all n^(2j)
+    letter sequences w of length j; it is 0 exactly when every such word
+    passes.  The state of w is (e_0 pi(w), (pi(S w) e_last)^T): a letter a
+    steps it by diag(pi(a), pi(a^T)^T), a^T the letter with its indices
+    swapped, and (e_last, -e_0) reads off L(w) - L(S w).
     """
     if max_len < 1:
         raise ValidationError("max_len must be >= 1")
-    scale = 1.0 + float(np.max(np.abs(t.letter_L), initial=0.0))
-    full, drawn = _sweep_plan(t.n, max_len, rng)
-    diffs = [lv.cols[:, 0] - lv.scols[:, 0] for lv in _tree(t, full, scols=True)[1:]]
-    for batch in drawn:
-        # antipode: reverse, swap indices
-        diffs.append(_columns(t, batch)[:, 0] - _columns(t, batch[:, ::-1, ::-1])[:, 0])
-    worst = max(float(np.max(np.abs(diff), initial=0.0)) for diff in diffs)
-    return worst <= tol * scale, worst
+    bound = _bound(t, tol)
+    size = t.d + 2
+    steps = np.zeros((t.n * t.n, 2 * size, 2 * size), dtype=complex)
+    steps[:, :size, :size] = t.pi.reshape(-1, size, size)
+    steps[:, size:, size:] = t.pi.transpose(1, 0, 3, 2).reshape(-1, size, size)
+    start = np.zeros((1, 2 * size))
+    start[0, 0] = start[0, -1] = 1.0
+    read = np.zeros(2 * size)
+    read[size - 1], read[size] = 1.0, -1.0
+    defect = float(np.linalg.norm(_moments(start, steps, max_len)[:, 0] @ read))
+    return defect <= bound, defect
 
 
 def two_block_symmetry(
@@ -459,85 +395,35 @@ def fourier_symmetry(n: int, xs, tol: float = DEFAULT_CONFIG.tol) -> bool:
     return worst <= tol * scale * scale
 
 
-def _trace_defect(cols: list[np.ndarray], rows: list[np.ndarray]) -> float:
-    """Worst |L(uv) - L(vu)| over words u, v with |u| + |v| <= len(cols) + 1.
+def _commutator_norm(t: SchurmannTriple, max_len: int) -> float:
+    """Root of the sum over length pairs j, k <= max_len of the mean |L(uv) - L(vu)|^2.
 
-    cols[k - 1], rows[k - 1]: pi(w) e_last and e_0 pi(w) of the words of
-    length k, and L(uv) = e_0 pi(u) pi(v) e_last.
+    The mean runs over all letter sequences u of length j and v of length k.
+    The state of w is pi(w) itself; from the moment rows of all levels,
+    R = e_0 pi and C = pi e_last give the pair values L(uv) = e_0 pi(u) pi(v)
+    e_last, and the result is ||R C^T - (R C^T)^T||_F.
     """
-    worst = 0.0
-    for la in range(1, len(cols) + 1):
-        for lb in range(1, len(cols) + 2 - la):
-            if cols[la - 1].shape[0] * cols[lb - 1].shape[0] > _MAX_WORD_PAIRS:
-                raise BudgetError("too many word pairs; lower max_len")
-            # np.inner, not @ on a transposed view: on a 2-core host the latter took 8 ms
-            # for a (1296 x 4) by (4 x 16) product on a slow BLAS path, np.inner 0.06 ms
-            diff = np.inner(rows[la - 1], cols[lb - 1]) - np.inner(cols[la - 1], rows[lb - 1])
-            worst = max(worst, float(np.max(np.abs(diff), initial=0.0)))
-    return worst
+    size = t.d + 2
+    rows = _moments(np.eye(size, dtype=complex), t.pi.reshape(-1, size, size), max_len)
+    ends = _compress(np.hstack([rows[:, 0], rows[:, :, -1]]))
+    pairs = np.inner(ends[:, :size], ends[:, size:])
+    return float(np.linalg.norm(pairs - pairs.T))
 
 
 def is_tracial(
     t: SchurmannTriple,
     max_len: int = DEFAULT_CONFIG.max_word_len,
     tol: float = DEFAULT_CONFIG.tol,
-    rng=None,
 ) -> bool:
-    """Check L(uv) = L(vu) over reduced word pairs with |u| + |v| <= max_len.
+    """Decide L(uv) = L(vu) for every pair of words u, v of at most max_len letters each.
 
-    Pair values are Gram products of the first rows e_0 pi(u) and last
-    columns pi(v) e_last of the letter-matrix products, one per pair of
-    lengths, so the words uv and vu are never formed; the lengths swept in
-    full are read from the prefix tree (`_grow`).  Also checks the necessary
-    condition |eta(a)| = |eta(a*)| on sampled elements of ker eps, eta(a)
-    from the column of a and the conjugate of eta(a*) from its row; sampled
-    words one letter longer than the tree are grown from its last level.
+    Decided by `_commutator_norm`.  The pairs u = a*, v = a decide
+    |eta(a)| = |eta(a*)| too, since |eta(a)|^2 - |eta(a*)|^2 = L(a* a) - L(a a*).
     """
     if max_len < 2:
         raise ValidationError("max_len must be >= 2 for traciality")
-    scale = 1.0 + float(np.max(np.abs(t.letter_L), initial=0.0))
-    if rng is None:
-        rng = np.random.default_rng(DEFAULT_CONFIG.seed)
-    full, drawn = _sweep_plan(t.n, max_len - 1, rng)
-    levels = _tree(t, full, rows=True)
-    # a full sweep keeps every word; else enumerated lengths are sorted, so cut
-    # them to a random subset, not a prefix
-    exhaustive = _exhaustive(t.n, max_len - 1)
-    cols, rows = [], []
-    for lv in levels[1:]:
-        keep = slice(None) if exhaustive else _pick(rng, lv.cols.shape[0], _SAMPLE_PAIR_ROWS)
-        cols.append(lv.cols[keep])
-        rows.append(lv.rows[keep])
-    for batch in drawn:
-        batch = batch[_pick(rng, batch.shape[0], _SAMPLE_PAIR_ROWS)]
-        cols.append(_columns(t, batch))
-        rows.append(_rows(t, batch))
-    if _trace_defect(cols, rows) > tol * scale:
-        return False
-    # necessary condition via the GNS anti-unitary: |eta(a)| = |eta(a*)|; the
-    # fully swept lengths here reach at most one letter past the tree
-    full, drawn = _sweep_plan(t.n, max_len, rng)
-    for ln in range(1, full + 1):
-        keep = _pick(rng, _word_count(t.n, ln), 64)
-        if ln < len(levels):
-            gap = _adjoint_gap(levels[ln].cols[keep], levels[ln].rows[keep])
-        else:
-            grown = _grow(t, levels[-1], keep)
-            gap = _adjoint_gap(grown.cols, grown.rows)
-        if gap > tol * scale:
-            return False
-    for batch in drawn:
-        take = batch[_pick(rng, batch.shape[0], 64)]
-        if _adjoint_gap(_columns(t, take), _rows(t, take)) > tol * scale:
-            return False
-    return True
-
-
-def _adjoint_gap(cols: np.ndarray, rows: np.ndarray) -> float:
-    """Worst | |eta(a)| - |eta(a*)| | from the columns pi(a) e_last and rows e_0 pi(a)."""
-    na = np.linalg.norm(cols[:, 1:-1], axis=1)
-    nastar = np.linalg.norm(rows[:, 1:-1], axis=1)
-    return float(np.max(np.abs(na - nastar), initial=0.0))
+    bound = _bound(t, tol)
+    return _commutator_norm(t, max_len) <= bound
 
 
 def symmetrize(t: SchurmannTriple):

@@ -136,6 +136,12 @@ class TestDiscreteMeasure:
         with pytest.raises(ValidationError):
             DiscreteMeasure([(-1.0, 1.0)])
 
+    @pytest.mark.parametrize("atom", [(float("nan"), 1.0), (1.0, float("nan")),
+                                      (float("-inf"), 1.0), (1.0, float("inf"))])
+    def test_rejects_non_finite_atoms(self, atom):
+        with pytest.raises(ValidationError, match="finite"):
+            DiscreteMeasure([(0.0, 1.0), atom])
+
 
 class TestAdInvariant:
     def test_spec_validation(self):
@@ -147,6 +153,11 @@ class TestAdInvariant:
             AdInvariantSpec(4, 0.0, DiscreteMeasure([(4.0, 1.0)]))
         with pytest.raises(ValidationError):
             AdInvariantSpec(4, 0.0, DiscreteMeasure([(5.0, 1.0)]))
+
+    @pytest.mark.parametrize("a", [float("nan"), float("inf")])
+    def test_rejects_non_finite_drift(self, a):
+        with pytest.raises(ValidationError, match="finite"):
+            AdInvariantSpec(4, a)
 
     def test_hunt_on_polynomial(self):
         spec = AdInvariantSpec(4, 0.5, DiscreteMeasure([(1.0, 2.0)]))

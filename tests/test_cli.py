@@ -89,6 +89,13 @@ class TestCohomology:
         assert out == ""
         assert "rank threshold" in err
 
+    @pytest.mark.parametrize("mult", ["0", "-1"])
+    def test_multiplicity_below_one_is_exit_1(self, capsys, mult):
+        code, out, err = run(capsys, "cohomology", "--sigma", "(1 2)", "--mult", mult)
+        assert code == 1
+        assert out == ""
+        assert err == f"qperm: error: multiplicity must be >= 1, got {mult}\n"
+
     def test_missing_representation_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["cohomology"])
@@ -123,6 +130,22 @@ class TestVerify:
         assert code == 0
         assert '"tracial":true' in out
         assert json.loads(out)["tracial"] is True
+
+    def test_sixteen_cycle_answers(self, capsys):
+        sigma = "(" + " ".join(map(str, range(1, 17))) + ")"
+        code, out, _ = run(capsys, "verify", "--sigma", sigma, "--rates", "1")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["symmetric"] is False
+        assert payload["tracial"] is True
+        assert payload["poisson"] is True
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+    def test_bad_tolerance_is_exit_1(self, capsys, tol):
+        code, out, err = run(capsys, "verify", "--sigma", "(1 2)", "--rates", "1", f"--tol={tol}")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("qperm: error: tol must be finite and > 0") and err.count("\n") == 1
 
     def test_zero_triple_file(self, capsys, tmp_path):
         rep = from_hadamard(fourier(4))
@@ -273,6 +296,14 @@ class TestCentral:
     def test_small_n_is_exit_1(self, capsys):
         code, _, _ = run(capsys, "central", "--n", "3")
         assert code == 1
+
+    @pytest.mark.parametrize("args", [("--a", "nan"), ("--a", "inf"), ("--atoms", "nan:1"),
+                                      ("--atoms", "1:inf")])
+    def test_non_finite_input_is_exit_1(self, capsys, args):
+        code, out, err = run(capsys, "central", "--n", "4", *args)
+        assert code == 1
+        assert out == ""
+        assert "must hold finite numbers" in err and err.count("\n") == 1
 
     def test_malformed_atoms_is_exit_1(self, capsys):
         code, _, _ = run(capsys, "central", "--n", "4", "--atoms", "nope")

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from qperm import _kernel
-from qperm.schurmann import _SAMPLE_WORDS, _exhaustive, _sweep_words
 from qperm.words import reduced_word_array
 
 
@@ -132,45 +131,6 @@ def test_reduced_word_array_matches_kernel(n, length):
         assert np.array_equal(got, np.array(_kernel.reduced_words_exact(n, length)))
     if n == 1 and length >= 2:
         assert got.shape == (0, length, 2)
-
-
-def kernel_sweep(n, max_len, rng):
-    """_sweep_words with the exhaustive lengths listed by the tuple kernel."""
-    counts = np.array([n * n * ((n - 1) ** (2 * (ln - 1))) for ln in range(1, max_len + 1)], float)
-    if _exhaustive(n, max_len):
-        full = max_len
-    else:
-        full = int(np.searchsorted(np.cumsum(counts), _SAMPLE_WORDS, side="right"))
-    out = [kernel_array(n, ln) for ln in range(1, full + 1)]
-    if full == max_len:
-        return out
-    rest = counts[full:]
-    left = _SAMPLE_WORDS - counts[:full].sum()
-    quota = np.maximum(1, np.round(left * rest / rest.sum()).astype(int))
-    for ln, m in enumerate(quota.tolist(), start=full + 1):
-        rows = np.empty((m, ln), dtype=np.int64)
-        cols = np.empty((m, ln), dtype=np.int64)
-        rows[:, 0] = rng.integers(1, n + 1, size=m)
-        cols[:, 0] = rng.integers(1, n + 1, size=m)
-        for pos in range(1, ln):
-            roff = rng.integers(1, n, size=m)
-            coff = rng.integers(1, n, size=m)
-            rows[:, pos] = (rows[:, pos - 1] - 1 + roff) % n + 1
-            cols[:, pos] = (cols[:, pos - 1] - 1 + coff) % n + 1
-        out.append(np.stack([rows, cols], axis=2))
-    return out
-
-
-@pytest.mark.parametrize("n,max_len", [(5, 4), (6, 3), (4, 6), (3, 3)])
-def test_sweep_words_matches_kernel_sweep(n, max_len):
-    rng_got, rng_want = np.random.default_rng(7), np.random.default_rng(7)
-    got = _sweep_words(n, max_len, rng_got)
-    want = kernel_sweep(n, max_len, rng_want)
-    assert len(got) == len(want) == max_len
-    for g, w in zip(got, want):
-        assert g.dtype == w.dtype and np.array_equal(g, w)
-    # both consumed the same draws
-    assert rng_got.integers(1 << 62) == rng_want.integers(1 << 62)
 
 
 def reference_reduce_letters(letters):

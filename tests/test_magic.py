@@ -59,6 +59,11 @@ class TestConstructions:
         assert np.allclose(M.block(1, 2), np.eye(2))
         assert np.allclose(M.block(1, 1), 0)
 
+    @pytest.mark.parametrize("d", [0, -1])
+    def test_from_permutation_rejects_multiplicity_below_one(self, d):
+        with pytest.raises(ValidationError, match="multiplicity"):
+            from_permutation((2, 1), d)
+
     def test_fourier_is_hadamard(self):
         for n in range(1, 8):
             require_hadamard(fourier(n))

@@ -1,13 +1,15 @@
 """Triples (rho, eta, L): evaluation identities, Poisson certificates, symmetry."""
 
 import itertools
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from qperm.cohomology import h1_representatives
-from qperm.config import DEFAULT_CONFIG
-from qperm.errors import ValidationError
+from qperm.config import RunConfig
+from qperm.errors import BudgetError, ValidationError
 from qperm.magic import (
     MagicUnitary,
     TwoBlockSpec,
@@ -18,18 +20,10 @@ from qperm.magic import (
     two_block,
 )
 from qperm.schurmann import (
-    _SAMPLE_PAIR_ROWS,
-    _SAMPLE_WORDS,
     SchurmannTriple,
     _columns,
-    _exhaustive,
-    _grow,
+    _commutator_norm,
     _rows,
-    _sweep_plan,
-    _sweep_words,
-    _word_count,
-    _trace_defect,
-    _tree,
     cocycle_violation,
     eta,
     fourier_symmetry,
@@ -94,53 +88,72 @@ def reference_L_batch(t, letters):
     return val
 
 
-def concat_trace_defect(t, per_len, max_len):
-    """Worst |L(uv) - L(vu)| by evaluating every concatenated pair of words."""
-    worst = 0.0
+def scale_of(t):
+    return 1.0 + float(np.max(np.abs(t.letter_L), initial=0.0))
+
+
+def all_sequences(n, length):
+    """Every letter sequence of `length` letters, reduced or not: (n^(2 length), length, 2)."""
+    letters = np.array(list(itertools.product(range(1, n + 1), repeat=2)))
+    return letters[np.array(list(itertools.product(range(n * n), repeat=length)))]
+
+
+def pair_defects(t, us, vs):
+    """L(uv) - L(vu) for every row u of us and v of vs, u-major, by concatenating the words."""
+    step = max(1, 100_000 // len(vs))
+    out = []
+    for start in range(0, len(us), step):
+        u = us[start:start + step]
+        u_rep, v_rep = np.repeat(u, len(vs), axis=0), np.tile(vs, (len(u), 1, 1))
+        uv = np.concatenate([u_rep, v_rep], axis=1)
+        vu = np.concatenate([v_rep, u_rep], axis=1)
+        out.append(gen_functional_batch(t, uv) - gen_functional_batch(t, vu))
+    return np.concatenate(out)
+
+
+def brute_symmetry_defect(t, max_len):
+    """Root of sum_j mean |L(w) - L(S w)|^2 over the letter sequences w of j <= max_len letters."""
+    total = 0.0
+    for length in range(1, max_len + 1):
+        w = all_sequences(t.n, length)
+        diff = gen_functional_batch(t, w) - gen_functional_batch(t, w[:, ::-1, ::-1])
+        total += float(np.mean(np.abs(diff) ** 2))
+    return math.sqrt(total)
+
+
+def brute_commutator_norm(t, max_len):
+    """Root of sum_{j,k} mean |L(uv) - L(vu)|^2 over letter sequences |u| = j, |v| = k <= max_len."""
+    seqs = [all_sequences(t.n, length) for length in range(1, max_len + 1)]
+    return math.sqrt(sum(float(np.mean(np.abs(pair_defects(t, u, v)) ** 2))
+                         for u in seqs for v in seqs))
+
+
+def reference_is_tracial(t, max_len, tol=1e-9):
+    """L(uv) = L(vu) on every pair of reduced words with |u| + |v| <= max_len, and
+    |eta(a)| = |eta(a*)| on every reduced word of at most max_len letters."""
+    bound = tol * scale_of(t)
+    words = [reduced_word_array(t.n, length) for length in range(1, max_len + 1)]
     for la in range(1, max_len):
-        for lb in range(1, max_len - la + 1):
-            wa, wb = per_len[la - 1], per_len[lb - 1]
-            uv = np.concatenate(
-                [np.repeat(wa, wb.shape[0], axis=0), np.tile(wb, (wa.shape[0], 1, 1))], axis=1
-            )
-            vu = np.concatenate([uv[:, la:], uv[:, :la]], axis=1)
-            diff = gen_functional_batch(t, uv) - gen_functional_batch(t, vu)
-            worst = max(worst, float(np.max(np.abs(diff), initial=0.0)))
-    return worst
-
-
-def reference_is_tracial(t, max_len, rng, tol=1e-9):
-    """is_tracial on concatenated pairs and one scalar eta per sampled word."""
-    scale = 1.0 + float(np.max(np.abs(t.letter_L), initial=0.0))
-    per_len = _sweep_words(t.n, max_len - 1, rng)
-    if not _exhaustive(t.n, max_len - 1):
-        per_len = [
-            b if b.shape[0] <= _SAMPLE_PAIR_ROWS
-            else b[rng.choice(b.shape[0], _SAMPLE_PAIR_ROWS, replace=False)]
-            for b in per_len
-        ]
-    if concat_trace_defect(t, per_len, max_len) > tol * scale:
-        return False
-    for batch in _sweep_words(t.n, max_len, rng):
-        take = batch if batch.shape[0] <= 64 else batch[rng.choice(batch.shape[0], 64, replace=False)]
-        for letters in take.tolist():
-            letters = [tuple(let) for let in letters]
-            na = np.linalg.norm(eta(t, Word(letters, t.n)))
-            nastar = np.linalg.norm(eta(t, Word(letters[::-1], t.n)))
-            if abs(na - nastar) > tol * scale:
+        for lb in range(la, max_len - la + 1):  # (lb, la) gives the same values negated
+            if np.max(np.abs(pair_defects(t, words[la - 1], words[lb - 1]))) > bound:
                 return False
+    for batch in words:
+        na = np.linalg.norm(_columns(t, batch)[:, 1:-1], axis=1)
+        nastar = np.linalg.norm(_columns(t, batch[:, ::-1])[:, 1:-1], axis=1)  # a* = a reversed
+        if np.max(np.abs(na - nastar)) > bound:
+            return False
     return True
 
 
-def reference_is_symmetric_words(t, max_len, tol=1e-9, rng=None):
-    """is_symmetric_words by gathered letter-matrix products of every swept word and its antipode."""
-    scale = 1.0 + float(np.max(np.abs(t.letter_L), initial=0.0))
+def reference_is_symmetric_words(t, max_len, tol=1e-9):
+    """Worst |L(w) - L(S w)| over every reduced word of at most max_len letters, and its verdict."""
     worst = 0.0
-    for batch in _sweep_words(t.n, max_len, rng):
+    for length in range(1, max_len + 1):
+        batch = reduced_word_array(t.n, length)
         vals = gen_functional_batch(t, batch)
         svals = gen_functional_batch(t, batch[:, ::-1, ::-1])  # antipode: reverse, swap indices
         worst = max(worst, float(np.max(np.abs(vals - svals), initial=0.0)))
-    return worst <= tol * scale, worst
+    return worst <= tol * scale_of(t), worst
 
 
 def counterexample_data():
@@ -264,7 +277,7 @@ class TestEvaluation:
     def test_batch_L_matches_reference(self, rng):
         t = fourier_triple(4, rng)
         for length in (1, 3, 4):
-            batch = _sweep_words(4, length)[-1]
+            batch = reduced_word_array(4, length)
             want = reference_L_batch(t, batch)
             scale = 1.0 + float(np.max(np.abs(want)))
             assert float(np.max(np.abs(gen_functional_batch(t, batch) - want))) <= 1e-14 * scale
@@ -376,6 +389,36 @@ class TestSymmetry:
                 sym_words, _ = is_symmetric_words(t, max_len=3)
                 assert fourier_symmetry(n, xs) == sym_words
 
+    @pytest.mark.parametrize("n", range(3, 17))
+    def test_fourier_criterion_agrees_at_full_length(self, n):
+        # 2(d + 2), the size of the symmetry state: the span of the states reached
+        # stops growing by then, so words of every length are decided
+        rep = from_hadamard(fourier(n))
+        rng = np.random.default_rng(n)
+        v = rng.normal(size=rep.d)
+        cases = {"random": random_cocycle(rep, rng),
+                 "real": np.array([(rep.blocks[i, i] - np.eye(rep.d)) @ v for i in range(n)]),
+                 "zero": np.zeros((n, rep.d))}
+        for label, xs in cases.items():
+            t = SchurmannTriple(rep, xs)
+            symmetric, _ = is_symmetric_words(t, 2 * (t.d + 2))
+            assert symmetric == fourier_symmetry(n, xs), label
+            assert symmetric == (label != "random"), label
+
+    def test_two_block_criterion_agrees_at_full_length(self, rng):
+        seen = set()
+        for idx in range(24):
+            d = 2 + idx % 4
+            real = idx % 2 == 0
+            P, Q = (random_projection(rng, d, real) for _ in range(2))
+            v, w = (rng.normal(size=d) + (0 if real else 1j * rng.normal(size=d)) for _ in range(2))
+            xi, zeta = v - P @ v, w - Q @ w
+            want = two_block_symmetry(TwoBlockSpec(P, Q), xi, zeta)
+            t = two_block_triple(TwoBlockSpec(P, Q), xi, zeta)
+            assert is_symmetric_words(t, 2 * (t.d + 2))[0] == want
+            seen.add(want)
+        assert seen == {True, False}
+
     def test_fourier_criterion_rejects_non_cocycle(self):
         with pytest.raises(ValidationError):
             fourier_symmetry(3, np.ones((3, 3)))
@@ -394,38 +437,14 @@ class TestSymmetry:
         assert abs(ev(w) - want) < 1e-14
 
 
-class TestSweepWords:
-    def test_short_lengths_enumerated_in_sampled_regime(self):
-        batches = _sweep_words(5, 4)
-        assert [b.shape[1] for b in batches] == [1, 2, 3, 4]
-        letters = list(itertools.product(range(1, 6), repeat=2))
-        for ln in (1, 2, 3):
-            # brute force: adjacent letters differ in both row and column
-            want = [
-                w for w in itertools.product(letters, repeat=ln)
-                if all(a[0] != b[0] and a[1] != b[1] for a, b in zip(w, w[1:]))
-            ]
-            got = sorted(tuple(map(tuple, w)) for w in batches[ln - 1].tolist())
-            assert got == want
-        assert sum(b.shape[0] for b in batches) == _SAMPLE_WORDS
-
-    def test_sampled_words_are_reduced(self):
-        for batch in _sweep_words(4, 6):
-            rows, cols = batch[..., 0], batch[..., 1]
-            assert np.all(rows[:, 1:] != rows[:, :-1]) and np.all(cols[:, 1:] != cols[:, :-1])
-
-
 class TestTracial:
     def test_permutation_multiplicity_one_is_tracial(self):
         assert is_tracial(cycle_triple(3), max_len=4)
 
     def test_sampled_sweep_fits_pair_budget(self):
-        # n = 5 is past the exhaustive range; each sampled length is cut so
-        # that every pair of lengths stays within the pair budget
         assert is_tracial(cycle_triple(5), max_len=4)
 
     def test_sampled_sweep_fits_pair_budget_at_n6(self):
-        # lengths 1-2 at n = 6 are enumerated (936 words) and cut at random
         assert is_tracial(cycle_triple(6), max_len=4)
 
     def test_counterexample_is_not_tracial(self):
@@ -435,7 +454,7 @@ class TestTracial:
 
 
 def trace_triples():
-    """Triples of the families the traciality sweep sees, as pytest params."""
+    """Triples of the families the traciality check sees, as pytest params."""
     rng = np.random.default_rng(11)
     out = [(f"fourier4-{k}", fourier_triple(4, rng)) for k in range(3)]
     spec, xi, zeta = counterexample_data()
@@ -453,8 +472,8 @@ def trace_triples():
     return [pytest.param(label, t, id=label) for label, t in out]
 
 
-def random_projection(rng, d):
-    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+def random_projection(rng, d, real=False):
+    a = rng.normal(size=(d, d)) + (0 if real else 1j * rng.normal(size=(d, d)))
     q = np.linalg.qr(a)[0][:, : rng.integers(1, d)]
     return q @ q.conj().T
 
@@ -462,15 +481,10 @@ def random_projection(rng, d):
 class TestTraceDefect:
     @pytest.mark.parametrize("label,t", trace_triples())
     def test_gram_defect_matches_concatenation(self, label, t):
-        max_len = 4
-        rng = np.random.default_rng(3)
-        per_len = _sweep_words(t.n, max_len - 1, rng)
-        if not _exhaustive(t.n, max_len - 1):
-            per_len = [b[rng.choice(b.shape[0], min(b.shape[0], _SAMPLE_PAIR_ROWS), replace=False)]
-                       for b in per_len]
-        scale = 1.0 + float(np.max(np.abs(t.letter_L), initial=0.0))
-        fast = _trace_defect([_columns(t, b) for b in per_len], [_rows(t, b) for b in per_len])
-        slow = concat_trace_defect(t, per_len, max_len)
+        # the moment aggregate against every pair of letter sequences of 1-2 letters
+        scale = scale_of(t)
+        fast = _commutator_norm(t, 2)
+        slow = brute_commutator_norm(t, 2)
         assert abs(fast - slow) <= 1e-12 * scale
         assert (fast <= 1e-9 * scale) == (slow <= 1e-9 * scale)
         if label.startswith("fourier4"):
@@ -478,8 +492,8 @@ class TestTraceDefect:
 
     @pytest.mark.parametrize("label,t", trace_triples())
     def test_verdict_matches_reference(self, label, t):
-        got = is_tracial(t, 4, rng=np.random.default_rng(5))
-        assert got == reference_is_tracial(t, 4, np.random.default_rng(5))
+        got = is_tracial(t, 4)
+        assert got == reference_is_tracial(t, 4)
         if label.startswith("fourier4"):
             assert not got
 
@@ -554,55 +568,6 @@ class TestLetterMatrices:
             t.pi[0, 0, 0, 0] = 1.0
 
 
-def tree_triples():
-    """Fourier and permutation d=2 triples at n = 2..4, complex two-block d=3 and F_4(0.7)."""
-    rng = np.random.default_rng(41)
-    out = [(f"fourier{n}", fourier_triple(n, rng)) for n in (2, 3, 4)]
-    for n in (2, 3, 4):
-        rep = from_permutation(tuple(range(2, n + 1)) + (1,), 2)
-        out.append((f"permutation{n}-d2", SchurmannTriple(rep, random_cocycle(rep, rng))))
-    P, Q = random_projection(rng, 3), random_projection(rng, 3)
-    v, w = (rng.normal(size=3) + 1j * rng.normal(size=3) for _ in range(2))
-    out.append(("two-block-d3", two_block_triple(TwoBlockSpec(P, Q), v - P @ v, w - Q @ w)))
-    f4 = from_hadamard(f4_phi(0.7))
-    out.append(("f4(0.7)", SchurmannTriple(f4, random_cocycle(f4, rng))))
-    return [pytest.param(t, id=label) for label, t in out]
-
-
-class TestPrefixTree:
-    @pytest.mark.parametrize("t", tree_triples())
-    def test_levels_match_gathered_products(self, t):
-        norm = max(1.0, float(np.max(np.linalg.norm(t.pi, 2, axis=(2, 3)))))
-        levels = _tree(t, 4, rows=True, scols=True)
-        assert len(levels) == 5
-        for k in range(1, 5):
-            words = reduced_word_array(t.n, k)
-            lv = levels[k]
-            scale = norm ** k
-            assert lv.cols.shape == lv.rows.shape == lv.scols.shape == (words.shape[0], t.d + 2)
-            assert np.abs(lv.cols - _columns(t, words)).max() <= 1e-13 * scale
-            assert np.abs(lv.rows - _rows(t, words)).max() <= 1e-13 * scale
-            assert np.abs(lv.scols - _columns(t, words[:, ::-1, ::-1])).max() <= 1e-13 * scale
-            codes = (words[:, :, 0] - 1) * t.n + words[:, :, 1] - 1
-            assert np.array_equal(lv.first, codes[:, 0])
-            assert np.array_equal(lv.last, codes[:, -1])
-
-    @pytest.mark.parametrize("t", tree_triples())
-    def test_taken_words_are_rows_of_the_full_level(self, t):
-        levels = _tree(t, 3, rows=True, scols=True)
-        full = _grow(t, levels[-1])
-        take = np.random.default_rng(43).permutation(full.cols.shape[0])[:50]
-        part = _grow(t, levels[-1], take)
-        for name in ("first", "last", "cols", "rows", "scols"):
-            assert np.array_equal(getattr(part, name), getattr(full, name)[take])
-
-    def test_parts_left_out_stay_out(self, rng):
-        t = fourier_triple(3, rng)
-        lv = _tree(t, 2)[-1]
-        assert lv.rows is None and lv.scols is None
-        assert lv.cols.shape == (36, t.d + 2)
-
-
 def sweep_triples():
     """Symmetric and tracial triples, and negative controls, at n = 3..6."""
     rng = np.random.default_rng(47)
@@ -627,14 +592,15 @@ def sweep_triples():
 class TestSweepsMatchReference:
     @pytest.mark.parametrize("label,t", sweep_triples())
     def test_symmetry_verdict_and_worst(self, label, t):
-        scale = 1.0 + float(np.max(np.abs(t.letter_L), initial=0.0))
-        for max_len in (1, 2, 3, 4, 5):
-            rng_a, rng_b = np.random.default_rng(53), np.random.default_rng(53)
-            got = is_symmetric_words(t, max_len, rng=rng_a)
-            want = reference_is_symmetric_words(t, max_len, rng=rng_b)
+        # every letter sequence is 0 or a reduced word no longer than itself,
+        # so n^-max_len worst <= defect <= sqrt(max_len) worst
+        scale = scale_of(t)
+        for max_len in range(1, 6 if t.n <= 4 else 5):
+            got = is_symmetric_words(t, max_len)
+            want = reference_is_symmetric_words(t, max_len)
             assert got[0] == want[0]
-            assert abs(got[1] - want[1]) <= 1e-14 * scale
-            assert rng_a.bit_generator.state == rng_b.bit_generator.state
+            assert got[1] <= math.sqrt(max_len) * want[1] + 1e-14 * scale
+            assert want[1] <= t.n ** max_len * (got[1] + 1e-14 * scale)
         symmetric = is_symmetric_words(t, 4)[0]
         if label in ("two-block-counterexample", "two-block-d3", "fourier4", "cycle4", "cycle6"):
             assert not symmetric
@@ -644,11 +610,7 @@ class TestSweepsMatchReference:
     @pytest.mark.parametrize("label,t", sweep_triples())
     def test_traciality_verdict_and_draws(self, label, t):
         for max_len in (2, 3, 4):
-            rng_a, rng_b = np.random.default_rng(59), np.random.default_rng(59)
-            got = is_tracial(t, max_len, rng=rng_a)
-            assert got == reference_is_tracial(t, max_len, rng_b)
-            if got:
-                assert rng_a.bit_generator.state == rng_b.bit_generator.state
+            assert is_tracial(t, max_len) == reference_is_tracial(t, max_len)
         tracial = is_tracial(t, 4)
         if label in ("two-block-counterexample", "fourier4"):
             assert not tracial
@@ -659,13 +621,52 @@ class TestSweepsMatchReference:
                                    pytest.param(fourier_triple(3, np.random.default_rng(61)),
                                                 id="fourier3")])
     def test_traciality_past_the_exhaustive_lengths(self, t):
-        # n <= 4, max_len 5: pairs from the full tree to length 4, the eta
-        # check on enumerated lengths 1-3 and drawn lengths 4-5
-        rng_a, rng_b = np.random.default_rng(67), np.random.default_rng(67)
-        got = is_tracial(t, 5, rng=rng_a)
-        assert got == reference_is_tracial(t, 5, rng_b)
-        if got:
-            assert rng_a.bit_generator.state == rng_b.bit_generator.state
+        assert is_tracial(t, 5) == reference_is_tracial(t, 5)
+
+
+def brute_triples():
+    """Triples at n <= 3, where every letter sequence of up to 3 letters can be listed."""
+    rng = np.random.default_rng(73)
+    out = [(f"fourier{n}", fourier_triple(n, rng)) for n in (2, 3)]
+    out.append(("cycle3", cycle_triple(3, lam=0.6)))
+    rep = from_permutation((2, 1, 3), 2)
+    out.append(("perm213x2", SchurmannTriple(rep, random_cocycle(rep, rng))))
+    return [pytest.param(t, id=label) for label, t in out]
+
+
+class TestMomentsMatchEnumeration:
+    @pytest.mark.parametrize("t", brute_triples())
+    def test_symmetry_defect(self, t):
+        for max_len in (1, 2, 3):
+            got = is_symmetric_words(t, max_len)[1]
+            assert abs(got - brute_symmetry_defect(t, max_len)) <= 1e-12 * scale_of(t)
+
+    @pytest.mark.parametrize("t", brute_triples())
+    def test_commutator_norm(self, t):
+        for max_len in (1, 2, 3):
+            got = _commutator_norm(t, max_len)
+            assert abs(got - brute_commutator_norm(t, max_len)) <= 1e-12 * scale_of(t)
+
+    def test_level_over_the_term_budget_raises_before_it_is_built(self, monkeypatch):
+        # a second Fourier n=16 level would stack up to 256 x 256 x 324 entries (340 MB)
+        t = fourier_triple(16, np.random.default_rng(79))
+        monkeypatch.setattr("qperm.schurmann.DEFAULT_CONFIG", RunConfig(term_budget=100_000))
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetError, match="term budget"):
+                is_tracial(t, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_tolerance_must_be_finite_and_positive(self, tol):
+        t = cycle_triple(3)
+        with pytest.raises(ValidationError, match="tol"):
+            is_symmetric_words(t, 3, tol)
+        with pytest.raises(ValidationError, match="tol"):
+            is_tracial(t, 3, tol)
 
 
 def reference_cocycle_violation(rep, xs):
@@ -678,34 +679,6 @@ def reference_cocycle_violation(rep, xs):
             if i != j:
                 worst = max(worst, float(np.linalg.norm(rep.blocks[i, j] @ (xs[i] - xs[j]))))
     return worst
-
-
-def reference_sweep_plan(n, max_len, rng=None):
-    """`_sweep_plan` with the per-length drawing loop it had before the shared sampler."""
-    counts = np.array([_word_count(n, ln) for ln in range(1, max_len + 1)], float)
-    if _exhaustive(n, max_len):
-        return max_len, []
-    full = int(np.searchsorted(np.cumsum(counts), _SAMPLE_WORDS, side="right"))
-    if full == max_len:
-        return full, []
-    if rng is None:
-        rng = np.random.default_rng(DEFAULT_CONFIG.seed)
-    rest = counts[full:]
-    left = _SAMPLE_WORDS - counts[:full].sum()
-    quota = np.maximum(1, np.round(left * rest / rest.sum()).astype(int))
-    drawn = []
-    for ln, m in enumerate(quota.tolist(), start=full + 1):
-        rows = np.empty((m, ln), dtype=np.int64)
-        cols = np.empty((m, ln), dtype=np.int64)
-        rows[:, 0] = rng.integers(1, n + 1, size=m)
-        cols[:, 0] = rng.integers(1, n + 1, size=m)
-        for pos in range(1, ln):
-            roff = rng.integers(1, n, size=m)
-            coff = rng.integers(1, n, size=m)
-            rows[:, pos] = (rows[:, pos - 1] - 1 + roff) % n + 1
-            cols[:, pos] = (cols[:, pos - 1] - 1 + coff) % n + 1
-        drawn.append(np.stack([rows, cols], axis=2))
-    return full, drawn
 
 
 def _reps(rng):
@@ -731,17 +704,3 @@ class TestSharedRules:
             noise = rng.normal(size=shape) + 1j * rng.normal(size=shape)
             for xs in (cocycle, noise, cocycle + 1e-9 * noise, np.zeros(shape)):
                 assert cocycle_violation(rep, xs) == reference_cocycle_violation(rep, xs)
-
-    @pytest.mark.parametrize("n, max_len", [(4, 5), (4, 6), (5, 4), (5, 5), (6, 3), (7, 4)])
-    def test_sweep_plan_draws_match_reference_loop(self, n, max_len):
-        for seed in range(5):
-            a, b = np.random.default_rng(seed), np.random.default_rng(seed)
-            full, drawn = _sweep_plan(n, max_len, a)
-            want_full, want = reference_sweep_plan(n, max_len, b)
-            assert full == want_full and len(drawn) == len(want) > 0
-            for got, ref in zip(drawn, want):
-                assert got.dtype == np.int64 and np.array_equal(got, ref)
-            assert a.bit_generator.state == b.bit_generator.state
-        # the default generator is seeded the same way
-        assert all(np.array_equal(x, y) for x, y in
-                   zip(_sweep_plan(5, 4)[1], reference_sweep_plan(5, 4)[1]))
