@@ -21,9 +21,9 @@ class RunConfig:
     max_word_len    default word length cap for the symmetry / traciality checks
     seed            root seed for all sampling
     term_budget     cap on the work of one expansion: raw scalar terms of a coproduct,
-                    the k m^2 letters of a k-letter semigroup block (m block indices),
-                    and the complex entries of one stacked moment level of the
-                    symmetry / traciality checks
+                    the complex entries allocated to build a k-letter semigroup block
+                    (L_B and its Gram factor), and the complex entries of one
+                    stacked moment level of the symmetry / traciality checks
     """
 
     tol: float = 1e-9

@@ -49,9 +49,16 @@ _CHUNK_ROWS = 2048
 
 
 class SchurmannTriple:
-    """Representation plus cocycle data, and the letter matrices pi(p_ij)."""
+    """Representation plus cocycle data, and the letter matrices pi(p_ij).
 
-    __slots__ = ("rep", "xs", "xi", "letter_L", "pi", "__weakref__")
+    block_L maps a word length k >= 2 to the read-only block generator L_B
+    of `semigroup._block_L` (real when its imaginary part is exactly zero;
+    k = 1 is letter_L).  It is filled on first use by `semigroup.conv_exp`
+    and `state_table`, so every later time and word of that length reuses
+    the block, and it is freed with the triple.
+    """
+
+    __slots__ = ("rep", "xs", "xi", "letter_L", "pi", "block_L", "__weakref__")
 
     def __init__(self, rep: MagicUnitary, xs, tol: float = DEFAULT_CONFIG.tol,
                  check_rep: bool = False):
@@ -83,7 +90,7 @@ class SchurmannTriple:
         pi[:, :, 1:-1, -1] = xi
         for arr in (xs, xi, letter_L, pi):
             arr.setflags(write=False)
-        for name, value in zip(self.__slots__, (rep, xs, xi, letter_L, pi)):
+        for name, value in zip(self.__slots__, (rep, xs, xi, letter_L, pi, {})):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -269,6 +276,23 @@ def _compress(stack: np.ndarray) -> np.ndarray:
     return s[keep, None] * vh[keep]
 
 
+def _kraus(steps: np.ndarray) -> np.ndarray:
+    """K_k, shape (count, s, s), with sum_k K_k^H Y K_k = mean_a steps[a]^H Y steps[a].
+
+    The rows of `_compress` on the steps flattened to s^2 entries, over
+    sqrt(len(steps)).  Entries that vanish in every step (the off-diagonal
+    blocks of the symmetry check's steps, the lower triangle of pi) vanish in
+    every factor, so only the other columns are compressed.
+    """
+    s = steps.shape[-1]
+    flat = steps.reshape(len(steps), s * s)
+    used = np.flatnonzero(flat.any(axis=0))
+    rows = _compress(flat[:, used]) / math.sqrt(len(steps))
+    kraus = np.zeros((len(rows), s * s), dtype=rows.dtype)
+    kraus[:, used] = rows
+    return kraus.reshape(-1, s, s)
+
+
 def _moments(start: np.ndarray, steps: np.ndarray, max_len: int) -> np.ndarray:
     """Rows B, levels 0..max_len stacked, with B^H B = sum_j mean_{|w| = j} z_w^H z_w.
 
@@ -276,14 +300,13 @@ def _moments(start: np.ndarray, steps: np.ndarray, max_len: int) -> np.ndarray:
     into steps), read as one row of m s entries: z_empty = start and
     z_{wa} = z_w steps[a].  Level j averages over the len(steps)^j sequences
     of j letters.  Kraus factors K_k with sum_k K_k^H Y K_k = mean_a
-    steps[a]^H Y steps[a] come from the SVD of the stacked steps, and level j
-    is the compressed stack [B_{j-1} K_k]_k, whose complex entries are
-    charged against the term budget before it is built.  Returns shape
-    (rows, m, s).
+    steps[a]^H Y steps[a] come from the SVD of the stacked steps (`_kraus`),
+    and level j is the compressed stack [B_{j-1} K_k]_k, whose complex
+    entries are charged against the term budget before it is built.
+    Returns shape (rows, m, s).
     """
     m, s = start.shape
-    kraus = _compress(steps.reshape(len(steps), s * s)) / math.sqrt(len(steps))
-    kraus = kraus.reshape(-1, s, s)
+    kraus = _kraus(steps)
     levels = [start.reshape(1, m, s)]
     for _ in range(max_len):
         prev = levels[-1]

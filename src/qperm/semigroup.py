@@ -16,7 +16,10 @@ half, pi the letter matrices of the triple (see schurmann and _block_L),
 and a word's value comes from exp(t L_B) applied to the word's column only
 (_expm_action: truncated Taylor with scaling, Al-Mohy & Higham 2011, with the
 Taylor degree m* and the number of scaling steps s chosen from ||t L_B||_1
-alone, so it needs no norm estimate and no random numbers).
+alone, so it needs no norm estimate and no random numbers).  L_B does not
+depend on t or on the word, so the triple keeps each length's block
+(SchurmannTriple.block_L) and later calls reuse it; term_budget is charged
+the complex entries the block's construction allocates, on every call.
 
 Also provides convolution of functionals, the Haar-state Gram matrix on the
 degree <= 2 span and the induced self-adjointness check for the Markov
@@ -64,28 +67,36 @@ def _expm_action(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     s = ceil(||A - mu I||_1 / theta_m*).  A step stops early once two
     consecutive terms are below the unit roundoff relative to the partial
     sum (inf-norms).  Cost: at most m* s products with A, linear in ||A||_1.
+    A and B are not modified; the work is one copy of A and of B.
     """
     size = len(A)
     mu = np.trace(A) / size
-    A = A - mu * np.eye(size)
+    A = A.copy()  # C-ordered, so the strided view below is the diagonal
+    A.reshape(-1)[:: size + 1] -= mu
     norm = float(np.linalg.norm(A, 1))
     terms, s = 0, 1
     if norm > 0:
         steps = np.ceil(norm / _THETA)
         best = int(np.argmin(_DEGREES * steps))  # the smallest degree on a tie
         terms, s = int(_DEGREES[best]), int(steps[best])
+    if s > 1:
+        A /= s
     eta = np.exp(mu / s)
-    F = B
+    F = B.astype(np.result_type(A, B))  # a copy: F is summed in place
     for _ in range(s):
-        c1 = _inf_norm(B)
+        c1 = bound = _inf_norm(B)
         for j in range(terms):
-            B = (1.0 / (s * (j + 1))) * (A @ B)
+            B = A @ B
+            B *= 1.0 / (j + 1)
             c2 = _inf_norm(B)
-            F = F + B
-            if c1 + c2 <= _UNIT_ROUNDOFF * _inf_norm(F):
+            F += B
+            # bound >= ||F||, so the stop test cannot pass while c1 + c2
+            # exceeds u bound; the factor 2 covers the rounding of both sums
+            bound += c2
+            if c1 + c2 <= 2 * _UNIT_ROUNDOFF * bound and c1 + c2 <= _UNIT_ROUNDOFF * _inf_norm(F):
                 break
             c1 = c2
-        F = eta * F
+        F = eta * F  # not F *= eta: numpy can round those complex products differently
         B = F
     return F
 
@@ -152,20 +163,25 @@ def _block_words(n: int, k: int) -> np.ndarray:
     return np.stack(np.broadcast_arrays(seqs[:, None], seqs[None]), axis=-1).reshape(-1, k, 2)
 
 
-def _block_L(t: SchurmannTriple, k: int, term_budget: int | None) -> np.ndarray:
+def _block_entries(n: int, k: int) -> int:
+    """Complex entries _block_L allocates for the k-letter block: L_B, and F for k >= 2."""
+    m = math.prod(_radix(n, k))
+    if k == 1:
+        return m * m
+    h = k // 2
+    return m * m + (math.prod(_radix(n, h)) * math.prod(_radix(n, k - h))) ** 2
+
+
+def _block_L(t: SchurmannTriple, k: int) -> np.ndarray:
     """L_B[I, J] = L(p(i_1,j_1) ... p(i_k,j_k)) over all m^2 pairs of block indices.
 
     Split each word after h = k // 2 letters, a = p(I', J') and b = p(I'', J''):
     L(ab) = e_0 pi(a) pi(b) e_last, so one product of the rows of the
     h-letter block words with the columns of the (k-h)-letter ones gives
-    every entry.  The k m^2 letters of the block are charged against
-    term_budget before anything is allocated.
+    every entry.  k = 1 is letter_L.  Unmemoized and unbudgeted: _evaluate
+    charges _block_entries first and keeps the result on the triple.
     """
     n = t.n
-    m = math.prod(_radix(n, k))
-    budget = DEFAULT_CONFIG.term_budget if term_budget is None else int(term_budget)
-    if k * m * m > budget:
-        raise BudgetError(f"the {k}-letter block needs {k * m * m} letters, budget {budget}")
     if k == 1:
         return t.letter_L
     h = k // 2
@@ -179,8 +195,13 @@ def _block_L(t: SchurmannTriple, k: int, term_budget: int | None) -> np.ndarray:
 
 
 def _evaluate(t: SchurmannTriple, time: float, words, term_budget: int | None) -> dict:
-    """{word: (value, err)}: per reduced word length, exp(time L_B) on the columns in use."""
+    """{word: (value, err)}: per reduced word length, exp(time L_B) on the columns in use.
+
+    Each length's block is charged against term_budget, hit or miss, and
+    built only when t.block_L does not hold it yet.
+    """
     check_time(time)
+    budget = DEFAULT_CONFIG.term_budget if term_budget is None else int(term_budget)
     out: dict = {}
     by_len: dict = {}
     for w in words:
@@ -193,9 +214,18 @@ def _evaluate(t: SchurmannTriple, time: float, words, term_budget: int | None) -
         else:  # the zero word (None) or the unit word (())
             out[w] = (0j if root is None else 1 + 0j, 0.0)
     for k, roots in by_len.items():
-        X = time * _block_L(t, k, term_budget)
-        if not X.imag.any():  # real arithmetic takes about half the time
-            X = X.real
+        entries = _block_entries(t.n, k)
+        if entries > budget:
+            raise BudgetError(f"the {k}-letter block needs {entries} complex entries, "
+                              f"budget {budget}")
+        L = t.letter_L if k == 1 else t.block_L.get(k)
+        if L is None:
+            L = _block_L(t, k)
+            if not L.imag.any():  # real arithmetic takes about half the time
+                L = L.real.copy()
+            L.setflags(write=False)
+            t.block_L[k] = L
+        X = time * L
         err = _UNIT_ROUNDOFF * float(np.linalg.norm(X, 1))
         seqs = np.array(list(roots.values()))
         rows = _position(seqs[:, :, 0], t.n)
@@ -213,9 +243,11 @@ def conv_exp(
 ) -> tuple[complex, float]:
     """omega_t(w) = exp_*(time L)(w), from exp(time L_B) on the word's column.
 
-    L_B is the generator on the word's block (see _block_L).  Returns (value, err).  err = u ||time L_B||_1, with u the unit roundoff
-    and L_B the block of w, is the scale of the rounding error of the
-    exponential, not a rigorous bound; it is 0.0 for the zero and unit words.
+    L_B is the generator on the word's block (see _block_L), built on the
+    first call for the word's length and kept on the triple.  Returns
+    (value, err).  err = u ||time L_B||_1, with u the unit roundoff and L_B
+    the block of w, is the scale of the rounding error of the exponential,
+    not a rigorous bound; it is 0.0 for the zero and unit words.
     """
     return _evaluate(t, time, [w], term_budget)[w]
 

@@ -23,6 +23,8 @@ from qperm.schurmann import (
     SchurmannTriple,
     _columns,
     _commutator_norm,
+    _compress,
+    _kraus,
     _rows,
     cocycle_violation,
     eta,
@@ -659,6 +661,26 @@ class TestMomentsMatchEnumeration:
         finally:
             tracemalloc.stop()
         assert peak < 20e6
+
+    @pytest.mark.parametrize("n", [3, 6])
+    def test_kraus_gram_matches_the_full_stack(self, rng, n):
+        # the symmetry check's block-diagonal steps (half their entries zero)
+        # and the letter matrices: factors from the nonzero columns only give
+        # the Gram of those from the whole stack
+        t = fourier_triple(n, rng)
+        size = t.d + 2
+        pi = t.pi.reshape(-1, size, size)
+        paired = np.zeros((n * n, 2 * size, 2 * size), dtype=complex)
+        paired[:, :size, :size] = pi
+        paired[:, size:, size:] = t.pi.transpose(1, 0, 3, 2).reshape(-1, size, size)
+        for steps in (pi, paired):
+            flat = steps.reshape(len(steps), -1)
+            full = _compress(flat) / np.sqrt(len(steps))
+            kraus = _kraus(steps).reshape(-1, flat.shape[1])
+            want = full.conj().T @ full
+            got = kraus.conj().T @ kraus
+            assert float(np.max(np.abs(got - want))) <= 1e-12 * float(np.max(np.abs(want)))
+            assert len(kraus) <= len(full)
 
     @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0])
     def test_tolerance_must_be_finite_and_positive(self, tol):

@@ -2,6 +2,7 @@
 
 import gc
 import itertools
+import json
 import math
 import os
 import subprocess
@@ -16,6 +17,7 @@ import scipy.linalg
 import scipy.sparse.linalg
 
 import qperm
+from qperm import cli, semigroup
 from qperm.errors import BudgetError, ValidationError
 from qperm.magic import TwoBlockSpec, f4_phi, fourier, from_hadamard, from_permutation
 from qperm.schurmann import (
@@ -173,7 +175,7 @@ class TestExpmAction:
         rep = from_hadamard(H)
         t = SchurmannTriple(rep, random_cocycle(rep, rng, scale))
         for k in (1, 2, 3, 4, 5):
-            L = _block_L(t, k, None)
+            L = _block_L(t, k)
             if not L.imag.any():  # k = 1: real, as _evaluate takes it
                 L = L.real
             m = len(L)
@@ -203,7 +205,7 @@ class TestExpmAction:
 
     def test_real_block_stays_real(self, rng):
         spec, xi, zeta = two_block_instance(rng)
-        L = _block_L(two_block_triple(spec, xi, zeta), 3, None)
+        L = _block_L(two_block_triple(spec, xi, zeta), 3)
         assert not L.imag.any()
         self.assert_matches(0.7 * L.real, [0, 5])
 
@@ -362,20 +364,23 @@ class TestConvExp:
             state_table(t, time, [unit_word(3)])
 
     def test_budget_enforced(self, rng):
+        # the 4-letter block: 108^2 entries of L_B and 144 x 144 of F
         t = fourier_triple(4, rng)
         w = Word([(1, 1), (2, 2), (3, 3), (4, 4)], 4)
         with pytest.raises(BudgetError):
             conv_exp(t, 1.0, w, term_budget=10)
 
     def test_closure_budget_enforced(self, rng):
-        # the 5-letter block has 324 indices: 5 * 324^2 letters exceed 50,000
+        # the 5-letter block has 324 indices: 324^2 entries of L_B and
+        # 144 x 1296 of F, 291,600 complex entries, exceed 50,000
         t = fourier_triple(4, rng)
         w = parse_word("p(1,2) p(2,3) p(3,4) p(4,1) p(1,3)", 4)
         with pytest.raises(BudgetError):
             conv_exp(t, 1.0, w, term_budget=50_000)
 
     def test_seven_letter_block_exceeds_default_budget(self, rng):
-        # 7 * (4 * 3^6)^2 = 59.5M letters; the charge comes before any allocation
+        # (4 * 3^6)^2 entries of L_B and 1296 x 11664 of F, 23.6M complex
+        # entries; the charge comes before any allocation
         t = fourier_triple(4, rng)
         w = parse_word("p(1,2) p(2,3) p(3,4) p(4,1) p(1,3) p(2,4) p(3,1)", 4)
         with pytest.raises(BudgetError):
@@ -414,6 +419,87 @@ class TestConvExp:
         table = state_table(t, 0.0, words)
         for w in words:
             assert abs(table[w] - counit(w)) < 1e-14
+
+
+class TestBlockMemo:
+    """Each triple builds the block generator of a word length once."""
+
+    @staticmethod
+    def count_builds(monkeypatch):
+        calls = []
+        build = semigroup._block_L
+
+        def counted(t, k):
+            calls.append(k)
+            return build(t, k)
+
+        monkeypatch.setattr(semigroup, "_block_L", counted)
+        return calls
+
+    def test_second_call_builds_nothing(self, rng, monkeypatch):
+        calls = self.count_builds(monkeypatch)
+        t = fourier_triple(4, rng)
+        conv_exp(t, 0.5, parse_word("p(1,2) p(2,3) p(3,1)", 4))
+        assert calls == [3]
+        conv_exp(t, 1.5, parse_word("p(4,2) p(1,3) p(2,1)", 4))
+        state_table(t, 0.2, [parse_word("p(1,1) p(2,2) p(3,3)", 4), parse_word("p(1,2)", 4)])
+        assert calls == [3]
+        assert sorted(t.block_L) == [3]
+        assert not t.block_L[3].flags.writeable
+
+    def test_hit_equals_a_fresh_triple(self, rng):
+        rep = from_hadamard(fourier(4))
+        xs = random_cocycle(rep, rng)
+        t = SchurmannTriple(rep, xs)
+        words = [random_reduced_word(rng, 4, k, k) for k in (2, 3, 3, 4)]
+        for time in (0.3, 1.0):
+            warm = state_table(t, time, words)
+            assert warm == state_table(SchurmannTriple(rep, xs), time, words)
+            for w in words:
+                assert conv_exp(t, time, w) == conv_exp(SchurmannTriple(rep, xs), time, w)
+
+    def test_real_blocks_are_stored_real(self, rng):
+        spec, xi, zeta = two_block_instance(rng)
+        t = two_block_triple(spec, xi, zeta)
+        conv_exp(t, 0.5, parse_word("p(1,1) p(3,3) p(1,1)", 4))
+        assert t.block_L[3].dtype == np.float64
+
+    def test_equal_triples_share_nothing(self, rng):
+        rep = from_hadamard(fourier(4))
+        xs = random_cocycle(rep, rng)
+        t1, t2 = SchurmannTriple(rep, xs), SchurmannTriple(rep, xs)
+        assert t1.block_L is not t2.block_L
+        conv_exp(t1, 0.5, parse_word("p(1,2) p(2,3)", 4))
+        assert list(t1.block_L) == [2] and t2.block_L == {}
+        conv_exp(t2, 0.5, parse_word("p(1,2) p(2,3)", 4))
+        assert t1.block_L[2] is not t2.block_L[2]
+        assert np.array_equal(t1.block_L[2], t2.block_L[2])
+
+    def test_budget_raises_on_a_hit(self, rng):
+        t = fourier_triple(4, rng)
+        w = parse_word("p(1,2) p(2,3) p(3,4) p(4,1)", 4)
+        conv_exp(t, 1.0, w)
+        assert 4 in t.block_L
+        with pytest.raises(BudgetError, match="32400 complex entries"):
+            conv_exp(t, 1.0, w, term_budget=32_399)
+        with pytest.raises(BudgetError):
+            state_table(t, 1.0, [w], term_budget=10)
+        assert conv_exp(t, 1.0, w, term_budget=32_400) == conv_exp(t, 1.0, w)
+
+    def test_cli_time_list_matches_single_times(self, capsys):
+        args = ["semigroup", "--sigma", "(1 2 3)", "--rates", "1.0",
+                "--word", "p(1,2) p(2,3)", "--word", "p(1,1) p(2,2) p(3,1)"]
+
+        def values(times):
+            assert cli.main(args + ["--time", times]) == 0
+            return json.loads(capsys.readouterr().out)["words"]
+
+        together = values("0.5,1,2")
+        for pos, time in enumerate(("0.5", "1", "2")):
+            alone = values(time)
+            for many, one in zip(together, alone):
+                assert many["values"][pos] == one["values"][0]
+                assert many["last_terms"][pos] == one["last_terms"][0]
 
 
 class TestBlockEngine:
@@ -459,7 +545,7 @@ class TestBlockEngine:
     def test_split_block_matches_letter_assembly(self, rng, family, n, k):
         t = family_triple(family, n, rng)
         want = letter_block(t, k)
-        got = _block_L(t, k, None)
+        got = _block_L(t, k)
         scale = 1.0 + float(np.max(np.abs(want)))
         assert float(np.max(np.abs(got - want))) <= 1e-12 * scale
 

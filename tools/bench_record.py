@@ -6,9 +6,11 @@ Runs `perfbench/run.py` of the checkout for 35 s once per workload and seed
 (1 and 2), untraced, plus one traced `word-states` run (seed 1), each in its
 own process from the root of the checkout, and writes the file to the
 current directory. It also times `conv_exp` on one fresh 5-letter word over a
-Fourier n=4 triple, whose block has 324 indices. The file holds every
-result line, `nproc`, and the Python, numpy and scipy versions (scipy null
-when it is not installed), so two files from the same machine can be compared.
+Fourier n=4 triple, whose block has 324 indices: a cold call, which builds the
+block, then a warm one on the same triple and word, which finds it on the
+triple. The file holds every result line, `nproc`, and the Python, numpy and
+scipy versions (scipy null when it is not installed), so two files from the
+same machine can be compared.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ WORKLOADS = ("word-states", "cohomology-scan", "process-classify")
 SEEDS = (1, 2)
 SECONDS = 35.0
 
-# times conv_exp on a fresh triple; prints {"seconds": ..., "value": [re, im]}
+# times conv_exp on a fresh triple, then again on the same one; prints
+# {"seconds": cold, "value": [re, im], "warm_seconds": warm, "warm_value": [re, im]}
 MICRO = """
 import json, time
 import numpy as np
@@ -33,9 +36,13 @@ import qperm
 rep = qperm.from_hadamard(qperm.fourier(4))
 t = qperm.SchurmannTriple(rep, qperm.random_cocycle(rep, np.random.default_rng(0)))
 w = qperm.parse_word("p(1,2) p(2,3) p(3,4) p(4,1) p(1,3)", 4)
-t0 = time.perf_counter()
-val = complex(qperm.conv_exp(t, 0.5, w)[0])
-print(json.dumps({"seconds": time.perf_counter() - t0, "value": [val.real, val.imag]}))
+out = {}
+for key in ("", "warm_"):
+    t0 = time.perf_counter()
+    val = complex(qperm.conv_exp(t, 0.5, w)[0])
+    out[key + "seconds"] = time.perf_counter() - t0
+    out[key + "value"] = [val.real, val.imag]
+print(json.dumps(out))
 """
 
 
