@@ -63,13 +63,35 @@ class _Parser(argparse.ArgumentParser):
 # --- serialization ------------------------------------------------------------
 
 
+_NON_FINITE = "cannot serialize a non-finite number"
+
+
+def _spell(values: list) -> list[str]:
+    """Finite Python floats as 17 significant digits, with one spelling "0" for +-0.0."""
+    return ["0" if x == 0.0 else format(x, ".17g") for x in values]
+
+
 def _f(x) -> str:
     x = float(x)
-    if math.isnan(x) or math.isinf(x):
-        raise ValidationError("cannot serialize a non-finite number")
-    if x == 0.0:
-        return "0"  # a uniform spelling for +-0.0
-    return format(x, ".17g")
+    if not math.isfinite(x):
+        raise ValidationError(_NON_FINITE)
+    return _spell([x])[0]
+
+
+def _emit_rows(a: np.ndarray, out) -> None:
+    """A finite float or complex array of rank >= 1, one last-axis row per write."""
+    if a.ndim > 1:
+        out.write("[")
+        for pos, sub in enumerate(a):
+            if pos:
+                out.write(",")
+            _emit_rows(sub, out)
+        out.write("]")
+    elif a.dtype.kind == "c":
+        parts = _spell(np.stack((a.real, a.imag), axis=-1).ravel().tolist())
+        out.write("[" + ",".join(map("[{},{}]".format, parts[::2], parts[1::2])) + "]")
+    else:
+        out.write("[" + ",".join(_spell(a.tolist())) + "]")
 
 
 def _emit(obj, out) -> None:
@@ -94,6 +116,11 @@ def _emit(obj, out) -> None:
             out.write(":")
             _emit(val, out)
         out.write("}")
+    elif isinstance(obj, np.ndarray) and obj.ndim and obj.dtype.kind in "fc":
+        # a 0-d array falls through and fails as any iteration over it does
+        if not np.isfinite(obj).all():
+            raise ValidationError(_NON_FINITE)
+        _emit_rows(obj, out)
     elif isinstance(obj, (list, tuple, np.ndarray)):
         out.write("[")
         for pos, val in enumerate(obj):
@@ -389,33 +416,31 @@ def _add_triple_args(sp):
     sp.add_argument("--n", type=int, help="ambient size when --sigma omits trailing fixed points")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="qperm", description=__doc__.splitlines()[0])
-    parser.add_argument("--version", action="version", version=f"qperm {__version__}")
-    sub = parser.add_subparsers(dest="cmd", required=True, metavar="COMMAND")
-
-    sp = sub.add_parser("cohomology", help="cocycle and coboundary dimensions, h1")
+def _add_cohomology_args(sp):
     _add_rep_args(sp)
     sp.add_argument("--basis", action="store_true", help="include representative cocycles")
     sp.add_argument("--rank-threshold", type=float, default=DEFAULT_CONFIG.rank_threshold)
     _add_output_args(sp)
     sp.set_defaults(func=_cmd_cohomology)
 
-    sp = sub.add_parser("verify", help="classify a Schurmann triple")
+
+def _add_verify_args(sp):
     _add_triple_args(sp)
     sp.add_argument("--max-word-len", type=int, default=DEFAULT_CONFIG.max_word_len)
     sp.add_argument("--tol", type=float, default=DEFAULT_CONFIG.tol)
     _add_output_args(sp)
     sp.set_defaults(func=_cmd_verify)
 
-    sp = sub.add_parser("semigroup", help="Q-matrix, marginal semigroup, word states")
+
+def _add_semigroup_args(sp):
     _add_triple_args(sp)
     sp.add_argument("--time", default="1.0", metavar="LIST", help="comma-separated times")
     sp.add_argument("--word", action="append", metavar="TEXT", help="word like \"p(1,2) p(2,1)\"; repeatable")
     _add_output_args(sp)
     sp.set_defaults(func=_cmd_semigroup)
 
-    sp = sub.add_parser("central", help="fusion dimensions and ad-invariant values")
+
+def _add_central_args(sp):
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--a", type=float, default=0.0, help="drift coefficient")
     sp.add_argument("--atoms", default="", metavar="LIST", help="measure atoms 'x:w,x:w'")
@@ -423,7 +448,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_args(sp)
     sp.set_defaults(func=_cmd_central)
 
-    sp = sub.add_parser("simulate", help="Monte-Carlo marginals of a permutation process")
+
+def _add_simulate_args(sp):
     sp.add_argument("--sigma", required=True, metavar="CYCLES")
     sp.add_argument("--rates", required=True, metavar="LIST")
     sp.add_argument("--t", type=float, required=True)
@@ -435,22 +461,52 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_args(sp)
     sp.set_defaults(func=_cmd_simulate)
 
-    sp = sub.add_parser("selftest", help="run the cross-validation suite")
+
+def _add_selftest_args(sp):
     sp.add_argument("--full", action="store_true", help="acceptance scales instead of quick ones")
     sp.add_argument("--only", action="append", metavar="NAME", help="run only this check; repeatable")
     sp.add_argument("--list", action="store_true", help="list check names and exit")
     _add_output_args(sp, formats=("text", "json", "csv"), default="text")
     sp.set_defaults(func=_cmd_selftest)
 
+
+# name -> (help line, function adding the subcommand's arguments), in help order
+COMMANDS = {
+    "cohomology": ("cocycle and coboundary dimensions, h1", _add_cohomology_args),
+    "verify": ("classify a Schurmann triple", _add_verify_args),
+    "semigroup": ("Q-matrix, marginal semigroup, word states", _add_semigroup_args),
+    "central": ("fusion dimensions and ad-invariant values", _add_central_args),
+    "simulate": ("Monte-Carlo marginals of a permutation process", _add_simulate_args),
+    "selftest": ("run the cross-validation suite", _add_selftest_args),
+}
+
+
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The parser for `argv`: when argv starts with a command, only that subparser is built.
+
+    Everything after the command goes to its subparser, so the others are
+    never consulted; any other argv (help, version, none or an unknown
+    command) gets all six, which the top-level help and errors list.
+    """
+    parser = _Parser(prog="qperm", description=__doc__.splitlines()[0])
+    parser.add_argument("--version", action="version", version=f"qperm {__version__}")
+    sub = parser.add_subparsers(dest="cmd", required=True, metavar="COMMAND")
+    names = argv[:1] if argv and argv[0] in COMMANDS else COMMANDS
+    for name in names:
+        help_line, add_args = COMMANDS[name]
+        add_args(sub.add_parser(name, help=help_line))
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv)
     args = parser.parse_args(argv)
     if getattr(args, "sigma", None) is not None and getattr(args, "triple", "") is None:
         if getattr(args, "rates", None) is None:
             parser.error("--sigma needs --rates for this command")
+    if getattr(args, "basis", False) and args.format != "json":
+        parser.error("--basis needs --format json")
     try:
         return args.func(args)
     except BudgetError as exc:

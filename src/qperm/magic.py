@@ -196,12 +196,14 @@ def from_hadamard(Hm: HadamardMatrix, tol: float = DEFAULT_CONFIG.tol) -> MagicU
     """P_jk = rank-one projection onto the entrywise ratio h_j / h_k of the rows."""
     require_hadamard(Hm, tol)
     H = Hm.H
-    n = Hm.n
-    blocks = np.empty((n, n, n, n), dtype=complex)
-    for j in range(n):
-        for k in range(n):
-            v = H[j] / H[k]
-            blocks[j, k] = np.outer(v, v.conj()) / np.vdot(v, v).real
+    # v[j, k] = h_j / h_k, each ratio contiguous as np.vdot saw it: BLAS sums a
+    # strided vector in another order
+    v = np.divide(H[:, None, :], H[None, :, :], order="C")
+    w = v.conj()
+    # batched <v, v>: the same products and sums as np.vdot, bit for bit
+    norms = (w[..., None, :] @ v[..., :, None])[..., 0, 0].real
+    blocks = v[..., :, None] * w[..., None, :]
+    blocks /= norms[..., None, None]
     return MagicUnitary(blocks)
 
 

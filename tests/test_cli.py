@@ -1,5 +1,8 @@
 """Command-line interface: payloads, formats, exit codes, determinism."""
 
+import argparse
+import contextlib
+import io
 import json
 import math
 import os
@@ -11,7 +14,9 @@ import numpy as np
 import pytest
 
 import qperm
+from qperm import cli
 from qperm.cli import main
+from qperm.errors import ValidationError
 from qperm.magic import MagicUnitary, f4_phi, fourier, from_hadamard
 
 
@@ -105,6 +110,14 @@ class TestCohomology:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 64
+
+    def test_basis_with_csv_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["cohomology", "--fourier", "4", "--basis", "--format", "csv"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 64
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == "qperm: error: --basis needs --format json"
 
 
 class TestVerify:
@@ -464,6 +477,219 @@ class TestPlumbing:
         assert '"values":[0,-0.25]' in out
         code, out, _ = run(capsys, "central", "--n", "4", "--atoms", "0:1", "--smax", "1")
         assert '"values":[0,-0.33333333333333331]' in out
+
+
+# --- the serializer before bulk array output, kept as the reference -----------
+
+
+def reference_f(x) -> str:
+    x = float(x)
+    if math.isnan(x) or math.isinf(x):
+        raise ValidationError("cannot serialize a non-finite number")
+    if x == 0.0:
+        return "0"
+    return format(x, ".17g")
+
+
+def reference_emit(obj, out) -> None:
+    if obj is None:
+        out.write("null")
+    elif isinstance(obj, (bool, np.bool_)):
+        out.write("true" if obj else "false")
+    elif isinstance(obj, (int, np.integer)):
+        out.write(str(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
+        out.write(reference_f(obj))
+    elif isinstance(obj, (complex, np.complexfloating)):
+        out.write(f"[{reference_f(obj.real)},{reference_f(obj.imag)}]")
+    elif isinstance(obj, str):
+        out.write(json.dumps(obj))
+    elif isinstance(obj, dict):
+        out.write("{")
+        for pos, (key, val) in enumerate(obj.items()):
+            if pos:
+                out.write(",")
+            out.write(json.dumps(str(key)))
+            out.write(":")
+            reference_emit(val, out)
+        out.write("}")
+    elif isinstance(obj, (list, tuple, np.ndarray)):
+        out.write("[")
+        for pos, val in enumerate(obj):
+            if pos:
+                out.write(",")
+            reference_emit(val, out)
+        out.write("]")
+    else:
+        raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def reference_to_json(obj) -> str:
+    buf = io.StringIO()
+    reference_emit(obj, buf)
+    buf.write("\n")
+    return buf.getvalue()
+
+
+def outcome(to_json, obj):
+    """The text, or the exception's type and message."""
+    try:
+        return to_json(obj)
+    except (TypeError, ValidationError) as exc:
+        return type(exc), str(exc)
+
+
+# +-0.0, subnormals, the extremes, integral floats and ordinary values
+SPECIAL = [0.0, -0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308, 1e308, -1e308,
+           1.7976931348623157e308, 1e-300, -1e-300, 3.0, -7.0, 1e16, 2.0**53 + 2, 0.1, -1 / 3]
+SHAPES = [(), (0,), (0, 5), (3, 0), (4,), (2, 3, 4)]
+
+
+def special_array(shape, kind, rng):
+    size = int(np.prod(shape))
+    re = rng.choice(SPECIAL, size=size)
+    if kind == "complex":
+        return (re + 1j * rng.choice(SPECIAL, size=size)).reshape(shape)
+    return re.reshape(shape)
+
+
+class TestBulkEmitter:
+    @pytest.mark.parametrize("kind", ["float", "complex"])
+    @pytest.mark.parametrize("shape", SHAPES, ids=str)
+    def test_arrays_match_reference(self, shape, kind):
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            a = special_array(shape, kind, rng)
+            assert outcome(cli._to_json, a) == outcome(reference_to_json, a)
+
+    def test_zero_dimensional_array_still_raises(self):
+        # the reference iterates over it and fails; the bulk path leaves it to the same branch
+        for a in (np.array(1.5), np.array(1 + 2j), np.array(np.nan)):
+            assert outcome(cli._to_json, a) == (TypeError, "iteration over a 0-d array")
+            assert outcome(reference_to_json, a) == (TypeError, "iteration over a 0-d array")
+
+    def test_views_and_narrow_dtypes_match_reference(self):
+        rng = np.random.default_rng(12)
+        a = special_array((4, 6), "complex", rng)
+        # within float32's range, with signed zeros
+        b = rng.standard_normal((3, 4)) * 1e3 + 1j * rng.standard_normal((3, 4))
+        b[0, 0], b[1, 2] = -0.0, complex(0.0, -0.0)
+        for view in (a.T, a[:, ::2], a[::-1, 1:4], a.real.T, a.imag[1], np.asfortranarray(a),
+                     b.astype(np.complex64), b.real.astype(np.float32),
+                     b.imag.astype(np.float16)):
+            assert outcome(cli._to_json, view) == outcome(reference_to_json, view)
+
+    def test_mixed_containers_match_reference(self):
+        rng = np.random.default_rng(13)
+        obj = {
+            "zdim": 4,
+            "n": np.int64(7),
+            "flag": np.bool_(True),
+            "none": None,
+            "name": "p(1,2) \"q\"",
+            "x": -0.0,
+            "y": np.float64(1e-300),
+            "z": np.float32(0.1),
+            "w": complex(-0.0, 2.5),
+            "v": np.complex128(1e308 - 3j),
+            "basis": special_array((3, 5), "complex", rng),
+            "rows": [special_array((4,), "float", rng), 1.5, [np.float64(2.0), 3]],
+            "pairs": (special_array((2, 2), "float", rng), special_array((0, 3), "complex", rng)),
+            "ints": np.arange(6).reshape(2, 3),
+            "bools": np.array([True, False]),
+            7: [],
+        }
+        assert cli._to_json(obj) == reference_to_json(obj)
+        assert cli._to_json([obj, [obj]]) == reference_to_json([obj, [obj]])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("kind", ["float", "complex"])
+    def test_non_finite_raises_the_same_error(self, bad, kind):
+        rng = np.random.default_rng(14)
+        for shape, pos in (((4,), 3), ((2, 3, 4), 17), ((3, 5), 0)):
+            a = special_array(shape, kind, rng)
+            a.flat[pos] = bad if kind == "float" else complex(1.0, bad)
+            for obj in (a, {"ok": 1.0, "basis": a}, [a.tolist()], a.flat[pos]):
+                got = outcome(cli._to_json, obj)
+                assert got == outcome(reference_to_json, obj)
+                assert got == (ValidationError, "cannot serialize a non-finite number")
+
+
+# --- one subparser per call -----------------------------------------------------
+
+REPRESENTATIVE_ARGV = {
+    "cohomology": [["cohomology", "--fourier", "4"],
+                   ["cohomology", "--sigma", "(1 2)", "--n", "3", "--mult", "2", "--basis",
+                    "--rank-threshold", "1e-8", "--out", "x.json"]],
+    "verify": [["verify", "--sigma", "(1 2 3)", "--rates", "1.0"],
+               ["verify", "--triple", "t.json", "--max-word-len", "3", "--tol", "1e-6",
+                "--format", "csv"]],
+    "semigroup": [["semigroup", "--sigma", "(1 2)", "--rates", "1"],
+                  ["semigroup", "--triple", "t.json", "--time", "0,1", "--word", "p(1,1)",
+                   "--word", "p(1,2) p(2,1)"]],
+    "central": [["central", "--n", "4"],
+                ["central", "--n", "5", "--a", "0.5", "--atoms", "0:1", "--smax", "3",
+                 "--format", "csv"]],
+    "simulate": [["simulate", "--sigma", "(1 2)", "--rates", "1", "--t", "2"],
+                 ["simulate", "--sigma", "(1 2 3)", "--rates", "1", "--t", "1", "--samples", "9",
+                  "--seed", "3", "--n", "4", "--paths", "p.csv", "--times", "0,1"]],
+    "selftest": [["selftest"], ["selftest", "--full", "--only", "a", "--only", "b", "--list",
+                                "--format", "json"]],
+}
+
+
+def parse_outcome(parser, argv):
+    """parse_args' namespace, or its exit code with what it printed."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return parser.parse_args(argv)
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+
+
+class TestOneSubparser:
+    @pytest.fixture(autouse=True)
+    def _columns(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+
+    @pytest.mark.parametrize("name", list(REPRESENTATIVE_ARGV))
+    def test_chosen_parser_matches_full_build(self, name):
+        chosen = parse_outcome(cli.build_parser([name, "--help"]), [name, "--help"])
+        full = parse_outcome(cli.build_parser(), [name, "--help"])
+        assert chosen == full
+        assert chosen[0] == 0 and chosen[1].startswith(f"usage: qperm {name} ")
+        for argv in REPRESENTATIVE_ARGV[name]:
+            got = cli.build_parser(argv).parse_args(argv)
+            assert isinstance(got, argparse.Namespace)
+            assert got == cli.build_parser().parse_args(argv)
+        # a usage error inside the subcommand reads the same
+        argv = [name, "--no-such-flag"]
+        assert parse_outcome(cli.build_parser(argv), argv) == parse_outcome(
+            cli.build_parser(), argv)
+
+    def test_only_the_named_subparser_is_built(self):
+        code, _, err = parse_outcome(cli.build_parser(["central"]), ["verify", "--sigma", "(1 2)"])
+        assert code == 64
+        assert "invalid choice: 'verify' (choose from 'central')" in err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["-h"], ["--version"], [], ["bogus"],
+                                      ["-h", "cohomology"], ["--version", "verify"]], ids=str)
+    def test_top_level_output_unchanged(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+        got = exc.value.code, out.getvalue(), err.getvalue()
+        assert got == parse_outcome(cli.build_parser(), argv)
+        assert got[0] == (64 if argv in ([], ["bogus"]) else 0)
+        if got[0] == 0 and argv[0] != "--version":
+            for name, (help_line, _) in cli.COMMANDS.items():
+                assert name in got[1] and help_line in got[1]
+        if argv == ["bogus"]:
+            assert got[2].endswith(
+                "invalid choice: 'bogus' (choose from 'cohomology', 'verify', 'semigroup', "
+                "'central', 'simulate', 'selftest')\n")
 
 
 # sys.modules["scipy"] = None makes every import of scipy or a submodule raise

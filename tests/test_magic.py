@@ -141,6 +141,47 @@ class TestConstructions:
             two_block(TwoBlockSpec(A, A))
 
 
+def reference_from_hadamard_blocks(Hm):
+    """The double loop `from_hadamard` ran before it was vectorised."""
+    H = Hm.H
+    n = Hm.n
+    blocks = np.empty((n, n, n, n), dtype=complex)
+    for j in range(n):
+        for k in range(n):
+            v = H[j] / H[k]
+            blocks[j, k] = np.outer(v, v.conj()) / np.vdot(v, v).real
+    return blocks
+
+
+def rephased_permuted_fourier(rng, n):
+    """D1 P F Q D2 with random unimodular diagonals and permutations, stored column-major."""
+    H = fourier(n).H[rng.permutation(n)][:, rng.permutation(n)]
+    d1 = np.exp(1j * rng.uniform(0, 2 * np.pi, n))
+    d2 = np.exp(1j * rng.uniform(0, 2 * np.pi, n))
+    return HadamardMatrix(np.asfortranarray(d1[:, None] * H * d2[None, :]))
+
+
+class TestFromHadamardMatchesLoop:
+    @pytest.mark.parametrize("n", range(1, 25))
+    def test_fourier(self, n):
+        Hm = fourier(n)
+        assert np.array_equal(from_hadamard(Hm).blocks, reference_from_hadamard_blocks(Hm))
+
+    @pytest.mark.parametrize("phi", [0.0, 0.3, np.pi / 2, 2.5])
+    def test_f4(self, phi):
+        Hm = f4_phi(phi)
+        assert np.array_equal(from_hadamard(Hm).blocks, reference_from_hadamard_blocks(Hm))
+
+    @pytest.mark.parametrize("n", [3, 5, 8, 12, 16])
+    def test_rephased_and_permuted_fourier(self, n):
+        # from n = 8 on, BLAS sums a strided ratio vector in another order than a
+        # contiguous one, so this also pins the layout of the ratios
+        rng = np.random.default_rng(n)
+        for _ in range(3):
+            Hm = rephased_permuted_fourier(rng, n)
+            assert np.array_equal(from_hadamard(Hm).blocks, reference_from_hadamard_blocks(Hm))
+
+
 class TestFiniteEntries:
     """NaN and infinite entries are rejected where the object is built."""
 

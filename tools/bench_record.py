@@ -8,7 +8,10 @@ own process from the root of the checkout, and writes the file to the
 current directory. It also times `conv_exp` on one fresh 5-letter word over a
 Fourier n=4 triple, whose block has 324 indices: a cold call, which builds the
 block, then a warm one on the same triple and word, which finds it on the
-triple. The file holds every result line, `nproc`, and the Python, numpy and
+triple. A second micro case runs `qperm cohomology --fourier 16 --basis`
+through `cli.main` in process, cold and then warm, with the sha256 of each
+stdout, so two files show both the CLI layer's time and whether its output
+bytes moved. The file holds every result line, `nproc`, and the Python, numpy and
 scipy versions (scipy null when it is not installed), so two files from the
 same machine can be compared.
 """
@@ -45,6 +48,28 @@ for key in ("", "warm_"):
 print(json.dumps(out))
 """
 
+# runs the command twice in one process; prints {"seconds", "exit", "sha256"} of the
+# cold call and the same keys prefixed "warm_" of the second
+MICRO_CLI = """
+import contextlib, hashlib, io, json, time
+from qperm import cli
+out = {}
+for key in ("", "warm_"):
+    buf = io.StringIO()
+    t0 = time.perf_counter()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(["cohomology", "--fourier", "16", "--basis"])
+    out[key + "seconds"] = time.perf_counter() - t0
+    out[key + "exit"] = code
+    out[key + "sha256"] = hashlib.sha256(buf.getvalue().encode()).hexdigest()
+print(json.dumps(out))
+"""
+
+MICROS = (
+    ("conv_exp, Fourier n=4, t=0.5, word p(1,2) p(2,3) p(3,4) p(4,1) p(1,3)", MICRO),
+    ("cli.main cohomology --fourier 16 --basis, in process", MICRO_CLI),
+)
+
 
 def _last_json(text: str):
     lines = [ln for ln in text.splitlines() if ln.strip()]
@@ -59,12 +84,11 @@ def run_workload(checkout: Path, workload: str, seed: int, trace: int) -> dict:
             "exit": proc.returncode, "result": _last_json(proc.stdout)}
 
 
-def micro_conv_exp(checkout: Path) -> dict:
+def run_micro(checkout: Path, case: str, code: str) -> dict:
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
-    proc = subprocess.run([sys.executable, "-c", MICRO], cwd=checkout, env=env,
+    proc = subprocess.run([sys.executable, "-c", code], cwd=checkout, env=env,
                           capture_output=True, text=True)
-    return {"case": "conv_exp, Fourier n=4, t=0.5, word p(1,2) p(2,3) p(3,4) p(4,1) p(1,3)",
-            "exit": proc.returncode, "result": _last_json(proc.stdout)}
+    return {"case": case, "exit": proc.returncode, "result": _last_json(proc.stdout)}
 
 
 # scipy is only a test dependency: its version is null where it is not installed
@@ -99,7 +123,7 @@ def main(argv=None) -> int:
         for seed in SEEDS:
             record["runs"].append(run_workload(checkout, workload, seed, 0))
     record["runs"].append(run_workload(checkout, "word-states", SEEDS[0], 1))
-    record["micro"] = [micro_conv_exp(checkout)]
+    record["micro"] = [run_micro(checkout, case, code) for case, code in MICROS]
     out = Path(f"BENCH_{args.label}.json")
     out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     print(out)
