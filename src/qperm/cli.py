@@ -88,8 +88,8 @@ def _emit_rows(a: np.ndarray, out) -> None:
             _emit_rows(sub, out)
         out.write("]")
     elif a.dtype.kind == "c":
-        parts = _spell(np.stack((a.real, a.imag), axis=-1).ravel().tolist())
-        out.write("[" + ",".join(map("[{},{}]".format, parts[::2], parts[1::2])) + "]")
+        pairs = map("[{},{}]".format, _spell(a.real.tolist()), _spell(a.imag.tolist()))
+        out.write("[" + ",".join(pairs) + "]")
     else:
         out.write("[" + ",".join(_spell(a.tolist())) + "]")
 
