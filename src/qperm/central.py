@@ -11,6 +11,8 @@ supported on [0, n), acting on a polynomial f as
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -51,19 +53,23 @@ def dims(n: int, s_max: int) -> FusionData:
     """d_0 = 1, d_1 = n - 1, d_1 d_s = d_{s+1} + d_s + d_{s-1}.
 
     The values are cross-checked against the Chebyshev identification
-    d_s = U_{2s}(sqrt(n)).
+    d_s = U_{2s}(sqrt(n)); an s_max whose d_s or U_{2s} leaves the float
+    range raises ValidationError naming the largest usable s_max.
     """
     if n < 4:
         raise ValidationError("the character identification needs n >= 4")
     if s_max < 0:
         raise ValidationError("s_max must be >= 0")
     seq = [1, n - 1]
-    while len(seq) <= s_max:
+    while len(seq) <= s_max and seq[-1] <= sys.float_info.max:
         seq.append((n - 1) * seq[-1] - seq[-1] - seq[-2])
     seq = seq[: s_max + 1]
-    root = np.sqrt(n)
+    root = math.sqrt(n)
     for s, d in enumerate(seq):
-        u = chebyshev_u(2 * s, root)
+        u = chebyshev_u(2 * s, root) if d <= sys.float_info.max else math.inf
+        if not math.isfinite(u):
+            raise ValidationError(f"the dimensions at n={n} leave the float range at s={s}; "
+                                  f"the largest usable s_max is {s - 1}")
         if abs(u - d) > 1e-9 * max(1.0, abs(d)):
             raise ValidationError(f"dimension recursion disagrees with U_{2*s}(sqrt {n})")
     return FusionData(n, tuple(seq))
@@ -150,17 +156,23 @@ def hunt_apply_polynomial(spec: AdInvariantSpec, f: Polynomial) -> float:
     return total
 
 
+def _level_dim(n: int, s: int, j: int, k: int) -> int:
+    """d_s, once the level s >= 0 and the coefficient indices 1 <= j, k <= d_s are checked."""
+    if s < 0:
+        raise ValidationError("s must be >= 0")
+    d_s = dims(n, s).dims[s]
+    if not (1 <= j <= d_s and 1 <= k <= d_s):
+        raise ValidationError(f"coefficient indices must lie in 1..{d_s}")
+    return d_s
+
+
 def ad_invariant_value(spec: AdInvariantSpec, s: int, j: int, k: int) -> float:
     """L(u^(s)_jk) = delta_jk / U_{2s}(sqrt n) * Hunt value on chi_s.
 
     The Hunt value is -a U'_{2s}(sqrt n)/(2 sqrt n)
     + sum of w (U_{2s}(sqrt x) - U_{2s}(sqrt n)) / (n - x).
     """
-    if s < 0:
-        raise ValidationError("s must be >= 0")
-    d_s = dims(spec.n, s).dims[s] if s else 1
-    if not (1 <= j <= d_s and 1 <= k <= d_s):
-        raise ValidationError(f"coefficient indices must lie in 1..{d_s}")
+    _level_dim(spec.n, s, j, k)
     if j != k:
         return 0.0
     root = float(np.sqrt(spec.n))
@@ -173,9 +185,4 @@ def ad_invariant_value(spec: AdInvariantSpec, s: int, j: int, k: int) -> float:
 
 def ad_h_coefficient(s: int, j: int, k: int, n: int) -> Fraction:
     """ad_h(u^(s)_jk) = (delta_jk / n_s) chi_s; returns the exact rational coefficient."""
-    if s < 0:
-        raise ValidationError("s must be >= 0")
-    d_s = dims(n, s).dims[s]
-    if not (1 <= j <= d_s and 1 <= k <= d_s):
-        raise ValidationError(f"coefficient indices must lie in 1..{d_s}")
-    return Fraction(1 if j == k else 0, d_s)
+    return Fraction(1 if j == k else 0, _level_dim(n, s, j, k))

@@ -30,6 +30,7 @@ from .magic import (
     fourier,
     from_hadamard,
     from_permutation,
+    require_valid,
     validate,
 )
 from .perms import format_cycles, parse_cycles
@@ -220,10 +221,12 @@ def _triple_from_args(args) -> SchurmannTriple:
         xs = _complex_from_json(data["xs"])
         if xs.shape != (rep.n, rep.d):
             raise ValidationError(f"xs: expected shape {(rep.n, rep.d)} of [re, im] pairs")
-        return SchurmannTriple(rep, xs, check_rep=True)
-    sigma = parse_cycles(args.sigma, args.n)
-    rates = _parse_floats(args.rates, "--rates")
-    return process_triple(PermProcessSpec(sigma, rates))
+        return SchurmannTriple(require_valid(rep), xs)
+    return process_triple(_spec_from_args(args))
+
+
+def _spec_from_args(args) -> PermProcessSpec:
+    return PermProcessSpec(parse_cycles(args.sigma, args.n), _parse_floats(args.rates, "--rates"))
 
 
 # --- subcommands --------------------------------------------------------------
@@ -331,8 +334,7 @@ def _cmd_central(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    sigma = parse_cycles(args.sigma, args.n)
-    spec = PermProcessSpec(sigma, _parse_floats(args.rates, "--rates"))
+    spec = _spec_from_args(args)
     # the path is cheap and draws from its own streams: a bad grid or file fails before sampling
     if args.paths is not None:
         if args.times is None:
@@ -350,7 +352,7 @@ def _cmd_simulate(args) -> int:
                 rows.append([i + 1, j + 1, float(est.probs[i, j]), float(est.stderr[i, j])])
         return _write(_to_csv(rows), args)
     payload = {
-        "sigma": format_cycles(sigma),
+        "sigma": format_cycles(spec.sigma),
         "n": spec.n,
         "t": float(est.t),
         "samples": est.samples,

@@ -249,10 +249,7 @@ def perm_h1_formula(sigma) -> int:
     cyc counts fixed points as 1-cycles, so cyc - fix is the number of
     cycles of length >= 2.
     """
-    sigma = perms.check_perm(sigma)
-    if sigma == perms.identity(len(sigma)):
-        return 0
-    return perms.cycle_count(sigma) - perms.fixed_point_count(sigma) - 1
+    return max(len(perms.nontrivial_cycles(sigma)) - 1, 0)
 
 
 def fourier_h1_formula(n: int) -> int:

@@ -23,6 +23,12 @@ def check_time(time: float) -> None:
         raise ValidationError(f"time must be finite and >= 0, got {time!r}")
 
 
+def _charge(need: int, budget: int, what: str, unit: str) -> None:
+    """Raise BudgetError if `what` needs more than `budget` units of work."""
+    if need > budget:
+        raise BudgetError(f"{what} needs {need} {unit}, over the term budget {budget}")
+
+
 def _require_finite(arr, what: str) -> None:
     """Raise ValidationError if `arr` holds a NaN or an infinite entry."""
     if not np.isfinite(arr).all():

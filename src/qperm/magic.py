@@ -16,7 +16,7 @@ import numpy as np
 from . import perms
 from .config import DEFAULT_CONFIG
 from .errors import ValidationError, _require_finite
-from .words import LinComb, Word
+from .words import LinComb, Word, _as_lincomb
 
 
 class MagicUnitary:
@@ -268,20 +268,27 @@ def two_block(spec: TwoBlockSpec, tol: float = DEFAULT_CONFIG.tol) -> MagicUnita
 # --- evaluation --------------------------------------------------------------
 
 
+def _fold(mats: np.ndarray, x: LinComb | Word, start: np.ndarray) -> np.ndarray:
+    """The sum of c mats(w) start over the terms c w of x, mats(w) the product of w's letters.
+
+    mats has shape (n, n, s, s), one matrix per letter p_ij; each word acts
+    on `start` letter by letter from the right, v = mats[i-1, j-1] @ v.
+    """
+    x = _as_lincomb(x)
+    if x.n != len(mats):
+        raise ValidationError(f"ambient size mismatch: word n={x.n}, rep n={len(mats)}")
+    out = np.zeros(start.shape, dtype=complex)
+    for w, c in x.terms.items():
+        v = start
+        for i, j in reversed(w.letters):
+            v = mats[i - 1, j - 1] @ v
+        out += c * v
+    return out
+
+
 def apply(M: MagicUnitary, x: LinComb | Word) -> np.ndarray:
     """Evaluate the representation: words map to ordered block products."""
-    if isinstance(x, Word):
-        x = LinComb.from_word(x)
-    if x.n != M.n:
-        raise ValidationError(f"ambient size mismatch: word n={x.n}, rep n={M.n}")
-    d = M.d
-    out = np.zeros((d, d), dtype=complex)
-    for w, c in x.terms.items():
-        acc = np.eye(d, dtype=complex)
-        for i, j in w.letters:
-            acc = acc @ M.blocks[i - 1, j - 1]
-        out += c * acc
-    return out
+    return _fold(M.blocks, x, np.eye(M.d, dtype=complex))
 
 
 def _complex_to_json(a: np.ndarray) -> list:

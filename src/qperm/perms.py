@@ -21,29 +21,6 @@ def identity(n: int) -> Perm:
     return tuple(range(1, n + 1))
 
 
-def compose(a: Perm, b: Perm) -> Perm:
-    """Composition (a o b)(i) = a(b(i))."""
-    if len(a) != len(b):
-        raise ValidationError("size mismatch")
-    return tuple(a[b[i - 1] - 1] for i in range(1, len(a) + 1))
-
-
-def inverse(a: Perm) -> Perm:
-    out = [0] * len(a)
-    for i, v in enumerate(a, start=1):
-        out[v - 1] = i
-    return tuple(out)
-
-
-def power(a: Perm, k: int) -> Perm:
-    n = len(a)
-    out = identity(n)
-    base = a if k >= 0 else inverse(a)
-    for _ in range(abs(k)):
-        out = compose(base, out)
-    return out
-
-
 def cycles(sigma: Perm) -> list[tuple[int, ...]]:
     """Cycle decomposition, fixed points included as 1-cycles.
 
@@ -66,12 +43,9 @@ def cycles(sigma: Perm) -> list[tuple[int, ...]]:
     return out
 
 
-def cycle_count(sigma: Perm) -> int:
-    return len(cycles(sigma))
-
-
-def fixed_point_count(sigma: Perm) -> int:
-    return sum(1 for i, v in enumerate(check_perm(sigma), start=1) if v == i)
+def nontrivial_cycles(sigma: Perm) -> list[tuple[int, ...]]:
+    """The cycles of length >= 2, rotated to start at their minimum and sorted by it."""
+    return [c for c in cycles(sigma) if len(c) > 1]
 
 
 def from_cycles(cycs, n: int) -> Perm:
@@ -124,12 +98,8 @@ def parse_cycles(text: str, n: int | None = None) -> Perm:
 
 
 def format_cycles(sigma: Perm, include_fixed: bool = False) -> str:
-    parts = []
-    for cyc in cycles(sigma):
-        if len(cyc) == 1 and not include_fixed:
-            continue
-        parts.append("(" + " ".join(str(v) for v in cyc) + ")")
-    return "".join(parts) if parts else "id"
+    cycs = cycles(sigma) if include_fixed else nontrivial_cycles(sigma)
+    return "".join("(" + " ".join(str(v) for v in cyc) + ")" for cyc in cycs) or "id"
 
 
 def random_permutation(rng, n: int) -> Perm:

@@ -40,8 +40,8 @@ import numpy as np
 
 from .cohomology import _cocycle_blocks, coboundary_map, split_tuple, stack_tuple
 from .config import DEFAULT_CONFIG
-from .errors import BudgetError, ValidationError, _require_finite
-from .magic import MagicUnitary, TwoBlockSpec, apply, fourier, from_hadamard, validate
+from .errors import ValidationError, _charge, _require_finite
+from .magic import MagicUnitary, TwoBlockSpec, _fold, apply, fourier, from_hadamard
 from .words import LinComb, Word, counit, defining_relations
 
 #: words per gathered letter-matrix product; bounds the (rows, d+2, d+2) gather
@@ -60,23 +60,10 @@ class SchurmannTriple:
 
     __slots__ = ("rep", "xs", "xi", "letter_L", "pi", "block_L", "__weakref__")
 
-    def __init__(self, rep: MagicUnitary, xs, tol: float = DEFAULT_CONFIG.tol,
-                 check_rep: bool = False):
-        if check_rep:
-            report = validate(rep, tol)
-            if not report.ok:
-                raise ValidationError(f"representation is not a magic unitary: {report}")
+    def __init__(self, rep: MagicUnitary, xs, tol: float = DEFAULT_CONFIG.tol):
         n, d = rep.n, rep.d
         xs = np.asarray(xs, dtype=complex)
-        if xs.shape != (n, d):
-            raise ValidationError(f"expected cocycle tuple of shape ({n}, {d}), got {xs.shape}")
-        _require_finite(xs, "cocycle tuple")
-        scale = 1.0 + float(np.max(np.linalg.norm(xs, axis=1), initial=0.0))
-        worst = cocycle_violation(rep, xs)
-        if worst > tol * scale:
-            raise ValidationError(
-                f"cocycle conditions violated by {worst:.3e} (tol {tol * scale:.3e})"
-            )
+        _check_cocycle(rep, xs, tol)
         xi = -np.einsum("ijab,ib->ija", rep.blocks, xs)
         xi[range(n), range(n)] = xs
         # the two off-diagonal formulas agree thanks to the cocycle conditions
@@ -120,6 +107,24 @@ def cocycle_violation(rep: MagicUnitary, xs) -> float:
                         initial=0.0))
 
 
+def _check_cocycle(rep: MagicUnitary, xs: np.ndarray, tol: float) -> float:
+    """The scale 1 + max_i |xi_i| of a finite (n, d) cocycle tuple of rep.
+
+    Raises ValidationError on a wrong shape, a non-finite entry, or a
+    violation of the cocycle conditions above tol times the scale.
+    """
+    if xs.shape != (rep.n, rep.d):
+        raise ValidationError(
+            f"expected cocycle tuple of shape ({rep.n}, {rep.d}), got {xs.shape}")
+    _require_finite(xs, "cocycle tuple")
+    scale = 1.0 + float(np.max(np.linalg.norm(xs, axis=1), initial=0.0))
+    worst = cocycle_violation(rep, xs)
+    if worst > tol * scale:
+        raise ValidationError(
+            f"cocycle conditions violated by {worst:.3e} (tol {tol * scale:.3e})")
+    return scale
+
+
 def triple_from_stacked(rep: MagicUnitary, vec, tol: float = DEFAULT_CONFIG.tol) -> SchurmannTriple:
     """Build a triple from a stacked nd-vector (e.g. a cohomology basis vector)."""
     xs = np.array(split_tuple(np.asarray(vec, dtype=complex), rep.n, rep.d))
@@ -131,17 +136,9 @@ def triple_from_stacked(rep: MagicUnitary, vec, tol: float = DEFAULT_CONFIG.tol)
 
 def _apply(t: SchurmannTriple, x: LinComb | Word) -> np.ndarray:
     """pi(x) e_last = (L(x), eta(x), eps(x)), one letter matrix product per letter."""
-    if isinstance(x, Word):
-        x = LinComb.from_word(x)
-    if x.n != t.n:
-        raise ValidationError("ambient size mismatch")
-    out = np.zeros(t.d + 2, dtype=complex)
-    for w, c in x.terms.items():
-        v = np.eye(t.d + 2, dtype=complex)[-1]  # e_last
-        for i, j in reversed(w.letters):
-            v = t.pi[i - 1, j - 1] @ v
-        out += c * v
-    return out
+    e_last = np.zeros(t.d + 2, dtype=complex)
+    e_last[-1] = 1.0
+    return _fold(t.pi, x, e_last)
 
 
 def eta(t: SchurmannTriple, x: LinComb | Word) -> np.ndarray:
@@ -310,10 +307,8 @@ def _moments(start: np.ndarray, steps: np.ndarray, max_len: int) -> np.ndarray:
     levels = [start.reshape(1, m, s)]
     for _ in range(max_len):
         prev = levels[-1]
-        entries = len(kraus) * prev.size
-        if entries > DEFAULT_CONFIG.term_budget:
-            raise BudgetError(f"a moment level needs {entries} entries, over the term budget "
-                              f"{DEFAULT_CONFIG.term_budget}; lower max_len")
+        _charge(len(kraus) * prev.size, DEFAULT_CONFIG.term_budget, "a moment level",
+                "complex entries")
         stack = (prev[None] @ kraus[:, None]).reshape(-1, m * s)
         levels.append(_compress(stack).reshape(-1, m, s))
     return np.concatenate(levels)
@@ -399,12 +394,7 @@ def fourier_symmetry(n: int, xs, tol: float = DEFAULT_CONFIG.tol) -> bool:
     """
     rep = from_hadamard(fourier(n))
     xs = np.asarray(xs, dtype=complex)
-    if xs.shape != (n, rep.d):
-        raise ValidationError(f"expected tuple of shape ({n}, {rep.d})")
-    dev = cocycle_violation(rep, xs)
-    scale = 1.0 + float(np.max(np.linalg.norm(xs, axis=1), initial=0.0))
-    if dev > tol * scale:
-        raise ValidationError(f"not a cocycle tuple for the Fourier representation ({dev:.3e})")
+    scale = _check_cocycle(rep, xs, tol)
     pm = [rep.blocks[m - 1, 0] for m in range(1, n + 1)]  # P_m = block (m, 1)
     worst = 0.0
     for m in range(1, n + 1):

@@ -195,24 +195,17 @@ def check_perm_cohomology(
 ) -> CheckResult:
     """h1 of a permutation representation vs the cycle-count formula."""
     name = "perm-cohomology"
-    checked = 0
-    for n in range(2, exhaustive_max + 1):
-        for images in itertools.permutations(range(1, n + 1)):
-            sigma = tuple(images)
-            want = perm_h1_formula(sigma)
-            got = h1_dim(from_permutation(sigma))
-            if got != want:
-                return _fail(name, f"sigma={sigma}: h1={got}, formula={want}")
-            checked += 1
+    exhaustive = [images for n in range(2, exhaustive_max + 1)
+                  for images in itertools.permutations(range(1, n + 1))]
     rng = np.random.default_rng(seed)
-    for _ in range(random_count):
-        n = int(random_ns[int(rng.integers(0, len(random_ns)))])
-        sigma = perms.random_permutation(rng, n)
+    drawn = (perms.random_permutation(rng, int(random_ns[int(rng.integers(0, len(random_ns)))]))
+             for _ in range(random_count))
+    for sigma in itertools.chain(exhaustive, drawn):
         want = perm_h1_formula(sigma)
         got = h1_dim(from_permutation(sigma))
         if got != want:
             return _fail(name, f"sigma={sigma}: h1={got}, formula={want}")
-    return _ok(name, f"{checked} exhaustive + {random_count} random permutations agree")
+    return _ok(name, f"{len(exhaustive)} exhaustive + {random_count} random permutations agree")
 
 
 def check_fourier_cohomology(n_max: int = 10) -> CheckResult:
@@ -553,7 +546,7 @@ def check_stochastic_oracle(
     worst_z = 0.0
     worst_sg = 0.0
     for sigma in sigmas:
-        ncyc = len([c for c in perms.cycles(sigma) if len(c) > 1])
+        ncyc = len(perms.nontrivial_cycles(sigma))
         for lam in lams:
             for t in ts:
                 spec = PermProcessSpec(sigma, [lam] * ncyc)

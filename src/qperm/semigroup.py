@@ -34,9 +34,9 @@ import numpy as np
 
 from . import _kernel
 from .config import DEFAULT_CONFIG
-from .errors import BudgetError, ValidationError, check_time
-from .schurmann import SchurmannTriple, _columns, _rows
-from .words import Word, coproduct_terms
+from .errors import ValidationError, _charge, check_time
+from .schurmann import SchurmannTriple, _bound, _columns, _rows
+from .words import Word, coproduct_expand
 
 #: unit roundoff of float64
 _UNIT_ROUNDOFF = float(np.finfo(float).eps) / 2
@@ -104,12 +104,12 @@ def _expm_action(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 def generator_matrix(t: SchurmannTriple, tol: float = DEFAULT_CONFIG.tol) -> np.ndarray:
     """A_ij = L(p_ij): nonnegative off-diagonal, zero row and column sums."""
     A = np.array(t.letter_L, dtype=float)
-    scale = 1.0 + float(np.max(np.abs(A)))
-    if float(np.min(A - np.diag(np.diag(A)), initial=0.0)) < -tol * scale:
+    bound = _bound(t, tol)
+    if float(np.min(A - np.diag(np.diag(A)), initial=0.0)) < -bound:
         raise ValidationError("negative off-diagonal rate in generator matrix")
     row = float(np.max(np.abs(A.sum(axis=1))))
     col = float(np.max(np.abs(A.sum(axis=0))))
-    if max(row, col) > tol * scale:
+    if max(row, col) > bound:
         raise ValidationError(
             f"generator matrix rows/columns do not sum to zero (dev {max(row, col):.3e})"
         )
@@ -125,12 +125,8 @@ def fundamental_semigroup(t: SchurmannTriple, time: float) -> np.ndarray:
 
 def convolve(f, g, w: Word, term_budget: int | None = None) -> complex:
     """(f * g)(w) = sum over the coproduct of f(left) g(right)."""
-    table = coproduct_terms(w, 2, term_budget)
-    n = w.n
-    total = 0j
-    for (left, right), mult in table.items():
-        total += mult * complex(f(Word(left, n))) * complex(g(Word(right, n)))
-    return total
+    return sum((mult * complex(f(left)) * complex(g(right))
+                for (left, right), mult in coproduct_expand(w, 2, term_budget)), 0j)
 
 
 def _radix(n: int, k: int) -> tuple[int, ...]:
@@ -214,10 +210,7 @@ def _evaluate(t: SchurmannTriple, time: float, words, term_budget: int | None) -
         else:  # the zero word (None) or the unit word (())
             out[w] = (0j if root is None else 1 + 0j, 0.0)
     for k, roots in by_len.items():
-        entries = _block_entries(t.n, k)
-        if entries > budget:
-            raise BudgetError(f"the {k}-letter block needs {entries} complex entries, "
-                              f"budget {budget}")
+        _charge(_block_entries(t.n, k), budget, f"the {k}-letter block", "complex entries")
         L = t.letter_L if k == 1 else t.block_L.get(k)
         if L is None:
             L = _block_L(t, k)
@@ -307,5 +300,4 @@ def markov_symmetry_check(t: SchurmannTriple, tol: float = DEFAULT_CONFIG.tol) -
     """Self-adjointness of the Markov generator w.r.t. the degree <= 2 Haar Gram."""
     G = haar_gram_degree2(t.n)
     M = markov_operator_degree1(t)
-    scale = 1.0 + float(np.max(np.abs(t.letter_L)))
-    return float(np.max(np.abs(M.T @ G - G @ M))) <= tol * scale
+    return float(np.max(np.abs(M.T @ G - G @ M))) <= _bound(t, tol)

@@ -15,10 +15,7 @@ through the table. At a mean of 10 and above, where numpy's own sampler
 switches from the multiplication method to PTRS, whose cost does not grow
 with the mean, the counts come from `Generator.poisson`, tallied in chunks
 of 8,192 draws that continue one stream, so temporaries do not grow with
-the block size. Seeded `simulate_marginals` outputs below the switch
-therefore differ from versions that drew one uniform per count, and from
-older ones that drew every count with `Generator.poisson`; `path_sample`
-draws are unchanged.
+the block size.
 
 Seed discipline: numpy SeedSequence(seed) is spawned once per cycle in the
 stored cycle order, and each cycle's stream is spawned again per sample
@@ -31,7 +28,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -56,27 +53,20 @@ class PermProcessSpec:
     """A permutation together with one Poisson rate per nontrivial cycle.
 
     `rates` may be a sequence aligned with the nontrivial cycles in
-    min-element order, or a mapping keyed by cycle tuple (any rotation) or
-    by the cycle's minimum element.
+    min-element order, or a mapping with one key per nontrivial cycle: the
+    cycle as a tuple (any rotation) or its minimum element.  `cycles` holds
+    the nontrivial cycles in min-element order, aligned with `rates`.
     """
 
     sigma: tuple[int, ...]
     rates: tuple[float, ...]
+    cycles: list[tuple[int, ...]] = field(init=False, repr=False, compare=False)
 
     def __init__(self, sigma, rates):
         sigma = perms.check_perm(sigma)
-        cycs = [c for c in perms.cycles(sigma) if len(c) > 1]
+        cycs = perms.nontrivial_cycles(sigma)
         if isinstance(rates, dict):
-            normalized = {}
-            for key, lam in rates.items():
-                if isinstance(key, int):
-                    normalized[key] = float(lam)
-                else:
-                    normalized[min(key)] = float(lam)
-            try:
-                rates = [normalized[min(c)] for c in cycs]
-            except KeyError as exc:
-                raise ValidationError(f"missing rate for cycle containing {exc}") from exc
+            rates = _rates_by_cycle(rates, cycs)
         else:
             rates = [float(v) for v in rates]
             if len(rates) != len(cycs):
@@ -87,15 +77,32 @@ class PermProcessSpec:
             raise ValidationError(f"all cycle rates must be finite and > 0, got {rates}")
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "rates", tuple(rates))
+        object.__setattr__(self, "cycles", cycs)
 
     @property
     def n(self) -> int:
         return len(self.sigma)
 
-    @property
-    def cycles(self) -> list[tuple[int, ...]]:
-        """Nontrivial cycles in min-element order, aligned with `rates`."""
-        return [c for c in perms.cycles(self.sigma) if len(c) > 1]
+
+def _rates_by_cycle(rates: dict, cycs) -> list[float]:
+    """The rates of a mapping aligned with `cycs`; every cycle named by exactly one key."""
+    names = {}
+    for c in cycs:
+        names[c[0]] = c  # the minimum
+        names.update((c[a:] + c[:a], c) for a in range(len(c)))
+    found: dict = {}
+    for key, lam in rates.items():
+        cyc = names.get(int(key) if isinstance(key, numbers.Integral) else tuple(key))
+        if cyc is None:
+            raise ValidationError(
+                f"rate key {key!r} is neither a nontrivial cycle nor its minimum")
+        if cyc in found:
+            raise ValidationError(f"more than one rate for cycle {cyc}")
+        found[cyc] = float(lam)
+    for c in cycs:
+        if c not in found:
+            raise ValidationError(f"missing rate for cycle {c}")
+    return [found[c] for c in cycs]
 
 
 @dataclass(frozen=True)
@@ -234,6 +241,13 @@ class _PoissonVariate:
         return hist
 
 
+def _check_means(means, what: str) -> None:
+    """Raise ValidationError, before any draw, if a Poisson mean is beyond numpy's limit."""
+    if any(lam > _POISSON_LAM_MAX for lam in means):
+        raise ValidationError(
+            f"{what} must be at most {_POISSON_LAM_MAX:.4g} for Poisson sampling")
+
+
 def _check_count(name: str, value) -> None:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
         raise ValidationError(f"{name} must be an integer >= 1, got {value!r}")
@@ -254,9 +268,7 @@ def simulate_marginals(
     of one alias table of Poisson(rate * t), in O(K) work for a table of K
     columns whatever the block size; at 10 and above the counts come from
     `Generator.poisson` (PTRS) in chunks of 8,192 draws, so memory does not
-    grow with `block_size`. Seeded estimates below 10 differ from versions
-    that drew one uniform per count or used `Generator.poisson` throughout;
-    `path_sample` is unchanged. The blocks are tallied one after another in
+    grow with `block_size`. The blocks are tallied one after another in
     the calling thread; each tally is a vector of integer counts, so the
     returned bytes depend only on the seed, the sample count and the block
     size.  A rate * t above numpy's Poisson limit (about 9.2e18) raises
@@ -265,10 +277,7 @@ def simulate_marginals(
     _check_count("samples", samples)
     _check_count("block_size", block_size)
     check_time(t)
-    if any(lam * t > _POISSON_LAM_MAX for lam in spec.rates):
-        raise ValidationError(
-            f"rate * t must be at most {_POISSON_LAM_MAX:.4g} for Poisson sampling"
-        )
+    _check_means((lam * t for lam in spec.rates), "rate * t")
     nblocks = (samples + block_size - 1) // block_size
     streams = np.random.SeedSequence(seed).spawn(len(spec.rates))
     laws = []
@@ -331,10 +340,7 @@ def path_sample(spec: PermProcessSpec, times, seed: int) -> list[tuple[int, ...]
     if any(b < a for a, b in zip(times, times[1:])):
         raise ValidationError("time grid must be nondecreasing and nonnegative")
     steps = np.diff(times, prepend=0.0)
-    if any(lam * dt > _POISSON_LAM_MAX for lam in spec.rates for dt in steps):
-        raise ValidationError(
-            f"rate * dt must be at most {_POISSON_LAM_MAX:.4g} for Poisson sampling"
-        )
+    _check_means((lam * dt for lam in spec.rates for dt in steps), "rate * dt")
     cycles = spec.cycles
     streams = np.random.SeedSequence(seed).spawn(len(spec.rates))
     variates: dict = {}  # one variate, so one alias table, per distinct rate * dt

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import _kernel
 from .config import DEFAULT_CONFIG, ZERO_THRESHOLD
-from .errors import BudgetError, ValidationError
+from .errors import ValidationError, _charge
 
 Letter = tuple[int, int]
 
@@ -183,10 +183,14 @@ class LinComb:
         return f"LinComb({format_lincomb(self)!r}, n={self.n})"
 
 
+def _as_lincomb(x: LinComb | Word) -> LinComb:
+    """x itself, or the word x as a one-term combination."""
+    return LinComb.from_word(x) if isinstance(x, Word) else x
+
+
 def reduce(x: LinComb | Word) -> LinComb:
     """Apply the orientable relations to every word; zero words are dropped."""
-    if isinstance(x, Word):
-        x = LinComb.from_word(x)
+    x = _as_lincomb(x)
     terms: dict[Word, complex] = {}
     for w, c in x._terms.items():
         red = _kernel.reduce_letters(w.letters)
@@ -199,8 +203,7 @@ def reduce(x: LinComb | Word) -> LinComb:
 
 def counit(x: LinComb | Word) -> complex:
     """eps(p_jk) = delta_jk extended multiplicatively and linearly."""
-    if isinstance(x, Word):
-        x = LinComb.from_word(x)
+    x = _as_lincomb(x)
     total = 0j
     for w, c in x._terms.items():
         if all(i == j for i, j in w.letters):
@@ -210,8 +213,7 @@ def counit(x: LinComb | Word) -> complex:
 
 def antipode(x: LinComb | Word) -> LinComb:
     """S(p_jk) = p_kj, extended as an anti-homomorphism; involutive here."""
-    if isinstance(x, Word):
-        x = LinComb.from_word(x)
+    x = _as_lincomb(x)
     terms = {
         Word(tuple((j, i) for i, j in reversed(w.letters)), x.n): c
         for w, c in x._terms.items()
@@ -221,8 +223,7 @@ def antipode(x: LinComb | Word) -> LinComb:
 
 def adjoint(x: LinComb | Word) -> LinComb:
     """The *-operation: reverse words (generators are self-adjoint), conjugate coefficients."""
-    if isinstance(x, Word):
-        x = LinComb.from_word(x)
+    x = _as_lincomb(x)
     terms = {
         Word(tuple(reversed(w.letters)), x.n): complex(c).conjugate()
         for w, c in x._terms.items()
@@ -235,11 +236,7 @@ def coproduct_terms(w: Word, legs: int, term_budget: int | None = None) -> dict:
     if legs < 2:
         raise ValidationError("coproduct expansion needs legs >= 2")
     budget = DEFAULT_CONFIG.term_budget if term_budget is None else int(term_budget)
-    raw = w.n ** ((legs - 1) * len(w))
-    if raw > budget:
-        raise BudgetError(
-            f"coproduct expansion needs {raw} raw terms, budget is {budget}"
-        )
+    _charge(w.n ** ((legs - 1) * len(w)), budget, "coproduct expansion", "raw terms")
     return _kernel.expand_legs(w.letters, w.n, legs)
 
 
@@ -269,22 +266,13 @@ def defining_relations(n: int) -> list[LinComb]:
     rels = []
     for i in range(1, n + 1):
         for j in range(1, n + 1):
-            w = Word(((i, j),), n)
-            rels.append(LinComb.from_word(w * w) - LinComb.from_word(w))
+            rels.append(LinComb([(((i, j), (i, j)), 1.0), (((i, j),), -1.0)], n))
             for k in range(1, n + 1):
                 if k != j:
-                    rels.append(LinComb.from_word(Word(((i, j), (i, k)), n)))
-                    rels.append(LinComb.from_word(Word(((j, i), (k, i)), n)))
-        row = sum(
-            (LinComb.from_word(Word(((i, j),), n)) for j in range(1, n + 1)),
-            LinComb.zero(n),
-        )
-        col = sum(
-            (LinComb.from_word(Word(((j, i),), n)) for j in range(1, n + 1)),
-            LinComb.zero(n),
-        )
-        rels.append(row - LinComb.unit(n))
-        rels.append(col - LinComb.unit(n))
+                    rels.append(LinComb([(((i, j), (i, k)), 1.0)], n))
+                    rels.append(LinComb([(((j, i), (k, i)), 1.0)], n))
+        rels.append(LinComb([(((i, j),), 1.0) for j in range(1, n + 1)] + [((), -1.0)], n))
+        rels.append(LinComb([(((j, i),), 1.0) for j in range(1, n + 1)] + [((), -1.0)], n))
     return rels
 
 

@@ -72,6 +72,15 @@ class TestDims:
         with pytest.raises(ValidationError):
             dims(3, 2)
 
+    @pytest.mark.parametrize("n, largest", [(5, 736), (100, 154), (123, 147)])
+    def test_float_range_names_the_largest_usable_s_max(self, n, largest):
+        # at n = 123 the Chebyshev recursion overflows one level before d_s does
+        with pytest.raises(ValidationError, match=f"the largest usable s_max is {largest}$"):
+            dims(n, largest + 1)
+        with pytest.raises(ValidationError, match=f"the largest usable s_max is {largest}$"):
+            dims(n, 10 * largest)
+        assert len(dims(n, largest).dims) == largest + 1
+
 
 class TestFusion:
     def test_rules(self):
@@ -211,6 +220,15 @@ class TestAdInvariant:
 
 
 class TestHCoefficient:
+    @pytest.mark.parametrize("s, j, k, message", [(-1, 1, 1, "s must be >= 0"),
+                                                  (1, 4, 1, "indices must lie in 1..3"),
+                                                  (2, 1, 0, "indices must lie in 1..5")])
+    def test_checks_match_ad_invariant_value(self, s, j, k, message):
+        with pytest.raises(ValidationError, match=message):
+            ad_h_coefficient(s, j, k, 4)
+        with pytest.raises(ValidationError, match=message):
+            ad_invariant_value(AdInvariantSpec(4, 1.0), s, j, k)
+
     def test_diagonal_value(self):
         assert ad_h_coefficient(1, 1, 1, 4) == Fraction(1, 3)
         assert ad_h_coefficient(2, 2, 2, 4) == Fraction(1, 5)

@@ -209,6 +209,15 @@ class TestVerify:
         assert (code, out) == (1, "")
         assert err == "qperm: error: complex JSON arrays must hold finite numbers\n"
 
+    def test_non_magic_representation_is_exit_1(self, capsys, tmp_path):
+        # finite blocks that are not projections; the zero tuple meets the cocycle conditions
+        rep = MagicUnitary(np.arange(16.0).reshape(2, 2, 2, 2))
+        path = triple_file(tmp_path, rep, np.zeros((2, 2)))
+        code, out, err = run(capsys, "verify", "--triple", path)
+        assert (code, out) == (1, "")
+        assert err.startswith("qperm: error: not a magic unitary within tol=1e-09: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_sigma_without_rates_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--sigma", "(1 2)"])
@@ -321,6 +330,14 @@ class TestCentral:
     def test_malformed_atoms_is_exit_1(self, capsys):
         code, _, _ = run(capsys, "central", "--n", "4", "--atoms", "nope")
         assert code == 1
+
+    def test_dimensions_beyond_float_range_are_one_line_exit_1(self):
+        # a fresh process, so a traceback or a numpy warning would show on stderr
+        proc = subprocess.run([sys.executable, "-m", "qperm.cli", "central", "--n", "100",
+                               "--smax", "200"], capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == ("qperm: error: the dimensions at n=100 leave the float range "
+                               "at s=155; the largest usable s_max is 154\n")
 
 
 class TestSimulate:

@@ -1,20 +1,15 @@
-"""Permutation helpers: composition, cycle structure, text format."""
+"""Permutation helpers: cycle structure, text format."""
 
 import pytest
 
 from qperm.errors import ValidationError
 from qperm.perms import (
     check_perm,
-    compose,
-    cycle_count,
     cycles,
-    fixed_point_count,
     format_cycles,
     from_cycles,
-    identity,
-    inverse,
+    nontrivial_cycles,
     parse_cycles,
-    power,
     random_permutation,
 )
 
@@ -29,26 +24,17 @@ def test_check_perm_rejects_non_bijections():
             check_perm(bad)
 
 
-def test_compose_convention():
-    # compose(a, b) applies b first: (a o b)(i) = a(b(i))
-    a = (2, 3, 1)
-    b = (1, 3, 2)
-    assert compose(a, b) == tuple(a[b[i] - 1] for i in range(3))
-
-
-def test_inverse_and_power():
-    sigma = (2, 3, 4, 1)
-    assert compose(sigma, inverse(sigma)) == identity(4)
-    assert power(sigma, 4) == identity(4)
-    assert power(sigma, -1) == inverse(sigma)
-    assert power(sigma, 0) == identity(4)
-
-
 def test_cycles_min_element_order():
     sigma = (2, 1, 3, 5, 4)
     assert cycles(sigma) == [(1, 2), (3,), (4, 5)]
-    assert cycle_count(sigma) == 3
-    assert fixed_point_count(sigma) == 1
+
+
+def test_nontrivial_cycles_drop_fixed_points():
+    assert nontrivial_cycles((2, 1, 3, 5, 4)) == [(1, 2), (4, 5)]
+    assert nontrivial_cycles((3, 1, 2, 4)) == [(1, 3, 2)]
+    assert nontrivial_cycles((1, 2, 3)) == []
+    with pytest.raises(ValidationError):
+        nontrivial_cycles((1, 1))
 
 
 def test_from_cycles_round_trip(rng):

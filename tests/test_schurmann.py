@@ -10,9 +10,11 @@ import pytest
 from qperm.cohomology import h1_representatives
 from qperm.config import RunConfig
 from qperm.errors import BudgetError, ValidationError
+from qperm.selftest import random_lincomb, random_reduced_word, random_triple
 from qperm.magic import (
     MagicUnitary,
     TwoBlockSpec,
+    apply,
     f4_phi,
     fourier,
     from_hadamard,
@@ -21,10 +23,12 @@ from qperm.magic import (
 )
 from qperm.schurmann import (
     SchurmannTriple,
+    _apply,
     _columns,
     _commutator_norm,
     _compress,
     _kraus,
+    _relation_defect,
     _rows,
     cocycle_violation,
     eta,
@@ -662,6 +666,16 @@ class TestMomentsMatchEnumeration:
             tracemalloc.stop()
         assert peak < 20e6
 
+    def test_level_budget_message(self, monkeypatch):
+        # traciality's first level stacks (Kraus factors) x (d + 2)^2 entries, d + 2 = 6 here
+        t = fourier_triple(4, np.random.default_rng(79))
+        kraus = len(_kraus(t.pi.reshape(16, 6, 6)))
+        monkeypatch.setattr("qperm.schurmann.DEFAULT_CONFIG", RunConfig(term_budget=36 * kraus - 1))
+        with pytest.raises(BudgetError) as exc:
+            is_tracial(t, 2)
+        assert str(exc.value) == (f"a moment level needs {36 * kraus} complex entries, "
+                                  f"over the term budget {36 * kraus - 1}")
+
     @pytest.mark.parametrize("n", [3, 6])
     def test_kraus_gram_matches_the_full_stack(self, rng, n):
         # the symmetry check's block-diagonal steps (half their entries zero)
@@ -726,3 +740,60 @@ class TestSharedRules:
             noise = rng.normal(size=shape) + 1j * rng.normal(size=shape)
             for xs in (cocycle, noise, cocycle + 1e-9 * noise, np.zeros(shape)):
                 assert cocycle_violation(rep, xs) == reference_cocycle_violation(rep, xs)
+
+    def test_apply_matches_reference_loops(self):
+        # 300 triples (n <= 5, d <= 4): 5 random combinations, one random word and
+        # the unit word each; _apply keeps the old association order, so it is
+        # bit-identical, and magic.apply now multiplies from the right
+        rng = np.random.default_rng(22)
+        for _ in range(300):
+            t = random_triple(rng, n_max=5, d_max=4)
+            xs = [random_lincomb(rng, t.n, 4, int(rng.integers(1, 6))) for _ in range(5)]
+            xs += [random_reduced_word(rng, t.n, 4), unit_word(t.n)]
+            for x in xs:
+                assert _apply(t, x).tobytes() == reference_apply(t, x).tobytes()
+                mass = sum(abs(c) for _, c in (LinComb.from_word(x) if isinstance(x, Word) else x))
+                got, want = apply(t.rep, x), reference_rep_apply(t.rep, x)
+                assert float(np.max(np.abs(got - want))) <= 1e-15 * mass
+
+    def test_relation_defect_matches_reference_loop(self):
+        rng = np.random.default_rng(23)
+        for _ in range(100):
+            t = random_triple(rng, n_max=5, d_max=4)
+            assert _relation_defect(t) == reference_relation_defect(t)
+
+
+def reference_apply(t, x):
+    """The loop `_apply` ran before `magic._fold`: a fresh e_last per term."""
+    if isinstance(x, Word):
+        x = LinComb.from_word(x)
+    out = np.zeros(t.d + 2, dtype=complex)
+    for w, c in x.terms.items():
+        v = np.eye(t.d + 2, dtype=complex)[-1]
+        for i, j in reversed(w.letters):
+            v = t.pi[i - 1, j - 1] @ v
+        out += c * v
+    return out
+
+
+def reference_rep_apply(rep, x):
+    """The loop `magic.apply` ran before `_fold`: block products from the left."""
+    if isinstance(x, Word):
+        x = LinComb.from_word(x)
+    out = np.zeros((rep.d, rep.d), dtype=complex)
+    for w, c in x.terms.items():
+        acc = np.eye(rep.d, dtype=complex)
+        for i, j in w.letters:
+            acc = acc @ rep.blocks[i - 1, j - 1]
+        out += c * acc
+    return out
+
+
+def reference_relation_defect(t):
+    """`_relation_defect` through the reference `_apply` (the relations' terms are
+    pinned against their old construction in test_words)."""
+    worst = 0.0
+    for rel in defining_relations(t.n):
+        v = reference_apply(t, rel)
+        worst = max(worst, abs(complex(v[0])), float(np.linalg.norm(v[1:-1])))
+    return worst

@@ -486,6 +486,14 @@ class TestBlockMemo:
             state_table(t, 1.0, [w], term_budget=10)
         assert conv_exp(t, 1.0, w, term_budget=32_400) == conv_exp(t, 1.0, w)
 
+    def test_budget_message(self, rng):
+        # the 4-letter block at n = 4: 108^2 entries of L_B and 144 x 144 of F
+        t = fourier_triple(4, rng)
+        with pytest.raises(BudgetError) as exc:
+            conv_exp(t, 1.0, parse_word("p(1,2) p(2,3) p(3,4) p(4,1)", 4), term_budget=32_399)
+        assert str(exc.value) == ("the 4-letter block needs 32400 complex entries, "
+                                  "over the term budget 32399")
+
     def test_cli_time_list_matches_single_times(self, capsys):
         args = ["semigroup", "--sigma", "(1 2 3)", "--rates", "1.0",
                 "--word", "p(1,2) p(2,3)", "--word", "p(1,1) p(2,2) p(3,1)"]

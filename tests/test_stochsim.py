@@ -100,6 +100,34 @@ class TestSpec:
         with pytest.raises(ValidationError):
             PermProcessSpec((2, 1, 4, 5, 3, 6), {1: 0.5})
 
+    def test_dict_tuple_key_must_be_a_cycle(self):
+        # (1 3) shares its minimum with the cycle (1 2 3) but is not a rotation of it
+        with pytest.raises(ValidationError, match=r"rate key \(1, 3\)"):
+            PermProcessSpec((2, 3, 1, 4), {(1, 3): 1.0})
+        with pytest.raises(ValidationError, match="rate key"):
+            PermProcessSpec((2, 3, 1, 4), {(1, 3, 2): 1.0})  # reversed, not rotated
+        assert PermProcessSpec((2, 3, 1, 4), {(3, 1, 2): 1.0}).rates == (1.0,)
+
+    def test_dict_key_naming_no_cycle(self):
+        # 4 is a fixed point and (7, 8) no cycle of sigma
+        for extra in ({4: 2.0}, {(7, 8): 3.0}, {2: 2.0}):
+            with pytest.raises(ValidationError, match="rate key"):
+                PermProcessSpec((2, 3, 1, 4), {(1, 2, 3): 1.0, **extra})
+
+    def test_dict_two_keys_for_one_cycle(self):
+        with pytest.raises(ValidationError, match=r"more than one rate for cycle \(3, 4\)"):
+            PermProcessSpec((2, 1, 4, 3), {1: 1.0, (3, 4): 2.0, 3: 5.0})
+        with pytest.raises(ValidationError, match="more than one rate"):
+            PermProcessSpec((2, 3, 1), {(1, 2, 3): 1.0, (2, 3, 1): 1.0})
+
+    def test_cycles_are_computed_once(self, monkeypatch):
+        spec, same = (PermProcessSpec((2, 1, 4, 5, 3, 6), [0.5, 1.5]) for _ in range(2))
+        monkeypatch.setattr("qperm.perms.cycles", None)  # a later recomputation would fail
+        assert spec.cycles == [(1, 2), (3, 4, 5)]
+        assert exact_marginals(spec, 0.5).shape == (6, 6)
+        assert spec == same and hash(spec) == hash(same)
+        assert "cycles" not in repr(spec)
+
     def test_nonpositive_rate(self):
         with pytest.raises(ValidationError):
             PermProcessSpec((2, 1), [0.0])

@@ -158,6 +158,13 @@ class TestHopf:
         with pytest.raises(BudgetError):
             coproduct_terms(word, 2, term_budget=100)
 
+    def test_coproduct_budget_message(self):
+        # 4^(1 * 4) raw chains for a 4-letter word at n = 4 and two legs
+        with pytest.raises(BudgetError) as exc:
+            coproduct_terms(Word([(1, 1)] * 4, 4), 2, term_budget=255)
+        assert str(exc.value) == "coproduct expansion needs 256 raw terms, over the term budget 255"
+        assert len(coproduct_terms(Word([(1, 1)] * 4, 4), 2, term_budget=256)) > 0
+
     def test_coproduct_needs_two_legs(self):
         with pytest.raises(ValidationError):
             coproduct_terms(w("p(1,2)"), 1)
@@ -185,6 +192,35 @@ class TestRelations:
         for n in (2, 3, 4):
             for rel in defining_relations(n):
                 assert counit(rel) == 0
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_terms_match_reference_arithmetic(self, n):
+        # same relations, same words in the same order, same coefficient bits
+        got, want = defining_relations(n), reference_defining_relations(n)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert list(a.terms) == list(b.terms)
+            assert np.array(list(a.terms.values())).tobytes() == \
+                np.array(list(b.terms.values())).tobytes()
+
+
+def reference_defining_relations(n):
+    """The LinComb arithmetic `defining_relations` used before it built each relation
+    from one term list."""
+    rels = []
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            p = Word(((i, j),), n)
+            rels.append(LinComb.from_word(p * p) - LinComb.from_word(p))
+            for k in range(1, n + 1):
+                if k != j:
+                    rels.append(LinComb.from_word(Word(((i, j), (i, k)), n)))
+                    rels.append(LinComb.from_word(Word(((j, i), (k, i)), n)))
+        row = sum((LinComb.from_word(Word(((i, j),), n)) for j in range(1, n + 1)), LinComb.zero(n))
+        col = sum((LinComb.from_word(Word(((j, i),), n)) for j in range(1, n + 1)), LinComb.zero(n))
+        rels.append(row - LinComb.unit(n))
+        rels.append(col - LinComb.unit(n))
+    return rels
 
 
 class TestEnumeration:
