@@ -10,7 +10,6 @@ import pytest
 from qperm.cohomology import h1_representatives
 from qperm.config import RunConfig
 from qperm.errors import BudgetError, ValidationError
-from qperm.selftest import random_lincomb, random_reduced_word, random_triple
 from qperm.magic import (
     MagicUnitary,
     TwoBlockSpec,
@@ -46,6 +45,7 @@ from qperm.schurmann import (
     two_block_symmetry,
     two_block_triple,
 )
+from qperm.selftest import random_lincomb, random_reduced_word, random_triple
 from qperm.words import (
     LinComb,
     Word,
@@ -743,8 +743,9 @@ class TestSharedRules:
 
     def test_apply_matches_reference_loops(self):
         # 300 triples (n <= 5, d <= 4): 5 random combinations, one random word and
-        # the unit word each; _apply keeps the old association order, so it is
-        # bit-identical, and magic.apply now multiplies from the right
+        # the unit word each; _apply multiplies in the reference's order, so it is
+        # bit-identical, while magic.apply multiplies from the right and its
+        # reference from the left, so they agree to rounding
         rng = np.random.default_rng(22)
         for _ in range(300):
             t = random_triple(rng, n_max=5, d_max=4)
