@@ -86,10 +86,8 @@ class PermProcessSpec:
 
 def _rates_by_cycle(rates: dict, cycs) -> list[float]:
     """The rates of a mapping aligned with `cycs`; every cycle named by exactly one key."""
-    names = {}
-    for c in cycs:
-        names[c[0]] = c  # the minimum
-        names.update((c[a:] + c[:a], c) for a in range(len(c)))
+    names = {c[0]: c for c in cycs}  # the minimum
+    names.update((c[a:] + c[:a], c) for c in cycs for a in range(len(c)))
     found: dict = {}
     for key, lam in rates.items():
         cyc = names.get(int(key) if isinstance(key, numbers.Integral) else tuple(key))
