@@ -53,8 +53,9 @@ def dims(n: int, s_max: int) -> FusionData:
     """d_0 = 1, d_1 = n - 1, d_1 d_s = d_{s+1} + d_s + d_{s-1}.
 
     The values are cross-checked against the Chebyshev identification
-    d_s = U_{2s}(sqrt(n)); an s_max whose d_s or U_{2s} leaves the float
-    range raises ValidationError naming the largest usable s_max.
+    d_s = U_{2s}(sqrt(n)), carried through one pass of the recursion; an
+    s_max whose d_s or U_{2s} leaves the float range raises ValidationError
+    naming the largest usable s_max.
     """
     if n < 4:
         raise ValidationError("the character identification needs n >= 4")
@@ -65,9 +66,12 @@ def dims(n: int, s_max: int) -> FusionData:
         seq.append((n - 1) * seq[-1] - seq[-1] - seq[-2])
     seq = seq[: s_max + 1]
     root = math.sqrt(n)
+    u_odd, u = 0.0, 1.0  # U_{2s-1}(sqrt n), U_{2s}(sqrt n) at s = 0
     for s, d in enumerate(seq):
-        u = chebyshev_u(2 * s, root) if d <= sys.float_info.max else math.inf
-        if not math.isfinite(u):
+        if s:
+            u_odd = root * u - u_odd
+            u = root * u_odd - u
+        if d > sys.float_info.max or not math.isfinite(u):
             raise ValidationError(f"the dimensions at n={n} leave the float range at s={s}; "
                                   f"the largest usable s_max is {s - 1}")
         if abs(u - d) > 1e-9 * max(1.0, abs(d)):

@@ -5,17 +5,15 @@ nontrivial cycle of sigma; positions inside a cycle of length ell shift by
 the clock count mod ell, so the marginal probabilities are modular Poisson
 sums, evaluated exactly with a roots-of-unity filter.
 
-Clock counts: a cycle whose mean rate * t is below 10 samples from a Walker
-alias table of Poisson(rate * t) (Walker 1977, Vose 1991), built once per
-call. `simulate_marginals` keeps only the histogram of each block's alias
-codes, which is multinomial, so it takes one `Generator.multinomial` draw
-per block over the 2K codes of the table and folds the codes into residues
-mod the cycle length; `path_sample` maps one float64 uniform per count
-through the table. At a mean of 10 and above, where numpy's own sampler
-switches from the multiplication method to PTRS, whose cost does not grow
-with the mean, the counts come from `Generator.poisson`, tallied in chunks
-of 8,192 draws that continue one stream, so temporaries do not grow with
-the block size.
+Clock counts: `simulate_marginals` keeps only the histogram of each block's
+counts mod ell. A cycle whose mean rate * t is below 10 folds the Poisson
+pmf mod ell once per call, and the histogram of a block is one
+`Generator.multinomial` draw over that residue law. At a mean of 10 and
+above, where numpy's own sampler switches from the multiplication method
+to PTRS, whose cost does not grow with the mean, the counts come from
+`Generator.poisson`, tallied in chunks of 8,192 draws that continue one
+stream, so temporaries do not grow with the block size. `path_sample`
+draws all its grid increments of a cycle with one `Generator.poisson` call.
 
 Seed discipline: numpy SeedSequence(seed) is spawned once per cycle in the
 stored cycle order, and each cycle's stream is spawned again per sample
@@ -29,7 +27,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -42,8 +39,8 @@ from .schurmann import SchurmannTriple
 BLOCK_SIZE = 1 << 16
 #: the largest Poisson mean numpy's sampler accepts
 _POISSON_LAM_MAX = float(np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10)
-#: below this mean counts come from an alias table; numpy switches to PTRS here
-_ALIAS_LAM_MAX = 10.0
+#: below this mean a block is one multinomial draw; numpy switches to PTRS here
+_PTRS_LAM_MIN = 10.0
 #: PTRS draws tallied per numpy call, so temporaries stay O(1) in the block size
 _CHUNK = 1 << 13
 
@@ -121,13 +118,17 @@ class MarginalEstimate:
 
 
 def _modular_poisson(lam_t: float, ell: int) -> np.ndarray:
-    """probs[r] = P(N = r mod ell) for N ~ Poisson(lam_t), roots-of-unity filter."""
+    """probs[r] = P(N = r mod ell) for N ~ Poisson(lam_t), roots-of-unity filter.
+
+    Rounding can leave an entry a few ulp below 0, so the law is clipped at 0
+    and renormalised.
+    """
     m = np.arange(ell)
     omega = np.exp(2j * np.pi * m / ell)
     weights = np.exp(lam_t * (omega - 1.0))
-    r = np.arange(ell)
-    phases = np.exp(-2j * np.pi * np.outer(m, r) / ell)
-    return (weights @ phases).real / ell
+    phases = np.exp(-2j * np.pi * np.outer(m, m) / ell)
+    law = np.clip((weights @ phases).real, 0.0, None)
+    return law / law.sum()
 
 
 def _spread(spec: PermProcessSpec, laws) -> np.ndarray:
@@ -157,12 +158,13 @@ def exact_marginals(spec: PermProcessSpec, t: float) -> np.ndarray:
                           for cyc, lam in zip(spec.cycles, spec.rates)])
 
 
-def _alias_table(lam_t: float) -> tuple[np.ndarray, np.ndarray]:
-    """Walker alias table (prob, alias) of Poisson(lam_t), built as in Vose (1991).
+def _residue_law(lam_t: float, ell: int) -> np.ndarray:
+    """law[r] = P(N = r mod ell) for N ~ Poisson(lam_t), folded from the pmf.
 
     The pmf runs p_k = p_{k-1} * lam_t / k from e^{-lam_t} until a term no
-    longer changes the float sum, and is renormalised; column i of K keeps i
-    with probability prob[i] and gives alias[i] otherwise.
+    longer changes the float sum; it is folded mod ell and renormalised.
+    The estimates are checked against `_modular_poisson`, so the sampler
+    does not draw from it.
     """
     term = math.exp(-lam_t)
     pmf, total = [term], term
@@ -172,71 +174,25 @@ def _alias_table(lam_t: float) -> tuple[np.ndarray, np.ndarray]:
             break
         pmf.append(term)
         total += term
-    size = len(pmf)
-    scaled = [size * p / total for p in pmf]
-    prob, alias = [1.0] * size, list(range(size))
-    small = [k for k, q in enumerate(scaled) if q < 1.0]
-    large = [k for k, q in enumerate(scaled) if q >= 1.0]
-    while small and large:
-        s, g = small.pop(), large.pop()
-        prob[s], alias[s] = scaled[s], g
-        scaled[g] = (scaled[g] + scaled[s]) - 1.0
-        (small if scaled[g] < 1.0 else large).append(g)
-    return np.array(prob), np.array(alias, dtype=np.intp)
+    law = np.bincount(np.arange(len(pmf)) % ell, weights=pmf, minlength=ell)
+    return law / law.sum()
 
 
-class _PoissonVariate:
-    """Poisson(lam_t) counts drawn from a numpy Generator.
+def _tally(rng: np.random.Generator, take: int, lam_t: float, ell: int, law) -> np.ndarray:
+    """Histogram of `take` Poisson(lam_t) counts mod ell.
 
-    Below `_ALIAS_LAM_MAX` a uniform u picks x = K u in column i = floor(x)
-    of the alias table and gives i if x < thresh[i] = i + prob[i], else
-    alias[i]: one uniform per count. At and above it, `Generator.poisson`.
+    Given the residue law, the histogram is Multinomial(take, law), so one
+    draw gives it in O(ell) work. Without it (law None, at a mean of
+    `_PTRS_LAM_MIN` and above) the counts come from `Generator.poisson` in
+    chunks of `_CHUNK`, which continue one stream.
     """
-
-    def __init__(self, lam_t: float):
-        self.lam_t = lam_t
-        self.prob = self.thresh = self.alias = None
-        if lam_t < _ALIAS_LAM_MAX:
-            self.prob, self.alias = _alias_table(lam_t)
-            self.thresh = np.arange(len(self.prob)) + self.prob
-
-    @cached_property
-    def codes(self) -> tuple[np.ndarray, np.ndarray]:
-        """(q, values) of the 2K outcomes of one alias draw: code 2i keeps column i
-        (value i) with q_2i = prob[i] / K, code 2i + 1 gives alias[i] with
-        q_2i+1 = (1 - prob[i]) / K. Built on first use, so `path_sample`'s
-        one-count variates skip it."""
-        size = len(self.prob)
-        return (np.column_stack([self.prob, 1.0 - self.prob]).ravel() / size,
-                np.column_stack([np.arange(size), self.alias]).ravel())
-
-    def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """`size` counts in one call."""
-        if self.alias is None:
-            return rng.poisson(self.lam_t, size)
-        x = rng.random(size)
-        x *= len(self.alias)  # K u < K for every float64 u < 1
-        col = x.astype(np.intp)
-        return np.where(x < self.thresh[col], col, self.alias[col])
-
-    def tally(self, rng: np.random.Generator, take: int, ell: int) -> np.ndarray:
-        """Histogram of `take` Poisson(lam_t) counts mod ell.
-
-        On the alias side the histogram of the `codes` over `take` draws is
-        Multinomial(take, q), so one multinomial draw gives it in O(K) work,
-        and the codes fold into residues. At and above `_ALIAS_LAM_MAX` the
-        counts come from `Generator.poisson` in chunks of `_CHUNK`, which
-        continue one stream.
-        """
-        hist = np.zeros(ell, dtype=np.int64)
-        if self.alias is None:
-            for start in range(0, take, _CHUNK):
-                counts = rng.poisson(self.lam_t, min(_CHUNK, take - start))
-                hist += np.bincount(np.remainder(counts, ell, out=counts), minlength=ell)
-        else:
-            q, values = self.codes
-            np.add.at(hist, values % ell, rng.multinomial(take, q))
-        return hist
+    if law is not None:
+        return rng.multinomial(take, law)
+    hist = np.zeros(ell, dtype=np.int64)
+    for start in range(0, take, _CHUNK):
+        counts = rng.poisson(lam_t, min(_CHUNK, take - start))
+        hist += np.bincount(np.remainder(counts, ell, out=counts), minlength=ell)
+    return hist
 
 
 def _check_means(means, what: str) -> None:
@@ -262,15 +218,14 @@ def simulate_marginals(
 
     Each cycle advances all its positions by the same Poisson count, so one
     draw per cycle per sample decides the whole block row. A cycle with
-    rate * t below 10 takes one multinomial draw per block over the codes
-    of one alias table of Poisson(rate * t), in O(K) work for a table of K
-    columns whatever the block size; at 10 and above the counts come from
-    `Generator.poisson` (PTRS) in chunks of 8,192 draws, so memory does not
-    grow with `block_size`. The blocks are tallied one after another in
-    the calling thread; each tally is a vector of integer counts, so the
-    returned bytes depend only on the seed, the sample count and the block
-    size.  A rate * t above numpy's Poisson limit (about 9.2e18) raises
-    ValidationError before any draw.
+    rate * t below 10 takes one multinomial draw per block over the Poisson
+    law folded mod its length, in O(ell) work whatever the block size; at 10
+    and above the counts come from `Generator.poisson` (PTRS) in chunks of
+    8,192 draws, so memory does not grow with `block_size`. The blocks are
+    tallied one after another in the calling thread; each tally is a vector
+    of integer counts, so the returned bytes depend only on the seed, the
+    sample count and the block size.  A rate * t above numpy's Poisson limit
+    (about 9.2e18) raises ValidationError before any draw.
     """
     _check_count("samples", samples)
     _check_count("block_size", block_size)
@@ -280,12 +235,12 @@ def simulate_marginals(
     streams = np.random.SeedSequence(seed).spawn(len(spec.rates))
     laws = []
     for cyc, lam, stream in zip(spec.cycles, spec.rates, streams):
-        ell = len(cyc)
-        variate = _PoissonVariate(lam * t)
+        ell, lam_t = len(cyc), lam * t
+        law = _residue_law(lam_t, ell) if lam_t < _PTRS_LAM_MIN else None
         hist = np.zeros(ell, dtype=np.int64)
         for b, blk in enumerate(stream.spawn(nblocks)):
             take = min(block_size, samples - b * block_size)
-            hist += variate.tally(np.random.Generator(np.random.PCG64(blk)), take, ell)
+            hist += _tally(np.random.Generator(np.random.PCG64(blk)), take, lam_t, ell, law)
         laws.append(hist / samples)
     probs = _spread(spec, laws)
     # fixed points have probs exactly 1, so their stderr is exactly 0
@@ -327,10 +282,11 @@ def path_sample(spec: PermProcessSpec, times, seed: int) -> list[tuple[int, ...]
     """Sample one path; X_t on the grid.
 
     The grid must be finite, nondecreasing and start at >= 0. Each cycle
-    draws one Poisson(rate * dt) count per grid interval, with the variate
-    of `simulate_marginals`, and its shift at a grid time is the running sum
-    mod ell, so the cost does not depend on the rates. A rate * dt above
-    numpy's Poisson limit raises ValidationError before any draw.
+    draws its Poisson(rate * dt) counts, one per grid interval, in one
+    `Generator.poisson` call on its own stream, and its shift at a grid time
+    is the running sum mod ell, so the cost does not grow with the rates. A
+    rate * dt above numpy's Poisson limit raises ValidationError before any
+    draw.
     """
     times = [float(v) for v in times]
     for v in times:
@@ -341,17 +297,11 @@ def path_sample(spec: PermProcessSpec, times, seed: int) -> list[tuple[int, ...]
     _check_means((lam * dt for lam in spec.rates for dt in steps), "rate * dt")
     cycles = spec.cycles
     streams = np.random.SeedSequence(seed).spawn(len(spec.rates))
-    variates: dict = {}  # one variate, so one alias table, per distinct rate * dt
     shifts = []
     for cyc, lam, stream in zip(cycles, spec.rates, streams):
-        rng = np.random.Generator(np.random.PCG64(stream))
-        counts = []
-        for dt in steps:
-            lam_t = lam * dt
-            if lam_t not in variates:
-                variates[lam_t] = _PoissonVariate(lam_t)
-            counts.append(int(variates[lam_t].draw(rng, 1)[0]) % len(cyc))
-        shifts.append(np.cumsum(counts) % len(cyc))
+        counts = np.random.Generator(np.random.PCG64(stream)).poisson(lam * steps)
+        # fold before the running sum: counts near 9.2e18 would overflow it
+        shifts.append(np.cumsum(counts % len(cyc)) % len(cyc))
     out = []
     for k in range(len(times)):
         images = list(range(1, spec.n + 1))

@@ -1,6 +1,7 @@
 """Central functionals: character polynomials, fusion dimensions, Hunt formula."""
 
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -80,6 +81,22 @@ class TestDims:
         with pytest.raises(ValidationError, match=f"the largest usable s_max is {largest}$"):
             dims(n, 10 * largest)
         assert len(dims(n, largest).dims) == largest + 1
+
+    def test_cross_check_is_one_chebyshev_pass(self, monkeypatch):
+        # a fresh U_{2s} per level made dims O(s_max^2) and `qperm central` O(s_max^3)
+        want = dims(4, 1000).dims
+        monkeypatch.setattr("qperm.central.chebyshev_u", None)
+        monkeypatch.setattr("qperm.central.chebyshev_u_with_prime", None)
+        assert dims(4, 1000).dims == want == tuple(range(1, 2002, 2))
+
+    def test_cli_cost_grows_slower_than_cubic(self, capsys):
+        # smax 1000 took 36 s when each level re-ran every lower level's recursion
+        from qperm.cli import main
+
+        start = time.perf_counter()
+        assert main(["central", "--n", "4", "--smax", "1000"]) == 0
+        assert time.perf_counter() - start < 5.0
+        assert '"smax":1000' in capsys.readouterr().out
 
 
 class TestFusion:

@@ -522,6 +522,16 @@ class TestBlockEngine:
             assert abs(val - ref) < 1e-11, (w.letters, time, val, ref)
             assert err < 1e-12
 
+    def test_series_vs_expm_letters_catch_a_wrong_exponential(self, monkeypatch):
+        # the letters were once checked against fundamental_semigroup, which runs
+        # the same _expm_action as conv_exp, so a wrong exponential passed there
+        from qperm import selftest
+
+        action = semigroup._expm_action
+        monkeypatch.setattr(semigroup, "_expm_action", lambda A, B: 1.001 * action(A, B))
+        res = selftest.check_series_vs_expm(triples=1, times=(0.5,))
+        assert not res.passed and "p(1,1): series off by" in res.detail
+
     @pytest.mark.parametrize("length", [2, 3, 4])
     def test_fourier(self, rng, length):
         t = fourier_triple(4, rng)

@@ -1,5 +1,6 @@
 """Classical-permutation Levy processes: exact marginals, sampling, bridge triple."""
 
+import itertools
 import os
 import subprocess
 import sys
@@ -33,19 +34,18 @@ MIXED = PermProcessSpec((2, 1, 4, 5, 3, 6), [0.5, 1.5])  # (1 2)(3 4 5), 6 fixed
 TWO_CYCLES = PermProcessSpec((2, 3, 4, 1, 6, 5), [1.0, 0.7])  # (1 2 3 4)(5 6)
 
 
-def alias_codes(lam_t):
-    """Code probabilities and values of the Poisson(lam_t) alias table: code 2i
-    keeps column i with probability prob[i] / K, code 2i + 1 gives alias[i]."""
-    prob, alias = stochsim._alias_table(lam_t)
-    size = len(prob)
-    return (np.ravel([prob, 1.0 - prob], order="F") / size,
-            np.ravel([np.arange(size), alias], order="F"))
+def folded_pmf(lam_t, ell):
+    """scipy's Poisson(lam_t) pmf folded mod ell and renormalised: at mean 9.999
+    scipy's terms sum to 1 - 1.9e-15."""
+    k = np.arange(200)
+    law = np.bincount(k % ell, weights=scipy.stats.poisson.pmf(k, lam_t), minlength=ell)
+    return law / law.sum()
 
 
 def reference_simulate(spec, t, samples, seed, block_size):
     """The serial block loop: one block at a time on its own PCG64 stream.
-    Below mean 10 a block is one multinomial draw over the alias table's
-    codes; at 10 and above, one `Generator.poisson` call. Counts fold with `%`."""
+    Below mean 10 a block is one multinomial draw over the Poisson law folded
+    mod ell; at 10 and above, one `Generator.poisson` call folded with `%`."""
     n = spec.n
     probs = np.zeros((n, n))
     for i in range(1, n + 1):
@@ -63,8 +63,7 @@ def reference_simulate(spec, t, samples, seed, block_size):
             left -= take
             rng = np.random.Generator(np.random.PCG64(blk))
             if lam * t < 10:
-                q, values = alias_codes(lam * t)
-                hist += np.bincount(values % ell, weights=rng.multinomial(take, q), minlength=ell)
+                hist += rng.multinomial(take, stochsim._residue_law(lam * t, ell))
             else:
                 hist += np.bincount(rng.poisson(lam * t, take) % ell, minlength=ell)
         hist /= samples
@@ -153,6 +152,16 @@ class TestExactMarginals:
         assert float(M.min()) >= 0.0
         assert np.allclose(M.sum(axis=1), 1.0, atol=1e-12)
 
+    @pytest.mark.parametrize("ell", range(2, 17))
+    def test_laws_are_nonnegative_and_rows_sum_to_one(self, ell):
+        # the roots-of-unity filter gave -4.9e-16 on a 16-cycle at lam t = 0.1
+        # and -7.9e-18 at (1e-9, ell = 7); a negative entry made the stderr NaN
+        spec = PermProcessSpec(tuple(range(2, ell + 1)) + (1,), [1.0])
+        for lam_t in [*np.geomspace(1e-9, 50.0, 80), 1e-3, 0.1]:
+            M = exact_marginals(spec, lam_t)
+            assert M.min() >= 0.0
+            assert np.max(np.abs(M.sum(axis=1) - 1.0)) <= 1e-15
+
     def test_transposition_diagonal_frozen(self):
         # ell = 2, lam = 1, t = 1: P(even count) = e^{-1} cosh(1)
         spec = PermProcessSpec((2, 1), [1.0])
@@ -194,42 +203,32 @@ class TestExactMarginals:
 
 
 class TestPoissonVariate:
-    """The clock-count sampler: alias table below mean 10, numpy's PTRS above."""
+    """The clock counts: the folded pmf below mean 10, numpy's PTRS above."""
 
-    ALIAS_MEANS = [1e-9, 0.15, 1.0, 2.25, 9.999]
+    MULTINOMIAL_MEANS = [1e-9, 0.15, 1.0, 2.25, 9.999]
 
-    @staticmethod
-    def implied_pmf(variate):
-        # column i keeps i with probability prob[i] and gives alias[i] otherwise
-        size = len(variate.alias)
-        prob = variate.thresh - np.arange(size)
-        pmf = prob.copy()
-        np.add.at(pmf, variate.alias, 1.0 - prob)
-        return pmf / size
-
-    @pytest.mark.parametrize("lam_t", ALIAS_MEANS)
-    def test_alias_table_matches_poisson_pmf(self, lam_t):
-        variate = stochsim._PoissonVariate(lam_t)
-        pmf = self.implied_pmf(variate)
-        want = scipy.stats.poisson.pmf(np.arange(len(pmf)), lam_t)
-        assert np.max(np.abs(pmf - want)) <= 1e-15
-        assert scipy.stats.poisson.sf(len(pmf) - 1, lam_t) <= 1e-15
+    @pytest.mark.parametrize("lam_t", MULTINOMIAL_MEANS)
+    def test_residue_law_matches_folded_poisson_pmf(self, lam_t):
+        for ell in range(2, 6):
+            law = stochsim._residue_law(lam_t, ell)
+            assert np.max(np.abs(law - folded_pmf(lam_t, ell))) <= 1e-15
 
     def test_switch_to_numpy_sampler_at_mean_ten(self):
-        assert stochsim._PoissonVariate(9.999).alias is not None
-        assert stochsim._PoissonVariate(10.0).alias is None
-        assert stochsim._PoissonVariate(12.0).alias is None
+        # the reference takes the multinomial below 10 and `Generator.poisson` from 10
+        for lam_t in (9.999, 10.0, 12.0):
+            spec = PermProcessSpec((2, 3, 4, 1), [lam_t])
+            est = simulate_marginals(spec, 1.0, 500, seed=3, block_size=500)
+            assert np.array_equal(est.probs, reference_simulate(spec, 1.0, 500, 3, 500)[0])
 
-    @pytest.mark.parametrize("lam_t", ALIAS_MEANS + [10.0, 12.0])
+    @pytest.mark.parametrize("lam_t", MULTINOMIAL_MEANS + [10.0, 12.0])
     def test_draws_pass_chi_square(self, lam_t):
+        # residues of 10**6 clock counts on a 7-cycle against scipy's folded pmf
         draws = 10**6
-        counts = stochsim._PoissonVariate(lam_t).draw(np.random.default_rng(42), draws)
-        top = int(counts.max()) + 1
-        observed = np.bincount(counts, minlength=top).astype(float)
-        expected = draws * scipy.stats.poisson.pmf(np.arange(top), lam_t)
-        expected[-1] += draws * scipy.stats.poisson.sf(top - 1, lam_t)
-        # merge the sparse tails into their neighbours until every bin expects >= 5
-        lo, hi = 0, top
+        spec = PermProcessSpec((2, 3, 4, 5, 6, 7, 1), [lam_t])
+        observed = np.rint(simulate_marginals(spec, 1.0, draws, seed=42).probs[0] * draws)
+        expected = draws * folded_pmf(lam_t, 7)
+        # merge the sparse residues into their neighbours until every bin expects >= 5
+        lo, hi = 0, 7
         while hi - lo > 1 and expected[lo] < 5:
             expected[lo + 1] += expected[lo]
             observed[lo + 1] += observed[lo]
@@ -238,7 +237,7 @@ class TestPoissonVariate:
             expected[hi - 2] += expected[hi - 1]
             observed[hi - 2] += observed[hi - 1]
             hi -= 1
-        if hi - lo == 1:  # lam_t = 1e-9: nonzero counts are 1e-3 expected
+        if hi - lo == 1:  # lam_t = 1e-9: nonzero residues are 1e-3 expected
             assert observed[lo] == draws
             return
         result = scipy.stats.chisquare(observed[lo:hi], expected[lo:hi])
@@ -247,17 +246,20 @@ class TestPoissonVariate:
     @pytest.mark.parametrize("lam_t", [12.0, 1e6])
     def test_chunked_tally_continues_one_stream(self, lam_t):
         take, ell = 3 * stochsim._CHUNK + 5, 3
-        hist = stochsim._PoissonVariate(lam_t).tally(np.random.default_rng(8), take, ell)
-        counts = stochsim._PoissonVariate(lam_t).draw(np.random.default_rng(8), take)
+        hist = stochsim._tally(np.random.default_rng(8), take, lam_t, ell, None)
+        counts = np.random.default_rng(8).poisson(lam_t, take)
         assert np.array_equal(hist, np.bincount(counts % ell, minlength=ell))
 
     @pytest.mark.parametrize("lam_t", [0.7])
-    def test_alias_tally_is_one_folded_multinomial(self, lam_t):
+    def test_tally_is_one_multinomial_over_the_folded_law(self, lam_t):
+        # one block: its histogram is one multinomial draw on the block's own stream
         take, ell = 3 * stochsim._CHUNK + 5, 3
-        hist = stochsim._PoissonVariate(lam_t).tally(np.random.default_rng(8), take, ell)
-        q, values = alias_codes(lam_t)
-        codes = np.random.default_rng(8).multinomial(take, q)
-        assert np.array_equal(hist, np.bincount(values % ell, weights=codes, minlength=ell))
+        est = simulate_marginals(PermProcessSpec((2, 3, 1), [lam_t]), 1.0, take, seed=8,
+                                 block_size=take)
+        block = np.random.SeedSequence(8).spawn(1)[0].spawn(1)[0]
+        law = stochsim._residue_law(lam_t, ell)
+        hist = np.random.Generator(np.random.PCG64(block)).multinomial(take, law)
+        assert np.array_equal(est.probs[0], hist / take)
 
 
 class TestTallyLaw:
@@ -276,8 +278,7 @@ class TestTallyLaw:
 
     def law_failures(self, counts, lam_t):
         seeds, ell = counts.shape
-        k = np.arange(200)
-        p = np.bincount(k % ell, weights=scipy.stats.poisson.pmf(k, lam_t), minlength=ell)
+        p = folded_pmf(lam_t, ell)
         var = self.SAMPLES * p * (1.0 - p)
         mean_z = (counts.mean(axis=0) - self.SAMPLES * p) / np.sqrt(var / seeds)
         # spread of a sample variance of binomial counts, excess kurtosis included
@@ -300,26 +301,20 @@ class TestTallyLaw:
 
     @pytest.mark.parametrize("lam_t", MEANS)
     def test_one_tally_reused_for_every_block_fails(self, lam_t, monkeypatch):
-        tally = stochsim._PoissonVariate.tally
+        tally, first, calls = stochsim._tally, [], itertools.count()
 
-        def first_block_only(variate, rng, take, ell):
-            if not hasattr(variate, "first"):
-                variate.first = tally(variate, rng, take, ell)
-            return variate.first
+        def first_block_only(rng, *args):
+            if next(calls) % (self.SAMPLES // self.BLOCK) == 0:  # a call's first block
+                first[:] = [tally(rng, *args)]
+            return first[0]
 
-        monkeypatch.setattr(stochsim._PoissonVariate, "tally", first_block_only)
+        monkeypatch.setattr(stochsim, "_tally", first_block_only)
         assert "variance" in self.law_failures(self.residue_counts(lam_t), lam_t)
 
     @pytest.mark.parametrize("lam_t", MEANS)
-    def test_code_probabilities_shifted_by_one_fail(self, lam_t, monkeypatch):
-        init = stochsim._PoissonVariate.__init__
-
-        def shifted(variate, mean):
-            init(variate, mean)
-            q, values = variate.codes
-            variate.codes = np.roll(q, 1), values
-
-        monkeypatch.setattr(stochsim._PoissonVariate, "__init__", shifted)
+    def test_law_shifted_by_one_residue_fails(self, lam_t, monkeypatch):
+        law = stochsim._residue_law
+        monkeypatch.setattr(stochsim, "_residue_law", lambda *args: np.roll(law(*args), 1))
         failures = self.law_failures(self.residue_counts(lam_t), lam_t)
         assert "mean" in failures and "chi-square" in failures
 
@@ -444,7 +439,7 @@ class TestThreadedTally:
         assert peak < 1 << 20
 
     def test_block_memory_does_not_grow_with_the_block_size(self):
-        # one block of 10**6 draws is one multinomial draw over the alias codes
+        # one block of 10**6 draws is one multinomial draw over the folded law
         tracemalloc.start()
         try:
             simulate_marginals(CYCLE4, 1.0, 10**6, seed=0, block_size=10**6)
@@ -467,13 +462,12 @@ class TestThreadedTally:
 
 
 def reference_path(spec, times, seed):
-    """path_sample with a fresh variate, so a fresh alias table, per grid interval."""
+    """path_sample drawn as one scalar `Generator.poisson` count per grid interval, in order."""
     shifts = []
     streams = np.random.SeedSequence(seed).spawn(len(spec.rates))
     for cyc, lam, stream in zip(spec.cycles, spec.rates, streams):
         rng = np.random.Generator(np.random.PCG64(stream))
-        counts = [int(stochsim._PoissonVariate(lam * dt).draw(rng, 1)[0]) % len(cyc)
-                  for dt in np.diff(times, prepend=0.0)]
+        counts = [int(rng.poisson(lam * dt)) % len(cyc) for dt in np.diff(times, prepend=0.0)]
         shifts.append(np.cumsum(counts) % len(cyc))
     out = []
     for k in range(len(times)):
@@ -558,8 +552,8 @@ class TestPathSample:
         np.cumsum(np.random.default_rng(11).exponential(0.05, 200)),
     ])
     def test_matches_one_variate_per_interval(self, grid):
-        # the variates shared between equal rate * dt give the draws of a
-        # fresh variate per grid interval; rate 12 takes PTRS on steps >= 0.84
+        # one vector draw per cycle gives the scalar draws per grid interval
+        # in order; rate 12 takes PTRS on steps >= 0.84
         spec = PermProcessSpec((2, 3, 4, 1, 6, 5, 8, 9, 7), [1.0, 0.7, 12.0])
         grid = np.concatenate([grid, grid[-1] + [0.9, 0.9, 1.0]])
         want = reference_path(spec, grid, seed=5)
