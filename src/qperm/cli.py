@@ -26,6 +26,7 @@ from .magic import (
     HadamardMatrix,
     MagicUnitary,
     _complex_from_json,
+    _json_field,
     f4_phi,
     fourier,
     from_hadamard,
@@ -215,10 +216,8 @@ def _rep_from_args(args) -> MagicUnitary:
 def _triple_from_args(args) -> SchurmannTriple:
     if args.triple is not None:
         data = _load_json(args.triple)
-        if not isinstance(data, dict) or "rep" not in data or "xs" not in data:
-            raise ValidationError("triple file must be a JSON object {rep, xs}")
-        rep = MagicUnitary.from_json(data["rep"])
-        xs = _complex_from_json(data["xs"])
+        rep = MagicUnitary.from_json(_json_field(data, "rep"))
+        xs = _complex_from_json(_json_field(data, "xs"))
         if xs.shape != (rep.n, rep.d):
             raise ValidationError(f"xs: expected shape {(rep.n, rep.d)} of [re, im] pairs")
         return SchurmannTriple(require_valid(rep), xs)

@@ -49,7 +49,7 @@ class MagicUnitary:
 
     @classmethod
     def from_json(cls, obj) -> "MagicUnitary":
-        blocks = _complex_from_json(obj["entries"])
+        blocks = _complex_from_json(_json_field(obj, "entries"))
         M = cls(blocks)
         if M.n != obj.get("n", M.n) or M.d != obj.get("d", M.d):
             raise ValidationError("JSON header (n, d) does not match entries")
@@ -156,7 +156,7 @@ class HadamardMatrix:
 
     @classmethod
     def from_json(cls, obj) -> "HadamardMatrix":
-        return cls(_complex_from_json(obj["H"]))
+        return cls(_complex_from_json(_json_field(obj, "H")))
 
 
 def require_hadamard(Hm: HadamardMatrix, tol: float = DEFAULT_CONFIG.tol) -> HadamardMatrix:
@@ -297,6 +297,13 @@ def _complex_to_json(a: np.ndarray) -> list:
         z = complex(a)
         return [z.real, z.imag]
     return [_complex_to_json(sub) for sub in a]
+
+
+def _json_field(obj, key: str):
+    """obj[key], or a ValidationError if obj is not a JSON object holding key."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise ValidationError(f"expected a JSON object with the key {key!r}")
+    return obj[key]
 
 
 def _complex_from_json(obj) -> np.ndarray:

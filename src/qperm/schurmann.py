@@ -53,7 +53,8 @@ class SchurmannTriple:
 
     block_L maps a word length k >= 2 to the read-only block generator L_B
     of `semigroup._block_L` (real when its imaginary part is exactly zero;
-    k = 1 is letter_L).  It is filled on first use by `semigroup.conv_exp`
+    k = 1 is letter_L), its rows and columns in the lexicographic order of
+    `words._index_sequences`.  It is filled on first use by `semigroup.conv_exp`
     and `state_table`, so every later time and word of that length reuses
     the block, and it is freed with the triple.
     """

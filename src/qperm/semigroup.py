@@ -8,7 +8,8 @@ multiplication and omega_t(U) = exp(t L(U)) as a matrix.  U_{I,J} vanishes
 unless i_m = i_{m+1} exactly when j_m = j_{m+1}, so L(U) is block diagonal by
 that equality pattern, and every reduced k-letter word lies in the block of
 index sequences with no two adjacent entries equal: m = n (n-1)^(k-1) of
-them.  k = 1 is the fundamental semigroup exp(t A).
+them, numbered in the lexicographic order of words._index_sequences, the
+order of reduced_word_array.  k = 1 is the fundamental semigroup exp(t A).
 
 L(U) on that block, L_B, is one product of the first rows e_0 pi(a) of the
 half-length block words with the last columns pi(b) e_last of the other
@@ -19,7 +20,8 @@ Taylor degree m* and the number of scaling steps s chosen from ||t L_B||_1
 alone, so it needs no norm estimate and no random numbers).  L_B does not
 depend on t or on the word, so the triple keeps each length's block
 (SchurmannTriple.block_L) and later calls reuse it; term_budget is charged
-the complex entries the block's construction allocates, on every call.
+the complex entries the block's construction allocates, on every call, and
+the default term budget the m* s matrix products of each exponential.
 
 Also provides convolution of functionals, the Haar-state Gram matrix on the
 degree <= 2 span and the induced self-adjointness check for the Markov
@@ -28,15 +30,13 @@ generator.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from . import _kernel
 from .config import DEFAULT_CONFIG
 from .errors import ValidationError, _charge, check_time
 from .schurmann import SchurmannTriple, _bound, _columns, _rows
-from .words import Word, coproduct_expand
+from .words import Word, _index_sequences, _sequence_pairs, _sequence_position, coproduct_expand
 
 #: unit roundoff of float64
 _UNIT_ROUNDOFF = float(np.finfo(float).eps) / 2
@@ -66,18 +66,24 @@ def _expm_action(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     exp((A - mu I) / s) are taken, with (m*, s) minimising m* s over
     s = ceil(||A - mu I||_1 / theta_m*).  A step stops early once two
     consecutive terms are below the unit roundoff relative to the partial
-    sum (inf-norms).  Cost: at most m* s products with A, linear in ||A||_1.
+    sum (inf-norms).  Cost: at most m* s products with A, linear in ||A||_1,
+    charged against DEFAULT_CONFIG.term_budget before the first one; a count
+    that is not finite (A or its trace overflows) is over any budget.
     A and B are not modified; the work is one copy of A and of B.
     """
     size = len(A)
-    mu = np.trace(A) / size
     A = A.copy()  # C-ordered, so the strided view below is the diagonal
-    A.reshape(-1)[:: size + 1] -= mu
-    norm = float(np.linalg.norm(A, 1))
-    terms, s = 0, 1
-    if norm > 0:
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the charge below
+        mu = np.trace(A) / size
+        A.reshape(-1)[:: size + 1] -= mu
+        norm = float(np.linalg.norm(A, 1))
         steps = np.ceil(norm / _THETA)
-        best = int(np.argmin(_DEGREES * steps))  # the smallest degree on a tie
+        products = _DEGREES * steps
+    terms, s = 0, 1
+    if norm != 0:
+        best = int(np.argmin(products))  # the smallest degree on a tie
+        need = int(products[best]) if np.isfinite(products[best]) else np.inf
+        _charge(need, DEFAULT_CONFIG.term_budget, "the exponential action", "matrix products")
         terms, s = int(_DEGREES[best]), int(steps[best])
     if s > 1:
         A /= s
@@ -120,7 +126,9 @@ def fundamental_semigroup(t: SchurmannTriple, time: float) -> np.ndarray:
     """exp(time * A) on the fundamental coefficients; a stochastic matrix."""
     check_time(time)
     A = generator_matrix(t)
-    return _expm_action(time * A, np.eye(len(A)))
+    with np.errstate(over="ignore"):  # an overflow is over _expm_action's budget
+        X = time * A
+    return _expm_action(X, np.eye(len(A)))
 
 
 def convolve(f, g, w: Word, term_budget: int | None = None) -> complex:
@@ -129,49 +137,20 @@ def convolve(f, g, w: Word, term_budget: int | None = None) -> complex:
                 for (left, right), mult in coproduct_expand(w, 2, term_budget)), 0j)
 
 
-def _radix(n: int, k: int) -> tuple[int, ...]:
-    # first index in base n, then each step's offset in base n - 1
-    return (n,) + (n - 1,) * (k - 1)
-
-
-def _block_indices(n: int, k: int) -> np.ndarray:
-    """The 1-based index sequences of length k with no two adjacent entries equal.
-
-    Row r is the mixed-radix number r: its first digit is the first index,
-    each later digit d moves the index on by d + 1 (mod n).
-    """
-    radix = _radix(n, k)
-    digits = np.array(np.unravel_index(np.arange(math.prod(radix)), radix)).T
-    digits[:, 1:] += 1
-    return np.cumsum(digits, axis=1) % n + 1
-
-
-def _position(seqs, n: int) -> np.ndarray:
-    """Rows of 1-based index sequences, shape (count, length), in _block_indices(n, length)."""
-    seqs = np.asarray(seqs)
-    digits = np.concatenate([seqs[:, :1] - 1, np.diff(seqs, axis=1) % n - 1], axis=1)
-    return np.ravel_multi_index(digits.T, _radix(n, seqs.shape[1]))
-
-
-def _block_words(n: int, k: int) -> np.ndarray:
-    """Letters (m^2, k, 2) of p(I, J) over all pairs of k-letter block indices, I major."""
-    seqs = _block_indices(n, k)
-    return np.stack(np.broadcast_arrays(seqs[:, None], seqs[None]), axis=-1).reshape(-1, k, 2)
-
-
 def _block_entries(n: int, k: int) -> int:
     """Complex entries _block_L allocates for the k-letter block: L_B, and F for k >= 2."""
-    m = math.prod(_radix(n, k))
+    m = n * (n - 1) ** (k - 1)
     if k == 1:
         return m * m
-    h = k // 2
-    return m * m + (math.prod(_radix(n, h)) * math.prod(_radix(n, k - h))) ** 2
+    # F has m_h^2 rows and m_(k-h)^2 columns, m_h m_(k-h) = n^2 (n-1)^(k-2)
+    return m * m + (n * n * (n - 1) ** (k - 2)) ** 2
 
 
 def _block_L(t: SchurmannTriple, k: int) -> np.ndarray:
     """L_B[I, J] = L(p(i_1,j_1) ... p(i_k,j_k)) over all m^2 pairs of block indices.
 
-    Split each word after h = k // 2 letters, a = p(I', J') and b = p(I'', J''):
+    Rows and columns follow words._index_sequences(n, k).  Split each word
+    after h = k // 2 letters, a = p(I', J') and b = p(I'', J''):
     L(ab) = e_0 pi(a) pi(b) e_last, so one product of the rows of the
     h-letter block words with the columns of the (k-h)-letter ones gives
     every entry.  k = 1 is letter_L.  Unmemoized and unbudgeted: _evaluate
@@ -181,13 +160,13 @@ def _block_L(t: SchurmannTriple, k: int) -> np.ndarray:
     if k == 1:
         return t.letter_L
     h = k // 2
+    a, b = _index_sequences(n, h), _index_sequences(n, k - h)
     # F[(I', J'), (I'', J'')] = L(ab)
-    F = np.inner(_rows(t, _block_words(n, h)), _columns(t, _block_words(n, k - h)))
-    ma, mb = math.prod(_radix(n, h)), math.prod(_radix(n, k - h))
+    F = np.inner(_rows(t, _sequence_pairs(a)), _columns(t, _sequence_pairs(b)))
     # I = (I', I''): I' ends on another index than I'' starts with
-    seqs = _block_indices(n, k)
-    pa, pb = _position(seqs[:, :h], n), _position(seqs[:, h:], n)
-    return F[pa[:, None] * ma + pa[None], pb[:, None] * mb + pb[None]]
+    seqs = _index_sequences(n, k)
+    pa, pb = _sequence_position(seqs[:, :h], n), _sequence_position(seqs[:, h:], n)
+    return F[pa[:, None] * len(a) + pa[None], pb[:, None] * len(b) + pb[None]]
 
 
 def _evaluate(t: SchurmannTriple, time: float, words, term_budget: int | None) -> dict:
@@ -218,11 +197,12 @@ def _evaluate(t: SchurmannTriple, time: float, words, term_budget: int | None) -
                 L = L.real.copy()
             L.setflags(write=False)
             t.block_L[k] = L
-        X = time * L
-        err = _UNIT_ROUNDOFF * float(np.linalg.norm(X, 1))
-        seqs = np.array(list(roots.values()))
-        rows = _position(seqs[:, :, 0], t.n)
-        cols, where = np.unique(_position(seqs[:, :, 1], t.n), return_inverse=True)
+        with np.errstate(over="ignore"):  # an overflow is over _expm_action's budget
+            X = time * L
+            err = _UNIT_ROUNDOFF * float(np.linalg.norm(X, 1))
+        seqs = np.array(list(roots.values()))  # words x letters x (row, column)
+        rows, cols = _sequence_position(np.vstack([seqs[..., 0], seqs[..., 1]]), t.n).reshape(2, -1)
+        cols, where = np.unique(cols, return_inverse=True)
         units = np.zeros((len(X), len(cols)))
         units[cols, np.arange(len(cols))] = 1.0
         E = _expm_action(X, units)
@@ -268,23 +248,12 @@ def haar_gram_degree2(n: int) -> np.ndarray:
     """
     if n < 2:
         raise ValidationError("need n >= 2")
-    size = 1 + n * n
-    G = np.empty((size, size))
+    differ = 1.0 - np.eye(n)
+    G = np.empty((1 + n * n, 1 + n * n))
+    G[1:, 1:] = np.kron(differ, differ) / (n * (n - 1))  # 0 unless both index pairs differ
+    np.fill_diagonal(G, 1.0 / n)
+    G[0, 1:] = G[1:, 0] = 1.0 / n
     G[0, 0] = 1.0
-    off = 1.0 / (n * (n - 1))
-    for i in range(n):
-        for j in range(n):
-            a = 1 + i * n + j
-            G[0, a] = G[a, 0] = 1.0 / n
-            for k in range(n):
-                for l in range(n):
-                    b = 1 + k * n + l
-                    if i == k and j == l:
-                        G[a, b] = 1.0 / n
-                    elif i == k or j == l:
-                        G[a, b] = 0.0
-                    else:
-                        G[a, b] = off
     return G
 
 

@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -200,6 +201,20 @@ class TestVerify:
         assert err.startswith("qperm: error: complex JSON arrays must " + message)
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    @pytest.mark.parametrize("option, blob, key", [
+        ("--triple", {"rep": [1, 2], "xs": []}, "entries"),
+        ("--hadamard", {}, "H"),
+        ("--magic", [1, 2], "entries"),
+        ("--magic", {}, "entries"),
+    ])
+    def test_json_without_its_object_or_key_is_exit_1(self, capsys, tmp_path, option, blob, key):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(blob))
+        command = "verify" if option == "--triple" else "cohomology"
+        code, out, err = run(capsys, command, option, str(path))
+        assert (code, out) == (1, "")
+        assert err == f"qperm: error: expected a JSON object with the key {key!r}\n"
+
     def test_non_finite_magic_entries_are_exit_1(self, capsys, tmp_path):
         blob = from_hadamard(fourier(2)).to_json()
         blob["entries"][0][0][0][0] = [float("nan"), 0.0]
@@ -273,6 +288,21 @@ class TestSemigroup:
         )
         assert code == 2
         assert "budget" in err
+
+    @pytest.mark.parametrize("rates, time, need", [
+        ("1", "1e7", "55555610"),  # 55 terms in ceil(1e7 / 9.9) steps
+        ("1", "1e308", "inf"),  # the trace of t L overflows
+        ("1e300", "1e10", "inf"),  # t L overflows
+    ])
+    def test_exponential_past_the_budget_is_exit_2(self, capsys, rates, time, need):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(
+                capsys, "semigroup", "--sigma", "(1 2)", "--rates", rates, "--time", time
+            )
+        assert (code, out) == (2, "")
+        assert err == (f"qperm: budget error: the exponential action needs {need} matrix "
+                       "products, over the term budget 10000000\n")
 
     def test_empty_time_list_is_exit_1(self, capsys):
         code, _, _ = run(

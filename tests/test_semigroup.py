@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 import weakref
 from pathlib import Path
 
@@ -18,6 +19,7 @@ import scipy.sparse.linalg
 
 import qperm
 from qperm import cli, semigroup
+from qperm.config import RunConfig
 from qperm.errors import BudgetError, ValidationError
 from qperm.magic import TwoBlockSpec, f4_phi, fourier, from_hadamard, from_permutation
 from qperm.schurmann import (
@@ -38,8 +40,9 @@ from qperm.semigroup import (
     markov_symmetry_check,
     state_table,
 )
-from qperm.semigroup import _block_L, _block_indices, _expm_action
-from qperm.words import LinComb, Word, counit, parse_word, reduced_words, unit_word
+from qperm.semigroup import _block_L, _expm_action
+from qperm.words import LinComb, Word, _index_sequences, _sequence_pairs, counit, parse_word
+from qperm.words import reduced_words, unit_word
 
 
 def cycle_triple(n, lam=1.0):
@@ -81,10 +84,9 @@ def family_triple(family, n, rng):
 
 def letter_block(t, k):
     """Reference L_B: gen_functional_batch on all m^2 block words, letter by letter."""
-    seqs = _block_indices(t.n, k)
+    seqs = _index_sequences(t.n, k)
     m = len(seqs)
-    letters = np.stack(np.broadcast_arrays(seqs[:, None], seqs[None]), axis=-1)
-    return gen_functional_batch(t, letters.reshape(-1, k, 2)).reshape(m, m)
+    return gen_functional_batch(t, _sequence_pairs(seqs)).reshape(m, m)
 
 
 NON_FINITE = [math.nan, math.inf, -math.inf]
@@ -212,6 +214,26 @@ class TestExpmAction:
     def test_zero_matrix(self, rng):
         B = rng.normal(size=(6, 2)) + 1j * rng.normal(size=(6, 2))
         assert np.array_equal(_expm_action(np.zeros((6, 6)), B), B)
+
+    def test_product_count_is_charged_against_the_default_budget(self, monkeypatch):
+        # ||X - mu I||_1 = 1000: 55 Taylor terms in ceil(1000 / 9.9) = 102 steps
+        X = 1000.0 * np.array([[-1.0, 1.0], [1.0, -1.0]])
+        monkeypatch.setattr(semigroup, "DEFAULT_CONFIG", RunConfig(term_budget=5610))
+        _expm_action(X, np.eye(2))
+        monkeypatch.setattr(semigroup, "DEFAULT_CONFIG", RunConfig(term_budget=5609))
+        with pytest.raises(BudgetError) as exc:
+            _expm_action(X, np.eye(2))
+        assert str(exc.value) == ("the exponential action needs 5610 matrix products, "
+                                  "over the term budget 5609")
+
+    @pytest.mark.parametrize("scale", [1e308, math.inf, math.nan])
+    def test_non_finite_product_count_is_over_any_budget(self, scale):
+        # 1e308: the trace overflows; inf and nan: t L itself did
+        X = np.array([[-1.0, 1.0], [1.0, -1.0]]) * scale
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BudgetError, match="needs inf matrix products"):
+                _expm_action(X, np.eye(2))
 
     @pytest.mark.parametrize("family", ["fourier", "permutation", "two_block", "f4"])
     def test_fundamental_semigroup_matches_expm(self, rng, family):
@@ -516,11 +538,22 @@ class TestBlockEngine:
     TIMES = (0.3, 1.0)
 
     def assert_matches_oracle(self, t, w):
-        want = _series_oracle(t, w, self.TIMES, order=25, tol=1e-13)
+        want = _series_oracle(t, [w], self.TIMES, order=25, tol=1e-13)[w]
         for time, ref in zip(self.TIMES, want):
             val, err = conv_exp(t, time, w)
             assert abs(val - ref) < 1e-11, (w.letters, time, val, ref)
             assert err < 1e-12
+
+    def test_one_oracle_closure_matches_one_closure_per_word(self, rng):
+        t = fourier_triple(3, rng)
+        words = [Word(((i, j),), 3) for i in range(1, 4) for j in range(1, 4)]
+        words += [random_reduced_word(rng, 3, k, k) for k in (2, 3, 4)]
+        words += [parse_word("p(1,2) p(1,3)", 3), unit_word(3)]
+        together = _series_oracle(t, words, self.TIMES, order=25, tol=1e-13)
+        assert list(together) == words
+        for w in words:
+            alone = _series_oracle(t, [w], self.TIMES, order=25, tol=1e-13)[w]
+            assert max(abs(a - b) for a, b in zip(together[w], alone)) <= 1e-14, w
 
     def test_series_vs_expm_letters_catch_a_wrong_exponential(self, monkeypatch):
         # the letters were once checked against fundamental_semigroup, which runs
@@ -531,6 +564,16 @@ class TestBlockEngine:
         monkeypatch.setattr(semigroup, "_expm_action", lambda A, B: 1.001 * action(A, B))
         res = selftest.check_series_vs_expm(triples=1, times=(0.5,))
         assert not res.passed and "p(1,1): series off by" in res.detail
+
+    def test_series_vs_expm_words_catch_a_wrong_block(self, monkeypatch):
+        # letters take letter_L, so only the words of 2-4 letters see this block
+        from qperm import selftest
+
+        build = semigroup._block_L
+        monkeypatch.setattr(semigroup, "_block_L", lambda t, k: 1.001 * build(t, k))
+        res = selftest.check_series_vs_expm(triples=1, times=(0.5,))
+        assert not res.passed and res.detail.startswith("triple 0, t=0.5, p(")
+        assert ") p(" in res.detail and ": series off by" in res.detail
 
     @pytest.mark.parametrize("length", [2, 3, 4])
     def test_fourier(self, rng, length):
@@ -572,7 +615,7 @@ class TestBlockEngine:
         # tolerance fixed before the first run: ten rounding-error scales
         t = fourier_triple(4, rng, scale)
         for k in (2, 3, 4):
-            row = {tuple(seq): r for r, seq in enumerate(_block_indices(4, k).tolist())}
+            row = {tuple(seq): r for r, seq in enumerate(_index_sequences(4, k).tolist())}
             L = letter_block(t, k)
             words = [random_reduced_word(rng, 4, k, k) for _ in range(4)]
             for time in (0.1, 1.0, 20.0):
@@ -642,7 +685,33 @@ class TestBlockEngine:
         assert out.strip() == "False False"
 
 
+def reference_haar_gram_degree2(n):
+    """The loop over index quadruples `haar_gram_degree2` ran before its closed form."""
+    size = 1 + n * n
+    G = np.empty((size, size))
+    G[0, 0] = 1.0
+    off = 1.0 / (n * (n - 1))
+    for i in range(n):
+        for j in range(n):
+            a = 1 + i * n + j
+            G[0, a] = G[a, 0] = 1.0 / n
+            for k in range(n):
+                for l in range(n):
+                    b = 1 + k * n + l
+                    if i == k and j == l:
+                        G[a, b] = 1.0 / n
+                    elif i == k or j == l:
+                        G[a, b] = 0.0
+                    else:
+                        G[a, b] = off
+    return G
+
+
 class TestHaar:
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_closed_form_matches_reference_loop_bit_for_bit(self, n):
+        assert haar_gram_degree2(n).tobytes() == reference_haar_gram_degree2(n).tobytes()
+
     def classical_gram(self, n):
         """Average of the defining matrix coefficients over the classical S_n."""
         size = 1 + n * n

@@ -10,6 +10,8 @@ from qperm.selftest import random_reduced_word
 from qperm.words import (
     LinComb,
     Word,
+    _index_sequences,
+    _sequence_position,
     adjoint,
     antipode,
     coproduct_expand,
@@ -238,6 +240,26 @@ class TestEnumeration:
 
     def test_cumulative_count(self):
         assert len(reduced_words(4, 4)) == 13120
+
+
+class TestIndexSequences:
+    """The one order of index sequences with no two neighbours equal."""
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_position_inverts_the_enumeration(self, n, k):
+        seqs = _index_sequences(n, k)
+        assert seqs.dtype == np.int64 and seqs.shape == (n * (n - 1) ** (k - 1), k)
+        assert np.array_equal(_sequence_position(seqs, n), np.arange(len(seqs)))
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_rows_are_strictly_lexicographic_with_no_equal_neighbours(self, n, k):
+        seqs = _index_sequences(n, k)
+        assert seqs.min() == 1 and seqs.max() == n
+        assert not (seqs[:, 1:] == seqs[:, :-1]).any()
+        rows = [tuple(r) for r in seqs.tolist()]
+        assert all(a < b for a, b in zip(rows, rows[1:]))
 
 
 class TestWireFormats:
