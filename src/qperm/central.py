@@ -13,8 +13,10 @@ from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 from numpy.polynomial import Polynomial
@@ -31,14 +33,18 @@ def chebyshev_u_with_prime(s: int, x: float) -> tuple[float, float]:
     """(U_s(x), U_s'(x)) via the differentiated recursion."""
     if s < 0:
         raise ValidationError("s must be >= 0")
+    return next(islice(_chebyshev_pass(x), s, None))
+
+
+def _chebyshev_pass(x: float) -> Iterator[tuple[float, float]]:
+    """(U_j(x), U_j'(x)) for j = 0, 1, 2, ..., one step of the recursion each."""
     u_prev, u_cur = 1.0, float(x)
     d_prev, d_cur = 0.0, 1.0
-    if s == 0:
-        return u_prev, d_prev
-    for _ in range(s - 1):
+    yield u_prev, d_prev
+    while True:
+        yield u_cur, d_cur
         u_prev, u_cur = u_cur, x * u_cur - u_prev
         d_prev, d_cur = d_cur, u_prev + x * d_cur - d_prev
-    return u_cur, d_cur
 
 
 @dataclass(frozen=True)
@@ -179,12 +185,27 @@ def ad_invariant_value(spec: AdInvariantSpec, s: int, j: int, k: int) -> float:
     _level_dim(spec.n, s, j, k)
     if j != k:
         return 0.0
+    return _ad_invariant_values(spec, s)[s]
+
+
+def _ad_invariant_values(spec: AdInvariantSpec, s_max: int) -> list[float]:
+    """L(u^(s)_jj) for s = 0..s_max, as ad_invariant_value gives them.
+
+    One pass of the Chebyshev recursion at sqrt n and at each atom serves
+    every level, so the cost is O(s_max) per point; the levels are not checked.
+    """
+    def even(x):  # (U_2s(x), U_2s'(x)) for s = 0..s_max
+        return list(islice(_chebyshev_pass(x), 0, 2 * s_max + 1, 2))
+
     root = float(np.sqrt(spec.n))
-    u_n, du_n = chebyshev_u_with_prime(2 * s, root)
-    total = -spec.a * du_n / (2.0 * root)
-    for x, w in spec.nu.atoms:
-        total += w * (chebyshev_u(2 * s, float(np.sqrt(x))) - u_n) / (spec.n - x)
-    return total / u_n
+    at_atoms = [(even(float(np.sqrt(x))), x, w) for x, w in spec.nu.atoms]
+    values = []
+    for s, (u_n, du_n) in enumerate(even(root)):
+        total = -spec.a * du_n / (2.0 * root)
+        for u, x, w in at_atoms:
+            total += w * (u[s][0] - u_n) / (spec.n - x)
+        values.append(total / u_n)
+    return values
 
 
 def ad_h_coefficient(s: int, j: int, k: int, n: int) -> Fraction:

@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import __version__, selftest as selftest_mod
-from .central import AdInvariantSpec, DiscreteMeasure, ad_invariant_value, dims
+from .central import AdInvariantSpec, DiscreteMeasure, _ad_invariant_values, dims
 from .cohomology import _h1_complement, coboundary_space, cocycle_space
 from .config import DEFAULT_CONFIG
 from .errors import BudgetError, QpermError, ValidationError
@@ -315,7 +315,7 @@ def _cmd_central(args) -> int:
     atoms = _parse_atoms(args.atoms)
     spec = AdInvariantSpec(args.n, args.a, DiscreteMeasure(atoms))
     fd = dims(args.n, args.smax)
-    values = [ad_invariant_value(spec, s, 1, 1) for s in range(args.smax + 1)]
+    values = _ad_invariant_values(spec, args.smax)
     if args.format == "csv":
         rows = [["s", "dim", "value"]]
         for s in range(args.smax + 1):

@@ -51,12 +51,14 @@ _CHUNK_ROWS = 2048
 class SchurmannTriple:
     """Representation plus cocycle data, and the letter matrices pi(p_ij).
 
-    block_L maps a word length k >= 2 to the read-only block generator L_B
-    of `semigroup._block_L` (real when its imaginary part is exactly zero;
-    k = 1 is letter_L), its rows and columns in the lexicographic order of
-    `words._index_sequences`.  It is filled on first use by `semigroup.conv_exp`
-    and `state_table`, so every later time and word of that length reuses
-    the block, and it is freed with the triple.
+    block_L maps a word length k >= 1 to the record `semigroup._Block` of
+    its block generator L_B (`semigroup._block_L`; letter_L for k = 1), rows
+    and columns in the lexicographic order of `words._index_sequences`: the
+    read-only shifted generator A = L_B - mu I (real when L_B's imaginary
+    part is exactly zero), mu = tr(L_B) / m, ||A||_1 and ||L_B||_1.  A is
+    the only m x m array it keeps.  It is filled on first use by
+    `semigroup.conv_exp` and `state_table`, so every later time and word of
+    that length reuses the record, and it is freed with the triple.
     """
 
     __slots__ = ("rep", "xs", "xi", "letter_L", "pi", "block_L", "__weakref__")

@@ -15,13 +15,16 @@ L(U) on that block, L_B, is one product of the first rows e_0 pi(a) of the
 half-length block words with the last columns pi(b) e_last of the other
 half, pi the letter matrices of the triple (see schurmann and _block_L),
 and a word's value comes from exp(t L_B) applied to the word's column only
-(_expm_action: truncated Taylor with scaling, Al-Mohy & Higham 2011, with the
-Taylor degree m* and the number of scaling steps s chosen from ||t L_B||_1
-alone, so it needs no norm estimate and no random numbers).  L_B does not
-depend on t or on the word, so the triple keeps each length's block
-(SchurmannTriple.block_L) and later calls reuse it; term_budget is charged
-the complex entries the block's construction allocates, on every call, and
-the default term budget the m* s matrix products of each exponential.
+(_expm_action: truncated Taylor with scaling, Al-Mohy & Higham 2011, after a
+shift by mu = tr(L_B) / m, with the Taylor degree m* and the number of
+scaling steps s chosen from t ||L_B - mu I||_1 alone, so it needs no norm
+estimate and no random numbers).  None of L_B, mu or the norms depends on t
+or on the word, so the triple keeps one record per length k >= 1
+(SchurmannTriple.block_L, a _Block: A = L_B - mu I, mu, ||A||_1 and
+||L_B||_1), and a later call at any time costs only its m* s products of A
+with the word's column.  term_budget is charged the complex entries the
+block's construction allocates, on every call, and the default term budget
+the m* s matrix products of each exponential.
 
 Also provides convolution of functionals, the Haar-state Gram matrix on the
 degree <= 2 span and the induced self-adjointness check for the Markov
@@ -29,6 +32,8 @@ generator.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,30 +58,56 @@ _THETA = np.array([
 ])
 
 
-def _inf_norm(X: np.ndarray) -> float:
-    # np.linalg.norm(X, inf) without its argument checks, which cost more
-    # than the sum on a few columns of a word block
-    return float(np.abs(X).sum(axis=1).max())
+class _Block(NamedTuple):
+    """What a triple keeps of one block generator L_B (see _block_record).
 
-
-def _expm_action(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """exp(A) B, by truncated Taylor with scaling (Al-Mohy & Higham 2011, Alg. 3.2).
-
-    A is shifted by mu = tr(A) / m, and s steps of m* Taylor terms of
-    exp((A - mu I) / s) are taken, with (m*, s) minimising m* s over
-    s = ceil(||A - mu I||_1 / theta_m*).  A step stops early once two
-    consecutive terms are below the unit roundoff relative to the partial
-    sum (inf-norms).  Cost: at most m* s products with A, linear in ||A||_1,
-    charged against DEFAULT_CONFIG.term_budget before the first one; a count
-    that is not finite (A or its trace overflows) is over any budget.
-    A and B are not modified; the work is one copy of A and of B.
+    A = L_B - mu I, read-only and real when L_B is, is its only m x m array;
+    mu = tr(L_B) / m.  Shift and norms scale linearly with t, so one record
+    serves every time.
     """
-    size = len(A)
-    A = A.copy()  # C-ordered, so the strided view below is the diagonal
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the charge below
+
+    A: np.ndarray
+    mu: float | complex
+    norm: float  # ||A||_1: picks the Taylor degree and the step count
+    L_norm: float  # ||L_B||_1: the scale of conv_exp's err
+
+
+def _block_record(L: np.ndarray) -> _Block:
+    """The _Block of L: the shifted copy A and the three scalars, computed once."""
+    size = len(L)
+    # real arithmetic takes about half the time; C order makes the strided view the diagonal
+    A = np.array(L if L.imag.any() else L.real, order="C")
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails _expm_action's charge
+        L_norm = float(np.linalg.norm(A, 1))
         mu = np.trace(A) / size
         A.reshape(-1)[:: size + 1] -= mu
         norm = float(np.linalg.norm(A, 1))
+    A.setflags(write=False)
+    return _Block(A, mu, norm, L_norm)
+
+
+def _inf_norm(X: np.ndarray) -> float:
+    # np.linalg.norm(X, inf) without its argument checks, which cost more
+    # than the sum on a few columns of a word block; one column needs no sum
+    return float(np.abs(X).max() if X.shape[1] == 1 else np.abs(X).sum(axis=1).max())
+
+
+def _expm_action(block: _Block, time: float, B: np.ndarray) -> np.ndarray:
+    """exp(time L_B) B, by truncated Taylor with scaling (Al-Mohy & Higham 2011, Alg. 3.2).
+
+    From the block's record: exp(time L_B) = e^(mu time) exp(time A), and s
+    steps of m* Taylor terms of exp(time A / s) are taken, with (m*, s)
+    minimising m* s over s = ceil(time ||A||_1 / theta_m*).  A step stops
+    early once two consecutive terms are below the unit roundoff relative to
+    the partial sum (inf-norms).  Cost: at most m* s products of A with the
+    columns of B, linear in time ||A||_1, charged against
+    DEFAULT_CONFIG.term_budget before the first one; a count that is not
+    finite (time L_B or its trace overflows) is over any budget.  Nothing of
+    size m x m is allocated; B is not modified.
+    """
+    A = block.A
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the charge below
+        norm = time * block.norm
         steps = np.ceil(norm / _THETA)
         products = _DEGREES * steps
     terms, s = 0, 1
@@ -85,15 +116,13 @@ def _expm_action(A: np.ndarray, B: np.ndarray) -> np.ndarray:
         need = int(products[best]) if np.isfinite(products[best]) else np.inf
         _charge(need, DEFAULT_CONFIG.term_budget, "the exponential action", "matrix products")
         terms, s = int(_DEGREES[best]), int(steps[best])
-    if s > 1:
-        A /= s
-    eta = np.exp(mu / s)
+    eta = np.exp(block.mu * time / s)
     F = B.astype(np.result_type(A, B))  # a copy: F is summed in place
     for _ in range(s):
         c1 = bound = _inf_norm(B)
         for j in range(terms):
             B = A @ B
-            B *= 1.0 / (j + 1)
+            B *= time / (s * (j + 1))
             c2 = _inf_norm(B)
             F += B
             # bound >= ||F||, so the stop test cannot pass while c1 + c2
@@ -128,7 +157,7 @@ def fundamental_semigroup(t: SchurmannTriple, time: float) -> np.ndarray:
     A = generator_matrix(t)
     with np.errstate(over="ignore"):  # an overflow is over _expm_action's budget
         X = time * A
-    return _expm_action(X, np.eye(len(A)))
+    return _expm_action(_block_record(X), 1.0, np.eye(len(A)))
 
 
 def convolve(f, g, w: Word, term_budget: int | None = None) -> complex:
@@ -173,7 +202,7 @@ def _evaluate(t: SchurmannTriple, time: float, words, term_budget: int | None) -
     """{word: (value, err)}: per reduced word length, exp(time L_B) on the columns in use.
 
     Each length's block is charged against term_budget, hit or miss, and
-    built only when t.block_L does not hold it yet.
+    built only when t.block_L does not hold its record yet.
     """
     check_time(time)
     budget = DEFAULT_CONFIG.term_budget if term_budget is None else int(term_budget)
@@ -190,24 +219,22 @@ def _evaluate(t: SchurmannTriple, time: float, words, term_budget: int | None) -
             out[w] = (0j if root is None else 1 + 0j, 0.0)
     for k, roots in by_len.items():
         _charge(_block_entries(t.n, k), budget, f"the {k}-letter block", "complex entries")
-        L = t.letter_L if k == 1 else t.block_L.get(k)
-        if L is None:
-            L = _block_L(t, k)
-            if not L.imag.any():  # real arithmetic takes about half the time
-                L = L.real.copy()
-            L.setflags(write=False)
-            t.block_L[k] = L
-        with np.errstate(over="ignore"):  # an overflow is over _expm_action's budget
-            X = time * L
-            err = _UNIT_ROUNDOFF * float(np.linalg.norm(X, 1))
+        block = t.block_L.get(k)
+        if block is None:
+            block = t.block_L[k] = _block_record(t.letter_L if k == 1 else _block_L(t, k))
         seqs = np.array(list(roots.values()))  # words x letters x (row, column)
         rows, cols = _sequence_position(np.vstack([seqs[..., 0], seqs[..., 1]]), t.n).reshape(2, -1)
-        cols, where = np.unique(cols, return_inverse=True)
-        units = np.zeros((len(X), len(cols)))
+        if len(cols) == 1:  # one word: its own column
+            where = (0,)
+        else:
+            cols, where = np.unique(cols, return_inverse=True)
+        units = np.zeros((len(block.A), len(cols)))
         units[cols, np.arange(len(cols))] = 1.0
-        E = _expm_action(X, units)
+        E = _expm_action(block, time, units)
+        scale = time * block.L_norm
         for w, r, c in zip(roots, rows, where):
-            out[w] = (complex(E[r, c]), err)
+            value = complex(E[r, c])
+            out[w] = (value, _UNIT_ROUNDOFF * (scale + abs(value)) if time else 0.0)
     return out
 
 
@@ -217,10 +244,12 @@ def conv_exp(
     """omega_t(w) = exp_*(time L)(w), from exp(time L_B) on the word's column.
 
     L_B is the generator on the word's block (see _block_L), built on the
-    first call for the word's length and kept on the triple.  Returns
-    (value, err).  err = u ||time L_B||_1, with u the unit roundoff and L_B
-    the block of w, is the scale of the rounding error of the exponential,
-    not a rigorous bound; it is 0.0 for the zero and unit words.
+    first call for the word's length and kept on the triple as a _Block.
+    Returns (value, err).  err = u (||time L_B||_1 + |value|), with u the
+    unit roundoff and L_B the block of w, is the scale of the rounding error
+    of the exponential, not a rigorous bound; the |value| term keeps it at
+    least one rounding of the value when ||time L_B||_1 is small.  It is 0.0
+    at time 0 and for the zero and unit words.
     """
     return _evaluate(t, time, [w], term_budget)[w]
 

@@ -11,6 +11,7 @@ from numpy.polynomial.polynomial import Polynomial
 from qperm.central import (
     AdInvariantSpec,
     DiscreteMeasure,
+    _ad_invariant_values,
     ad_h_coefficient,
     ad_invariant_value,
     character_polynomial,
@@ -97,6 +98,15 @@ class TestDims:
         assert main(["central", "--n", "4", "--smax", "1000"]) == 0
         assert time.perf_counter() - start < 5.0
         assert '"smax":1000' in capsys.readouterr().out
+
+    def test_cli_cost_is_linear_in_smax(self, capsys):
+        # smax 2000 took 1.6 s when each level re-ran its own recursions
+        from qperm.cli import main
+
+        start = time.perf_counter()
+        assert main(["central", "--n", "4", "--smax", "20000", "--atoms", "0:1"]) == 0
+        assert time.perf_counter() - start < 5.0
+        assert '"smax":20000' in capsys.readouterr().out
 
 
 class TestFusion:
@@ -216,6 +226,21 @@ class TestAdInvariant:
             d_s = dims(6, s).dims[s]
             via_poly = hunt_apply_polynomial(spec, character_polynomial(s)) / d_s
             assert abs(direct - via_poly) < 1e-9 * (1.0 + abs(direct))
+
+    def test_one_pass_matches_each_level_bit_for_bit(self):
+        # the Hunt formula level by level, each from its own Chebyshev recursions
+        spec = AdInvariantSpec(5, 0.7, DiscreteMeasure([(0.0, 2.0), (0.5, 1.2), (3.9, 0.3)]))
+        root = math.sqrt(5)
+        want = []
+        for s in range(60):
+            u_n, du_n = chebyshev_u_with_prime(2 * s, root)
+            total = -0.7 * du_n / (2.0 * root)
+            for x, w in spec.nu.atoms:
+                total += w * (chebyshev_u(2 * s, math.sqrt(x)) - u_n) / (5 - x)
+            want.append(total / u_n)
+        assert _ad_invariant_values(spec, 59) == want
+        assert [ad_invariant_value(spec, s, 1, 1) for s in range(60)] == want
+        assert _ad_invariant_values(spec, 0) == [0.0]
 
     def test_index_range_checked(self):
         spec = AdInvariantSpec(4, 1.0)

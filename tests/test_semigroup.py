@@ -40,7 +40,7 @@ from qperm.semigroup import (
     markov_symmetry_check,
     state_table,
 )
-from qperm.semigroup import _block_L, _expm_action
+from qperm.semigroup import _UNIT_ROUNDOFF, _block_L, _block_record, _expm_action
 from qperm.words import LinComb, Word, _index_sequences, _sequence_pairs, counit, parse_word
 from qperm.words import reduced_words, unit_word
 
@@ -160,13 +160,15 @@ class TestExpmAction:
     """_expm_action against scipy's dense expm, the oracle of the exponential."""
 
     @staticmethod
-    def assert_matches(X, *col_sets, oracle=scipy.linalg.expm):
+    def assert_matches(L, time, *col_sets, oracle=scipy.linalg.expm):
         # tolerance fixed before the first run, as in test_state_table_matches_dense_expm:
-        # ten rounding-error scales u ||X||_1 per entry
+        # ten rounding-error scales u ||X||_1 per entry, X = time L
+        X = time * L
         E = oracle(X)
         err = 2.0**-53 * float(np.linalg.norm(X, 1))
+        block = _block_record(L)
         for cols in col_sets:
-            got = _expm_action(X, np.eye(len(X), dtype=X.dtype)[:, cols])
+            got = _expm_action(block, time, np.eye(len(X), dtype=X.dtype)[:, cols])
             assert got.shape == (len(X), len(cols)) and got.dtype == E.dtype
             assert float(np.max(np.abs(got - E[:, cols]))) <= 10 * err + 1e-14, (X.shape, cols)
 
@@ -187,12 +189,11 @@ class TestExpmAction:
             # only, where its column alone takes 1 s at scale 5
             times = (0.0, 0.2, 1.0, 20.0) if k < 5 or scale < 1 else (0.0, 0.2, 1.0)
             for time in times:
-                X = time * L
                 one = [int(rng.integers(m))]
-                if float(np.linalg.norm(X, 1)) <= 1e3:
-                    self.assert_matches(X, one, several)
+                if float(np.linalg.norm(time * L, 1)) <= 1e3:
+                    self.assert_matches(L, time, one, several)
                 else:
-                    self.assert_matches(X, one)
+                    self.assert_matches(L, time, one)
 
     def test_real_and_complex_dense(self, rng):
         # scipy.linalg.expm errs by up to 1.7e-12 on such non-normal matrices
@@ -202,38 +203,41 @@ class TestExpmAction:
         oracle = lambda A: scipy.sparse.linalg.expm_multiply(A, np.eye(len(A)))
         for _ in range(5):
             A = rng.normal(size=(7, 7))
-            self.assert_matches(A, list(range(7)), [4], oracle=oracle)
-            self.assert_matches(A + 1j * rng.normal(size=(7, 7)), [2], [0, 6], oracle=oracle)
+            self.assert_matches(A, 1.0, list(range(7)), [4], oracle=oracle)
+            self.assert_matches(A + 1j * rng.normal(size=(7, 7)), 1.0, [2], [0, 6], oracle=oracle)
 
     def test_real_block_stays_real(self, rng):
         spec, xi, zeta = two_block_instance(rng)
         L = _block_L(two_block_triple(spec, xi, zeta), 3)
         assert not L.imag.any()
-        self.assert_matches(0.7 * L.real, [0, 5])
+        self.assert_matches(L.real, 0.7, [0, 5])
 
     def test_zero_matrix(self, rng):
         B = rng.normal(size=(6, 2)) + 1j * rng.normal(size=(6, 2))
-        assert np.array_equal(_expm_action(np.zeros((6, 6)), B), B)
+        assert np.array_equal(_expm_action(_block_record(np.zeros((6, 6))), 1.0, B), B)
 
     def test_product_count_is_charged_against_the_default_budget(self, monkeypatch):
-        # ||X - mu I||_1 = 1000: 55 Taylor terms in ceil(1000 / 9.9) = 102 steps
-        X = 1000.0 * np.array([[-1.0, 1.0], [1.0, -1.0]])
+        # ||1000 (L - mu I)||_1 = 1000: 55 Taylor terms in ceil(1000 / 9.9) = 102 steps
+        block = _block_record(np.array([[-1.0, 1.0], [1.0, -1.0]]))
         monkeypatch.setattr(semigroup, "DEFAULT_CONFIG", RunConfig(term_budget=5610))
-        _expm_action(X, np.eye(2))
+        _expm_action(block, 1000.0, np.eye(2))
         monkeypatch.setattr(semigroup, "DEFAULT_CONFIG", RunConfig(term_budget=5609))
         with pytest.raises(BudgetError) as exc:
-            _expm_action(X, np.eye(2))
+            _expm_action(block, 1000.0, np.eye(2))
         assert str(exc.value) == ("the exponential action needs 5610 matrix products, "
                                   "over the term budget 5609")
 
     @pytest.mark.parametrize("scale", [1e308, math.inf, math.nan])
     def test_non_finite_product_count_is_over_any_budget(self, scale):
         # 1e308: the trace overflows; inf and nan: t L itself did
-        X = np.array([[-1.0, 1.0], [1.0, -1.0]]) * scale
+        L = np.array([[-1.0, 1.0], [1.0, -1.0]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(BudgetError, match="needs inf matrix products"):
-                _expm_action(X, np.eye(2))
+                _expm_action(_block_record(L * scale), 1.0, np.eye(2))
+            # the same overflow in time ||A||_1 or in the step count
+            with pytest.raises(BudgetError, match="needs inf matrix products"):
+                _expm_action(_block_record(L), scale, np.eye(2))
 
     @pytest.mark.parametrize("family", ["fourier", "permutation", "two_block", "f4"])
     def test_fundamental_semigroup_matches_expm(self, rng, family):
@@ -435,6 +439,19 @@ class TestConvExp:
         gc.collect()
         assert ref() is None
 
+    def test_err_covers_the_rounding_of_the_value(self, rng):
+        # err = u (||t L_B||_1 + |value|) for t > 0; u ||t L_B||_1 alone falls
+        # below one ulp of an O(1) value at small t
+        t = fourier_triple(4, rng)
+        words = [parse_word("p(1,1)", 4)] + [random_reduced_word(rng, 4, k, k) for k in (1, 2, 3)]
+        for time in (1e-6, 0.1, 0.7, 2.5):
+            for w in words:
+                val, err = conv_exp(t, time, w)
+                assert err >= _UNIT_ROUNDOFF * abs(val), (w.letters, time, val, err)
+        for w in words:
+            assert conv_exp(t, 0.0, w)[1] == 0.0
+        assert conv_exp(t, 0.7, unit_word(4)) == (1 + 0j, 0.0)
+
     def test_state_table_at_zero(self, rng):
         t = fourier_triple(3, rng)
         words = reduced_words(3, 2)
@@ -466,8 +483,43 @@ class TestBlockMemo:
         conv_exp(t, 1.5, parse_word("p(4,2) p(1,3) p(2,1)", 4))
         state_table(t, 0.2, [parse_word("p(1,1) p(2,2) p(3,3)", 4), parse_word("p(1,2)", 4)])
         assert calls == [3]
-        assert sorted(t.block_L) == [3]
-        assert not t.block_L[3].flags.writeable
+        assert sorted(t.block_L) == [1, 3]
+        assert not t.block_L[3].A.flags.writeable
+
+    @pytest.mark.parametrize("family", ["fourier", "two_block"])
+    def test_record_matches_a_fresh_block(self, rng, family):
+        # the triple keeps A = L_B - mu I, mu = tr(L_B) / m, ||A||_1 and ||L_B||_1
+        t = family_triple(family, 4, rng)
+        for k in (1, 2, 3):
+            conv_exp(t, 0.5, random_reduced_word(rng, 4, k, k))
+            block = t.block_L[k]
+            L = _block_L(t, k)
+            real = not L.imag.any()
+            L = L.real if real else L  # as the record takes it
+            mu = np.trace(L) / len(L)
+            A = L - mu * np.eye(len(L))
+            assert block.mu == mu
+            assert block.norm == float(np.linalg.norm(A, 1))
+            assert block.L_norm == float(np.linalg.norm(L, 1))
+            assert np.array_equal(block.A, A)
+            assert not block.A.flags.writeable
+            assert block.A.dtype == (np.float64 if real else np.complex128)
+        assert t.block_L[1].A.dtype == np.float64  # letter_L is real
+
+    def test_warm_call_allocates_no_block_sized_array(self, rng):
+        # the 5-letter block at n = 4 has m = 324; one m x m complex array is
+        # 1.68 MB, and a warm call works on the word's column only
+        t = fourier_triple(4, rng)
+        w = parse_word("p(1,2) p(2,3) p(3,4) p(4,1) p(1,3)", 4)
+        conv_exp(t, 0.5, w)
+        assert t.block_L[5].A.dtype == np.complex128
+        tracemalloc.start()
+        try:
+            conv_exp(t, 0.7, w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 324 * 324 * 16 / 8, peak
 
     def test_hit_equals_a_fresh_triple(self, rng):
         rep = from_hadamard(fourier(4))
@@ -484,7 +536,7 @@ class TestBlockMemo:
         spec, xi, zeta = two_block_instance(rng)
         t = two_block_triple(spec, xi, zeta)
         conv_exp(t, 0.5, parse_word("p(1,1) p(3,3) p(1,1)", 4))
-        assert t.block_L[3].dtype == np.float64
+        assert t.block_L[3].A.dtype == np.float64
 
     def test_equal_triples_share_nothing(self, rng):
         rep = from_hadamard(fourier(4))
@@ -494,8 +546,8 @@ class TestBlockMemo:
         conv_exp(t1, 0.5, parse_word("p(1,2) p(2,3)", 4))
         assert list(t1.block_L) == [2] and t2.block_L == {}
         conv_exp(t2, 0.5, parse_word("p(1,2) p(2,3)", 4))
-        assert t1.block_L[2] is not t2.block_L[2]
-        assert np.array_equal(t1.block_L[2], t2.block_L[2])
+        assert t1.block_L[2].A is not t2.block_L[2].A
+        assert np.array_equal(t1.block_L[2].A, t2.block_L[2].A)
 
     def test_budget_raises_on_a_hit(self, rng):
         t = fourier_triple(4, rng)
@@ -561,7 +613,8 @@ class TestBlockEngine:
         from qperm import selftest
 
         action = semigroup._expm_action
-        monkeypatch.setattr(semigroup, "_expm_action", lambda A, B: 1.001 * action(A, B))
+        monkeypatch.setattr(semigroup, "_expm_action",
+                            lambda block, time, B: 1.001 * action(block, time, B))
         res = selftest.check_series_vs_expm(triples=1, times=(0.5,))
         assert not res.passed and "p(1,1): series off by" in res.detail
 
