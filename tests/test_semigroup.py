@@ -504,7 +504,6 @@ class TestBlockMemo:
             assert np.array_equal(block.A, A)
             assert not block.A.flags.writeable
             assert block.A.dtype == (np.float64 if real else np.complex128)
-        assert t.block_L[1].A.dtype == np.float64  # letter_L is real
 
     def test_warm_call_allocates_no_block_sized_array(self, rng):
         # the 5-letter block at n = 4 has m = 324; one m x m complex array is
