@@ -15,8 +15,8 @@ import numpy as np
 
 from . import perms
 from .config import DEFAULT_CONFIG
-from .errors import ValidationError, _require_finite
-from .words import LinComb, Word, _as_lincomb
+from .errors import ValidationError, _charge, _require_finite
+from .words import LinComb, Word
 
 
 class MagicUnitary:
@@ -120,6 +120,8 @@ def from_permutation(sigma, d: int = 1) -> MagicUnitary:
         raise ValidationError(f"multiplicity must be >= 1, got {d}")
     sigma = perms.check_perm(sigma)
     n = len(sigma)
+    _charge(n * n * d * d, DEFAULT_CONFIG.term_budget, "the permutation representation",
+            "complex entries")
     blocks = np.zeros((n, n, d, d), dtype=complex)
     for i in range(1, n + 1):
         blocks[i - 1, sigma[i - 1] - 1] = np.eye(d)
@@ -268,27 +270,36 @@ def two_block(spec: TwoBlockSpec, tol: float = DEFAULT_CONFIG.tol) -> MagicUnita
 # --- evaluation --------------------------------------------------------------
 
 
-def _fold(mats: np.ndarray, x: LinComb | Word, start: np.ndarray) -> np.ndarray:
-    """The sum of c mats(w) start over the terms c w of x, mats(w) the product of w's letters.
+def _fold(mats: np.ndarray, x: LinComb | Word, take: int | slice) -> np.ndarray:
+    """The sum of c mats(w)[:, take] over the terms c w of x, mats(w) the product of w's letters.
 
-    mats has shape (n, n, s, s), one matrix per letter p_ij; each word acts
-    on `start` letter by letter from the right, v = mats[i-1, j-1] @ v.
+    mats has shape (n, n, s, s), one matrix per letter p_ij.  `take` indexes
+    the columns of mats(w) to keep: -1 keeps the last one, mats(w) e_last of
+    shape (s,), and slice(None) keeps them all, mats(w) itself.  Each word
+    starts from those columns of its rightmost letter's matrix (of the
+    identity for the unit word) and multiplies by the other letters from the
+    right, v = mats[i-1, j-1] @ v; a Word is its own one term, coefficient 1.
     """
-    x = _as_lincomb(x)
     if x.n != len(mats):
         raise ValidationError(f"ambient size mismatch: word n={x.n}, rep n={len(mats)}")
-    out = np.zeros(start.shape, dtype=complex)
-    for w, c in x.terms.items():
-        v = start
-        for i, j in reversed(w.letters):
-            v = mats[i - 1, j - 1] @ v
+    terms = ((x, 1.0 + 0j),) if isinstance(x, Word) else x._terms.items()
+    out = np.zeros(mats[0, 0, :, take].shape, dtype=complex)
+    for w, c in terms:
+        letters = w.letters
+        if letters:
+            i, j = letters[-1]
+            v = mats[i - 1, j - 1, :, take]
+            for i, j in reversed(letters[:-1]):
+                v = mats[i - 1, j - 1] @ v
+        else:
+            v = np.eye(mats.shape[-1], dtype=complex)[:, take]
         out += c * v
     return out
 
 
 def apply(M: MagicUnitary, x: LinComb | Word) -> np.ndarray:
     """Evaluate the representation: words map to ordered block products."""
-    return _fold(M.blocks, x, np.eye(M.d, dtype=complex))
+    return _fold(M.blocks, x, slice(None))
 
 
 def _complex_to_json(a: np.ndarray) -> list:

@@ -4,13 +4,18 @@ from __future__ import annotations
 
 import re
 
-from .errors import ValidationError
+from .config import DEFAULT_CONFIG
+from .errors import ValidationError, _charge
 
 Perm = tuple[int, ...]
+_DECIMAL = re.compile(r"[0-9]+")
 
 
 def check_perm(sigma) -> Perm:
-    sigma = tuple(int(v) for v in sigma)
+    try:
+        sigma = tuple(int(v) for v in sigma)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"a permutation needs integer images: {exc}") from exc
     n = len(sigma)
     if sorted(sigma) != list(range(1, n + 1)):
         raise ValidationError(f"not a permutation of 1..{n}: {sigma}")
@@ -66,14 +71,21 @@ def parse_cycles(text: str, n: int | None = None) -> Perm:
     """Parse 1-based cycle notation like '(1 2)(3 4 5)'; fixed points omissible.
 
     Without an explicit n the ambient size is the largest index mentioned.
-    'id' or '()' denote the identity (n required).
+    'id' or '()' denote the identity (n required).  Every entry must be a
+    decimal integer (ASCII digits only), and the ambient size is charged to
+    the term budget before the permutation is built.
     """
+    if n is not None:
+        try:
+            n = int(n)
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"ambient size must be an integer, got {n!r}") from exc
     text = text.strip()
     body = text.replace(",", " ")
     if body in ("id", "()", ""):
         if n is None:
             raise ValidationError("identity permutation needs an explicit n")
-        return identity(n)
+        return identity(_charged_size(n))
     groups = re.findall(r"\(([^()]*)\)", body)
     if not groups or "".join(groups).strip() == "":
         raise ValidationError(f"cannot parse permutation {text!r}")
@@ -83,18 +95,28 @@ def parse_cycles(text: str, n: int | None = None) -> Perm:
     cycs = []
     top = 0
     for g in groups:
-        entries = [int(v) for v in g.split()]
-        if not entries:
+        tokens = g.split()
+        if not tokens:
             raise ValidationError(f"empty cycle in {text!r}")
-        cycs.append(tuple(entries))
+        for tok in tokens:
+            if not _DECIMAL.fullmatch(tok):
+                raise ValidationError(f"cycle entry {tok!r} in {text!r} is not a decimal integer")
+        entries = tuple(int(v) for v in tokens)
+        cycs.append(entries)
         top = max(top, max(entries))
-    size = top if n is None else int(n)
+    size = top if n is None else n
     if size < top:
         raise ValidationError(f"permutation {text!r} exceeds n={size}")
     flat = [v for c in cycs for v in c]
     if len(set(flat)) != len(flat):
         raise ValidationError(f"overlapping cycles in {text!r}")
-    return from_cycles(cycs, size)
+    return from_cycles(cycs, _charged_size(size))
+
+
+def _charged_size(n: int) -> int:
+    """n, after charging an n-point permutation to the term budget."""
+    _charge(n, DEFAULT_CONFIG.term_budget, "the permutation", "points")
+    return n
 
 
 def format_cycles(sigma: Perm, include_fixed: bool = False) -> str:

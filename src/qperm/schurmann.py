@@ -138,10 +138,8 @@ def triple_from_stacked(rep: MagicUnitary, vec, tol: float = DEFAULT_CONFIG.tol)
 
 
 def _apply(t: SchurmannTriple, x: LinComb | Word) -> np.ndarray:
-    """pi(x) e_last = (L(x), eta(x), eps(x)), one letter matrix product per letter."""
-    e_last = np.zeros(t.d + 2, dtype=complex)
-    e_last[-1] = 1.0
-    return _fold(t.pi, x, e_last)
+    """pi(x) e_last = (L(x), eta(x), eps(x)), one product per letter after the last."""
+    return _fold(t.pi, x, -1)
 
 
 def eta(t: SchurmannTriple, x: LinComb | Word) -> np.ndarray:

@@ -62,14 +62,16 @@ class PermProcessSpec:
     def __init__(self, sigma, rates):
         sigma = perms.check_perm(sigma)
         cycs = perms.nontrivial_cycles(sigma)
-        if isinstance(rates, dict):
-            rates = _rates_by_cycle(rates, cycs)
-        else:
-            rates = [float(v) for v in rates]
-            if len(rates) != len(cycs):
-                raise ValidationError(
-                    f"{len(cycs)} nontrivial cycles but {len(rates)} rates given"
-                )
+        try:
+            if isinstance(rates, dict):
+                rates = _rates_by_cycle(rates, cycs)
+            else:
+                rates = [float(v) for v in rates]
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(
+                f"rates must be numbers, in a sequence or keyed by cycle: {exc}") from exc
+        if len(rates) != len(cycs):
+            raise ValidationError(f"{len(cycs)} nontrivial cycles but {len(rates)} rates given")
         if not all(math.isfinite(lam) and lam > 0 for lam in rates):
             raise ValidationError(f"all cycle rates must be finite and > 0, got {rates}")
         object.__setattr__(self, "sigma", sigma)

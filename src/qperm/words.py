@@ -15,6 +15,7 @@ generators are self-adjoint.
 from __future__ import annotations
 
 import math
+import operator
 from types import MappingProxyType
 from typing import Iterable, Iterator, NamedTuple
 
@@ -39,13 +40,23 @@ class Generator(NamedTuple):
 
 
 class Word:
-    """A formal word in the generators; the empty word is the unit 1."""
+    """A formal word in the generators; the empty word is the unit 1.
+
+    `Word(letters, n)` converts and checks its input.  `Word._of(letters, n)`
+    checks nothing: it needs letters already a tuple of (int, int) tuples in
+    1..n and n an int >= 1, and only code of this package that derives them
+    from valid Words of the same n may call it (products, reduction, the
+    antipode and adjoint, coproduct legs, enumeration and the relations).
+    """
 
     __slots__ = ("letters", "n", "_hash")
 
     def __init__(self, letters: Iterable[Letter], n: int):
-        letters = tuple((int(i), int(j)) for i, j in letters)
-        n = int(n)
+        try:
+            letters = tuple((int(i), int(j)) for i, j in letters)
+            n = int(n)
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"a word needs integer (row, col) letters and n: {exc}") from exc
         if n < 1:
             raise ValidationError("ambient size n must be >= 1")
         for i, j in letters:
@@ -54,6 +65,15 @@ class Word:
         object.__setattr__(self, "letters", letters)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_hash", hash((letters, n)))
+
+    @classmethod
+    def _of(cls, letters: tuple[Letter, ...], n: int) -> "Word":
+        """The Word of clean letters and n, unchecked (see the class docstring)."""
+        w = object.__new__(cls)
+        object.__setattr__(w, "letters", letters)
+        object.__setattr__(w, "n", n)
+        object.__setattr__(w, "_hash", hash((letters, n)))
+        return w
 
     def __setattr__(self, name, value):
         raise AttributeError("Word is immutable")
@@ -72,7 +92,7 @@ class Word:
             return NotImplemented
         if other.n != self.n:
             raise ValidationError("cannot multiply words with different ambient n")
-        return Word(self.letters + other.letters, self.n)
+        return Word._of(self.letters + other.letters, self.n)
 
     def __repr__(self) -> str:
         return f"Word({format_word(self)!r}, n={self.n})"
@@ -99,21 +119,34 @@ class LinComb:
     __slots__ = ("_terms", "n")
 
     def __init__(self, terms, n: int, threshold: float = ZERO_THRESHOLD):
-        n = int(n)
         clean: dict[Word, complex] = {}
-        items = terms.items() if hasattr(terms, "items") else terms
-        for w, c in items:
-            if not isinstance(w, Word):
-                w = Word(w, n)
-            if w.n != n:
-                raise ValidationError("mixed ambient sizes in linear combination")
-            c = complex(c) + clean.get(w, 0j)
-            if abs(c) <= threshold:
-                clean.pop(w, None)
-            else:
-                clean[w] = c
+        try:
+            n = int(n)
+            items = terms.items() if hasattr(terms, "items") else terms
+            for w, c in items:
+                if not isinstance(w, Word):
+                    w = Word(w, n)
+                if w.n != n:
+                    raise ValidationError("mixed ambient sizes in linear combination")
+                c = complex(c) + clean.get(w, 0j)
+                if abs(c) <= threshold:
+                    clean.pop(w, None)
+                else:
+                    clean[w] = c
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(
+                f"a linear combination needs (word, number) terms: {exc}") from exc
         object.__setattr__(self, "_terms", clean)
         object.__setattr__(self, "n", n)
+
+    @classmethod
+    def _of(cls, clean: dict[Word, complex], n: int) -> "LinComb":
+        """The combination of a clean dict, unchecked: Words of ambient size n as keys,
+        complex coefficients above ZERO_THRESHOLD as values, as `__init__` leaves them."""
+        x = object.__new__(cls)
+        object.__setattr__(x, "_terms", clean)
+        object.__setattr__(x, "n", n)
+        return x
 
     def __setattr__(self, name, value):
         raise AttributeError("LinComb is immutable")
@@ -186,7 +219,7 @@ class LinComb:
 
 def _as_lincomb(x: LinComb | Word) -> LinComb:
     """x itself, or the word x as a one-term combination."""
-    return LinComb.from_word(x) if isinstance(x, Word) else x
+    return LinComb._of({x: 1.0 + 0j}, x.n) if isinstance(x, Word) else x
 
 
 def reduce(x: LinComb | Word) -> LinComb:
@@ -197,7 +230,7 @@ def reduce(x: LinComb | Word) -> LinComb:
         red = _kernel.reduce_letters(w.letters)
         if red is None:
             continue
-        rw = Word(red, x.n)
+        rw = Word._of(red, x.n)
         terms[rw] = terms.get(rw, 0j) + c
     return LinComb(terms, x.n)
 
@@ -216,17 +249,17 @@ def antipode(x: LinComb | Word) -> LinComb:
     """S(p_jk) = p_kj, extended as an anti-homomorphism; involutive here."""
     x = _as_lincomb(x)
     terms = {
-        Word(tuple((j, i) for i, j in reversed(w.letters)), x.n): c
+        Word._of(tuple((j, i) for i, j in reversed(w.letters)), x.n): c
         for w, c in x._terms.items()
     }
-    return LinComb(terms, x.n)
+    return LinComb._of(terms, x.n)
 
 
 def adjoint(x: LinComb | Word) -> LinComb:
     """The *-operation: reverse words (generators are self-adjoint), conjugate coefficients."""
     x = _as_lincomb(x)
     terms = {
-        Word(tuple(reversed(w.letters)), x.n): complex(c).conjugate()
+        Word._of(tuple(reversed(w.letters)), x.n): complex(c).conjugate()
         for w, c in x._terms.items()
     }
     return LinComb(terms, x.n)
@@ -253,7 +286,7 @@ def coproduct_expand(
     table = coproduct_terms(w, legs, term_budget)
     n = w.n
     for key, mult in table.items():
-        yield tuple(Word(letters, n) for letters in key), mult
+        yield tuple(Word._of(letters, n) for letters in key), mult
 
 
 def defining_relations(n: int) -> list[LinComb]:
@@ -262,18 +295,22 @@ def defining_relations(n: int) -> list[LinComb]:
     Idempotency p_ij^2 - p_ij, row and column orthogonality p_ij p_ik and
     p_ji p_ki for j != k, and the row/column sums minus 1.
     """
+    n = operator.index(n)
     if n < 1:
         raise ValidationError("ambient size n must be >= 1")
+    one, minus = 1.0 + 0j, -1.0 + 0j
+    unit = Word._of((), n)
+    p = {(i, j): Word._of(((i, j),), n) for i in range(1, n + 1) for j in range(1, n + 1)}
     rels = []
     for i in range(1, n + 1):
         for j in range(1, n + 1):
-            rels.append(LinComb([(((i, j), (i, j)), 1.0), (((i, j),), -1.0)], n))
+            rels.append(LinComb._of({p[i, j] * p[i, j]: one, p[i, j]: minus}, n))
             for k in range(1, n + 1):
                 if k != j:
-                    rels.append(LinComb([(((i, j), (i, k)), 1.0)], n))
-                    rels.append(LinComb([(((j, i), (k, i)), 1.0)], n))
-        rels.append(LinComb([(((i, j),), 1.0) for j in range(1, n + 1)] + [((), -1.0)], n))
-        rels.append(LinComb([(((j, i),), 1.0) for j in range(1, n + 1)] + [((), -1.0)], n))
+                    rels.append(LinComb._of({p[i, j] * p[i, k]: one}, n))
+                    rels.append(LinComb._of({p[j, i] * p[k, i]: one}, n))
+        rels.append(LinComb._of({**{p[i, j]: one for j in range(1, n + 1)}, unit: minus}, n))
+        rels.append(LinComb._of({**{p[j, i]: one for j in range(1, n + 1)}, unit: minus}, n))
     return rels
 
 
@@ -351,7 +388,7 @@ def reduced_words(n: int, max_len: int, min_len: int = 1) -> list[Word]:
     """All reduced words with min_len <= length <= max_len."""
     out = []
     for ln in range(min_len, max_len + 1):
-        out.extend(Word(ls, n) for ls in reduced_word_array(n, ln).tolist())
+        out.extend(Word._of(tuple(map(tuple, ls)), n) for ls in reduced_word_array(n, ln).tolist())
     return out
 
 

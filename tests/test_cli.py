@@ -17,6 +17,7 @@ import pytest
 import qperm
 from qperm import cli
 from qperm.cli import main
+from qperm.config import RunConfig
 from qperm.errors import ValidationError
 from qperm.magic import MagicUnitary, f4_phi, fourier, from_hadamard
 
@@ -119,6 +120,44 @@ class TestCohomology:
         assert exc.value.code == 64
         assert captured.out == ""
         assert captured.err.splitlines()[-1] == "qperm: error: --basis needs --format json"
+
+
+class TestSigmaInput:
+    """--sigma entries are decimal integers; the ambient size is charged before it is built."""
+
+    CASES = [("(a b)", 1, "qperm: error: cycle entry 'a' in '(a b)' is not a decimal integer"),
+             ("(1 2.5)", 1, "qperm: error: cycle entry '2.5' in '(1 2.5)' is not a decimal integer"),
+             ("(1 99999999999)", 2, "qperm: budget error: the permutation needs 99999999999 points, "
+                                    "over the term budget 10000000")]
+
+    @pytest.mark.parametrize("sigma,code,line", CASES)
+    def test_cohomology_is_a_one_line_error(self, sigma, code, line):
+        # a fresh process, so a traceback would show on stderr
+        proc = subprocess.run([sys.executable, "-m", "qperm.cli", "cohomology", "--sigma", sigma],
+                              capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, "", line + "\n")
+
+    @pytest.mark.parametrize("sigma,code,line", CASES)
+    @pytest.mark.parametrize("command", [["verify"], ["semigroup", "--time", "1"]])
+    def test_process_commands_give_the_same_error(self, capsys, command, sigma, code, line):
+        assert run(capsys, *command, "--sigma", sigma, "--rates", "1") == (code, "", line + "\n")
+
+    def test_the_block_entries_are_charged_before_they_are_built(self, capsys, monkeypatch):
+        # n^2 d^2 entries: 2^2 5^2 = 100 fit a budget of 100, 2^2 6^2 = 144 do not
+        monkeypatch.setattr("qperm.magic.DEFAULT_CONFIG", RunConfig(term_budget=100))
+        assert run(capsys, "cohomology", "--sigma", "(1 2)", "--mult", "5")[0] == 0
+        got = run(capsys, "cohomology", "--sigma", "(1 2)", "--mult", "6")
+        assert got == (2, "", "qperm: budget error: the permutation representation needs "
+                              "144 complex entries, over the term budget 100\n")
+
+    def test_the_ambient_size_is_charged_with_or_without_n(self, capsys, monkeypatch):
+        monkeypatch.setattr("qperm.perms.DEFAULT_CONFIG", RunConfig(term_budget=5))
+        assert run(capsys, "cohomology", "--sigma", "(1 5)")[0] == 0
+        for argv in (["--sigma", "(1 6)"], ["--sigma", "(1 2)", "--n", "6"],
+                     ["--sigma", "id", "--n", "6"]):
+            got = run(capsys, "cohomology", *argv)
+            assert got == (2, "", "qperm: budget error: the permutation needs 6 points, "
+                                  "over the term budget 5\n")
 
 
 class TestVerify:

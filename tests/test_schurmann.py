@@ -45,7 +45,13 @@ from qperm.schurmann import (
     two_block_symmetry,
     two_block_triple,
 )
-from qperm.selftest import random_lincomb, random_reduced_word, random_triple
+from qperm.selftest import (
+    conjugate_rep,
+    random_lincomb,
+    random_reduced_word,
+    random_triple,
+    random_unitary,
+)
 from qperm.words import (
     LinComb,
     Word,
@@ -798,3 +804,82 @@ def reference_relation_defect(t):
         v = reference_apply(t, rel)
         worst = max(worst, abs(complex(v[0])), float(np.linalg.norm(v[1:-1])))
     return worst
+
+
+def _triples_of_every_family(rng, n):
+    """One triple per construction at ambient size n, each also conjugated by a unitary:
+    permutation (random multiplicity), Fourier, and at n = 4 F_4(phi) and two-block."""
+    sigma = tuple(int(v) + 1 for v in rng.permutation(n))
+    reps = [from_permutation(sigma, int(rng.integers(1, 4))), from_hadamard(fourier(n))]
+    if n == 4:
+        reps.append(from_hadamard(f4_phi(float(rng.uniform(0.0, np.pi)))))
+        reps.append(two_block(TwoBlockSpec(random_projection(rng, 3), random_projection(rng, 3))))
+    reps += [conjugate_rep(rep, random_unitary(rng, rep.d)) for rep in reps]
+    return [SchurmannTriple(rep, random_cocycle(rep, rng, float(rng.uniform(0.5, 2.0))))
+            for rep in reps]
+
+
+def parent_fold(mats, x, start):
+    """`magic._fold` as it was before it started from the last letter's columns:
+    every word wrapped in a one-term LinComb, and every term multiplied onto `start`."""
+    if isinstance(x, Word):
+        x = LinComb.from_word(x)
+    out = np.zeros(start.shape, dtype=complex)
+    for w, c in x.terms.items():
+        v = start
+        for i, j in reversed(w.letters):
+            v = mats[i - 1, j - 1] @ v
+        out += c * v
+    return out
+
+
+def parent_apply(t, x):
+    """`_apply` as it was: the parent fold from a fresh e_last."""
+    e_last = np.zeros(t.d + 2, dtype=complex)
+    e_last[-1] = 1.0
+    return parent_fold(t.pi, x, e_last)
+
+
+class TestFoldFromTheLastLetter:
+    """`_apply` starts from the last letter's column and reads Words as themselves; its
+    bytes are those of the fold that multiplied every term onto e_last."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_relations_match_the_parent_fold(self, n):
+        rng = np.random.default_rng(260 + n)
+        for t in _triples_of_every_family(rng, n):
+            for rel in defining_relations(n):
+                assert _apply(t, rel).tobytes() == parent_apply(t, rel).tobytes()
+
+    def test_combinations_and_words_match_the_parent_fold(self):
+        rng = np.random.default_rng(261)
+        for n in range(2, 6):
+            for t in _triples_of_every_family(rng, n):
+                xs = [random_lincomb(rng, n, 5, int(rng.integers(1, 7))) for _ in range(4)]
+                xs += [LinComb.zero(n), LinComb.unit(n, 0.3 - 2j), unit_word(n)]
+                xs += [random_reduced_word(rng, n, 5) for _ in range(4)]
+                for x in xs:
+                    got = _apply(t, x)
+                    assert got.shape == (t.d + 2,) and got.flags.c_contiguous
+                    assert got.tobytes() == parent_apply(t, x).tobytes()
+                    if isinstance(x, Word):
+                        assert got.tobytes() == _apply(t, LinComb.from_word(x)).tobytes()
+                        assert got.tobytes() == parent_apply(t, LinComb.from_word(x)).tobytes()
+
+    def test_zero_combination_is_the_positive_zero(self):
+        t = _triples_of_every_family(np.random.default_rng(262), 3)[1]
+        got = _apply(t, LinComb.zero(3))
+        assert got.tobytes() == np.zeros(t.d + 2, dtype=complex).tobytes()
+        assert not np.signbit(got.view(float)).any()
+
+    def test_rep_apply_reads_words_as_block_products(self):
+        # magic.apply starts from the rightmost block itself, where it multiplied by I
+        rng = np.random.default_rng(263)
+        for n in range(2, 6):
+            for t in _triples_of_every_family(rng, n):
+                eye = np.eye(t.d, dtype=complex)
+                xs = [random_lincomb(rng, n, 4, 3), random_reduced_word(rng, n, 4), unit_word(n)]
+                for x in xs:
+                    got = apply(t.rep, x)
+                    assert got.shape == (t.d, t.d)
+                    assert np.array_equal(got, parent_fold(t.rep.blocks, x, eye))

@@ -1,12 +1,15 @@
 """Word algebra: reduction, Hopf operations, relations, wire formats."""
 
+import itertools
 import json
 
 import numpy as np
 import pytest
 
-from qperm.errors import BudgetError, ValidationError
+from qperm.errors import BudgetError, QpermError, ValidationError
+from qperm.perms import parse_cycles
 from qperm.selftest import random_reduced_word
+from qperm.stochsim import PermProcessSpec
 from qperm.words import (
     LinComb,
     Word,
@@ -313,3 +316,102 @@ class TestRandomWords:
                 assert got == want
                 assert a.bit_generator.state == b.bit_generator.state
                 assert a.integers(1 << 62) == b.integers(1 << 62)
+
+
+def _all_letter_words(n, max_len):
+    """Every letter sequence of at most max_len letters at ambient size n, as tuples."""
+    letters = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+    return [ls for k in range(max_len + 1) for ls in itertools.product(letters, repeat=k)]
+
+
+def assert_checked(word, n):
+    """word equals, and hashes as, the checked Word of its letters, with tuple letters."""
+    assert type(word.letters) is tuple and type(word.n) is int and word.n == n
+    assert all(type(let) is tuple and len(let) == 2 and all(type(v) is int for v in let)
+               for let in word.letters)
+    ref = Word(word.letters, n)
+    assert word == ref and hash(word) == hash(ref) and word.letters == ref.letters
+
+
+class TestInternalWords:
+    """Words the package derives from valid Words skip the checks, and equal checked ones."""
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_every_producer_gives_checked_words(self, n):
+        fixed = []  # the words that reduce to themselves
+        for letters in _all_letter_words(n, 3):
+            x = Word(letters, n)
+            for k in range(len(letters) + 1):
+                assert_checked(Word(letters[:k], n) * Word(letters[k:], n), n)
+            for out in (reduce(x), antipode(x), adjoint(x), antipode(LinComb({x: 1j}, n))):
+                for y in out.terms:
+                    assert_checked(y, n)
+            if list(reduce(x).terms) == [x]:
+                fixed.append(x)
+        assert reduced_words(n, 3, 0) == fixed
+        for x in fixed:
+            assert_checked(x, n)
+            for legs, _ in coproduct_expand(x, 2 if len(x) == 3 else 3):
+                for leg in legs:
+                    assert_checked(leg, n)
+        for x in reduced_words(n, 3, 0):
+            assert_checked(x, n)
+        for rel in defining_relations(n):
+            for y in rel.terms:
+                assert_checked(y, n)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_relations_match_the_parent_builder(self, n):
+        got, want = defining_relations(n), parent_defining_relations(n)
+        assert got == want
+        for a, b in zip(got, want):
+            assert list(a.terms) == list(b.terms)
+            assert all(type(c) is complex for c in a.terms.values())
+            assert np.array(list(a.terms.values())).tobytes() == \
+                np.array(list(b.terms.values())).tobytes()
+
+
+def parent_defining_relations(n):
+    """`defining_relations` as it was before it built its words once per call: each
+    relation a checked LinComb of one term list."""
+    rels = []
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            rels.append(LinComb([(((i, j), (i, j)), 1.0), (((i, j),), -1.0)], n))
+            for k in range(1, n + 1):
+                if k != j:
+                    rels.append(LinComb([(((i, j), (i, k)), 1.0)], n))
+                    rels.append(LinComb([(((j, i), (k, i)), 1.0)], n))
+        rels.append(LinComb([(((i, j),), 1.0) for j in range(1, n + 1)] + [((), -1.0)], n))
+        rels.append(LinComb([(((j, i),), 1.0) for j in range(1, n + 1)] + [((), -1.0)], n))
+    return rels
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Word([("a", 1)], 4),
+    lambda: Word([(1,)], 4),
+    lambda: Word(None, 4),
+    lambda: Word([(1, 2)], "x"),
+    lambda: Word([(1, 2)], None),
+    lambda: LinComb([(((1, 2),), "z")], 4),
+    lambda: LinComb(None, 4),
+    lambda: LinComb({(1, 2): 1.0}, 4),
+    lambda: PermProcessSpec((2, 1), ["x"]),
+    lambda: PermProcessSpec((2, 1), None),
+    lambda: PermProcessSpec((2, 1), {1.5: 1.0}),
+    lambda: PermProcessSpec(("a", 1), [1.0]),
+    lambda: parse_cycles("(a b)"),
+    lambda: parse_cycles("(1 2.5)"),
+    lambda: parse_cycles("(1 -2)"),
+    lambda: parse_cycles("(1 1_0)"),
+    lambda: parse_cycles("(1 99999999999)"),
+    lambda: parse_cycles("(1 2)", 99999999999),
+    lambda: parse_cycles("id", 99999999999),
+    lambda: parse_cycles("(1 2)", "x"),
+    lambda: parse_word("p(a,1)", 4),
+    lambda: parse_word("p(1,2)", "x"),
+    lambda: parse_word("p(1,2,3)", 4),
+])
+def test_public_constructors_raise_only_package_errors(make):
+    with pytest.raises(QpermError):
+        make()
