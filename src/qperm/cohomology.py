@@ -11,11 +11,18 @@ dimensions are decided by singular values relative to the largest one.
 
 The constraints are never stacked as n^2 full-width d-row blocks.  Two
 matrices with the same Gram matrix C^H C have the same singular values and
-right singular vectors, so each block is replaced by the rows diag(s) V^H
-of its SVD that have s > d eps max(1, s_max).  A magic unitary then gives
-nd rows instead of n^2 d (256 x 256 at Fourier n = 16, not 4096 x 256);
-the dropped rows move singular values by at most sqrt(2 r) d eps
-max(1, s_max) for r of them (see `cocycle_constraint_matrix`).
+right singular vectors, so a shorter C with the stack's Gram matrix
+decides every rank.  In row i of a magic unitary the projections P_ij
+have orthogonal ranges and sum to I, so the d-row constraints of that row
+can be summed: C is the nd x nd matrix with sum_j P_ij on its diagonal
+blocks and -P_ij off them, a reshape of the blocks (see
+`cocycle_constraint_matrix`).  Blocks that miss these row relations by
+more than `DEFAULT_CONFIG.tol` are compressed instead, each by its own SVD
+(see `_compressed_rows`).
+
+`cocycle_space` charges its constraint matrix and its two SVD factors to
+`DEFAULT_CONFIG.term_budget` in complex entries before it builds any of
+them, so a representation too large to factor raises BudgetError.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ import numpy as np
 
 from . import perms
 from .config import DEFAULT_CONFIG
-from .errors import ValidationError
+from .errors import ValidationError, _charge
 from .magic import MagicUnitary, _projection_deviation
 
 
@@ -116,22 +123,31 @@ def _nullspace(C: np.ndarray, rank_threshold: float) -> np.ndarray:
     return vh[rank:].conj()
 
 
-def _compressed_rows(blocks: np.ndarray, plus: np.ndarray, minus: np.ndarray, n: int) -> np.ndarray:
+def _compressed_rows(blocks: np.ndarray, plus: np.ndarray, minus: np.ndarray, n: int,
+                     take: np.ndarray | None = None) -> np.ndarray:
     """Rows whose Gram matrix is that of the stacked d-row constraints R_k.
 
-    R_k = blocks[k] (E_plus[k] - E_minus[k]), where E_i is the d x nd
-    selector of slot i and minus[k] < 0 drops the second term.  One
-    batched SVD blocks[k] = U_k diag(s_k) V_k^H gives W_k = diag(s_k) V_k^H
-    (E_plus[k] - E_minus[k]) with W_k^H W_k = R_k^H R_k for any block, since
-    U_k is unitary.  Rows of W_k with s <= d eps max(1, s_max), s_max over
-    the whole stack, are dropped; each has norm at most sqrt(2) times that.
+    R_k = blocks[take[k]] (E_plus[k] - E_minus[k]), where E_i is the d x nd
+    selector of slot i, minus[k] < 0 drops the second term and take, by
+    default the identity, lets one block serve many constraints.  One
+    batched SVD of the distinct blocks, blocks[a] = U_a diag(s_a) V_a^H,
+    gives W_k = diag(s) V^H (E_plus[k] - E_minus[k]) with W_k^H W_k =
+    R_k^H R_k for any block, since U_a is unitary.  Rows of W_k with
+    s <= d eps max(1, s_max), s_max over the whole stack, are dropped; each
+    has norm at most sqrt(2) times that, so by Weyl's inequality r dropped
+    rows move the singular values by at most sqrt(2 r) d eps max(1, s_max).
+    This is exact for any blocks, magic or not, and gives at most n^2 d
+    rows for the n^2 cocycle blocks.
     """
     d = blocks.shape[1]
     if blocks.size == 0:
         return np.zeros((0, n * d), dtype=complex)
     _, s, vh = np.linalg.svd(blocks)
-    k, r = np.nonzero(s > d * np.finfo(float).eps * max(1.0, float(s.max())))
-    rows = s[k, r, None] * vh[k, r]
+    keep = s > d * np.finfo(float).eps * max(1.0, float(s.max()))
+    if take is None:
+        take = np.arange(len(blocks))
+    k, r = np.nonzero(keep[take])
+    rows = s[take[k], r, None] * vh[take[k], r]
     out = np.zeros((len(rows), n, d), dtype=complex)
     idx = np.arange(len(rows))
     out[idx, plus[k]] = rows
@@ -147,29 +163,70 @@ def _cocycle_blocks(M: MagicUnitary) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return M.blocks.reshape(n * n, d, d), i, np.where(i == j, -1, j)
 
 
-def cocycle_constraint_matrix(M: MagicUnitary) -> np.ndarray:
-    """The conditions P_ii xi_i = 0 and P_ij (xi_i - xi_j) = 0, one row per range direction.
+def _max_fro(stack: np.ndarray) -> float:
+    """Largest Frobenius norm over a stack of matrices, shape (..., d, d), with no temporary stack."""
+    sq = np.einsum("...ij,...ij->...", stack.real, stack.real)
+    sq += np.einsum("...ij,...ij->...", stack.imag, stack.imag)
+    return math.sqrt(sq.max(initial=0.0))
 
-    Each d-row block (P_ij at block column i and -P_ij at block column j,
-    or P_ii alone) is replaced by the nonzero rows of diag(s) V^H from its
-    SVD P_ij = U diag(s) V^H.  The result C has the same Gram matrix C^H C
-    as the n^2 d x nd stack of the blocks themselves, so the same singular
-    values, right singular vectors and null space.  Rows with
-    s <= d eps max(1, s_max), s_max the largest singular value of any
-    block, are dropped; each has norm at most sqrt(2) d eps max(1, s_max),
-    so by Weyl's inequality the singular values move by at most
-    sqrt(2 r) d eps max(1, s_max) for r dropped rows: about 9e-13 at
-    Fourier n = 24 (r = 13,248), four decades under the 1e-8 rank
-    threshold.  For a magic unitary sum_j rank P_ij = d for every i, so C
-    is nd x nd; other blocks give at most n^2 d rows.
+
+def _row_magic_residual(P: np.ndarray, row_sums: np.ndarray) -> float:
+    """The largest Frobenius norm of P^2 - P, P - P^H and the row sums minus I, over all blocks."""
+    R = P @ P
+    R -= P
+    proj = _max_fro(R)
+    np.subtract(P, P.conj().swapaxes(-1, -2), out=R)  # one stack-sized temporary for both
+    return max(proj, _max_fro(R), _max_fro(row_sums - np.eye(P.shape[-1])))
+
+
+def cocycle_constraint_matrix(M: MagicUnitary) -> np.ndarray:
+    """The conditions P_ii xi_i = 0 and P_ij (xi_i - xi_j) = 0 as rows with the stack's Gram matrix.
+
+    The stack has the d-row blocks R_ij = P_ij (E_i - E_j) for i != j and
+    R_ii = P_ii E_i, E_i the d x nd selector of slot i.  If in row i the
+    P_ij are orthogonal projections with sum_j P_ij = I, their ranges are
+    mutually orthogonal, so T_i = sum_j R_ij = (sum_j P_ij) E_i -
+    sum_{j != i} P_ij E_j has T_i^H T_i = sum_j R_ij^H R_ij.  Then C is the
+    nd x nd matrix with block (i, i) = sum_j P_ij and block (i, j) = -P_ij,
+    a reshape of the blocks with the stack's Gram matrix, singular values
+    and null space, and no SVD is taken to build it.
+
+    C is built this way when P^2 - P, P - P^H and every row sum minus I
+    have Frobenius norm at most `DEFAULT_CONFIG.tol`, one pass over the
+    blocks; Frobenius norms bound the operator norms `magic.validate` uses.
+    C is linear in the blocks and is the stack's Gram factor at blocks P*
+    whose rows are exact, so if every block is within delta of P* (operator
+    norm), Weyl's inequality gives |s_k(C) - s_k(stack)| <= (2 + sqrt(2)) n
+    delta: C moves by at most (2n - 1) delta and the stack by sqrt(2) n
+    delta.  Blocks that fail the test, which only unvalidated input gives,
+    are compressed by `_compressed_rows` instead, which is exact for any
+    blocks and gives at most n^2 d rows; its rows are charged to
+    `DEFAULT_CONFIG.term_budget` before they are built.
     """
-    return _compressed_rows(*_cocycle_blocks(M), M.n)
+    n, d = M.n, M.d
+    P = M.blocks
+    row_sums = P.sum(axis=1)
+    if not _row_magic_residual(P, row_sums) <= DEFAULT_CONFIG.tol:
+        # n^2 d rows of width nd at most, after the 2 n^2 d^2 entries of the block SVD
+        _charge(n ** 3 * d * d + 2 * n * n * d * d, DEFAULT_CONFIG.term_budget,
+                "the compressed cocycle constraints", "complex entries")
+        return _compressed_rows(*_cocycle_blocks(M), n)
+    C = np.negative(P.transpose(0, 2, 1, 3), order="C")  # C[i, :, j, :] = -P_ij
+    i = np.arange(n)
+    C[i, :, i, :] = row_sums
+    return C.reshape(n * d, n * d)
 
 
 def cocycle_space(
     M: MagicUnitary, rank_threshold: float = DEFAULT_CONFIG.rank_threshold
 ) -> SubspaceBasis:
-    """Orthonormal basis of all stacked cocycle tuples (xi_1, ..., xi_n)."""
+    """Orthonormal basis of all stacked cocycle tuples (xi_1, ..., xi_n).
+
+    The nd x nd constraint matrix and the two nd x nd factors of its SVD are
+    charged to `DEFAULT_CONFIG.term_budget` in complex entries first.
+    """
+    nd = M.n * M.d
+    _charge(3 * nd * nd, DEFAULT_CONFIG.term_budget, "the cocycle space", "complex entries")
     return SubspaceBasis(_nullspace(cocycle_constraint_matrix(M), rank_threshold))
 
 
@@ -230,12 +287,15 @@ def gaussian_subspace(
     n, d = M.n, M.d
     blocks, plus, minus = _cocycle_blocks(M)
     ops = (M.blocks - np.eye(n)[:, :, None, None] * np.eye(d)).reshape(n * n, d, d)
-    # every op_ab = P_ab - delta_ab I acts on every slot i, one row block each
+    # every op_ab = P_ab - delta_ab I acts on every slot i, one row block each;
+    # each op is factored once and its rows placed at all n slots
+    nn = n * n
     C = _compressed_rows(
-        np.concatenate([blocks, np.repeat(ops, n, axis=0)]),
-        np.concatenate([plus, np.tile(np.arange(n), n * n)]),
+        np.concatenate([blocks, ops]),
+        np.concatenate([plus, np.tile(np.arange(n), nn)]),
         np.concatenate([minus, np.full(n ** 3, -1)]),
         n,
+        take=np.concatenate([np.arange(nn), nn + np.repeat(np.arange(nn), n)]),
     )
     return SubspaceBasis(_nullspace(C, rank_threshold))
 

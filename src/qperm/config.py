@@ -22,8 +22,10 @@ class RunConfig:
     seed            root seed for all sampling
     term_budget     cap on the work of one expansion: raw scalar terms of a coproduct,
                     the complex entries allocated to build a k-letter semigroup block
-                    (L_B and its Gram factor), and the complex entries of one
-                    stacked moment level of the symmetry / traciality checks
+                    (L_B and its Gram factor), the complex entries of one
+                    stacked moment level of the symmetry / traciality checks, and
+                    the complex entries of a representation (permutation, Fourier,
+                    Hadamard) and of the cocycle constraints with their SVD factors
     """
 
     tol: float = 1e-9

@@ -172,6 +172,7 @@ def fourier(n: int) -> HadamardMatrix:
     """The Fourier matrix (F_n)_lm = exp(2 pi i (l-1)(m-1) / n)."""
     if n < 1:
         raise ValidationError("n must be >= 1")
+    _charge(n * n, DEFAULT_CONFIG.term_budget, "the Fourier matrix", "complex entries")
     idx = np.arange(n)
     H = np.exp(2j * np.pi * np.outer(idx, idx) / n)
     return HadamardMatrix(H)
@@ -195,7 +196,14 @@ def f4_phi(phi: float) -> HadamardMatrix:
 
 
 def from_hadamard(Hm: HadamardMatrix, tol: float = DEFAULT_CONFIG.tol) -> MagicUnitary:
-    """P_jk = rank-one projection onto the entrywise ratio h_j / h_k of the rows."""
+    """P_jk = rank-one projection onto the entrywise ratio h_j / h_k of the rows.
+
+    The n^4 block entries and the n^3 ratios are charged to the term budget
+    in complex entries before anything is allocated.
+    """
+    n = Hm.n
+    _charge(n ** 4 + n ** 3, DEFAULT_CONFIG.term_budget, "the Hadamard representation",
+            "complex entries")
     require_hadamard(Hm, tol)
     H = Hm.H
     # v[j, k] = h_j / h_k, each ratio contiguous as np.vdot saw it: BLAS sums a

@@ -160,6 +160,37 @@ class TestSigmaInput:
                                   "over the term budget 5\n")
 
 
+def _address_space_cap():
+    # a guard that failed would start a 75 GB or 650 MB allocation; cap the child at 3 GB
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (3 * 2 ** 30, 3 * 2 ** 30))
+
+
+class TestCohomologyBudget:
+    """Fourier sizes past the term budget exit 2 before their arrays are built."""
+
+    @pytest.mark.parametrize("n,line", [
+        ("100000", "qperm: budget error: the Fourier matrix needs 10000000000 complex entries, "
+                   "over the term budget 10000000"),
+        ("56", "qperm: budget error: the Hadamard representation needs 10010112 complex entries, "
+               "over the term budget 10000000"),
+    ], ids=["fourier100000", "fourier56"])
+    def test_is_a_one_line_budget_error(self, n, line):
+        # a fresh process, so a traceback would show on stderr; n = 56 took about 40 s
+        # and 650 MB before the representation was charged
+        proc = subprocess.run([sys.executable, "-m", "qperm.cli", "cohomology", "--fourier", n],
+                              capture_output=True, text=True, timeout=20,
+                              preexec_fn=_address_space_cap)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", line + "\n")
+
+    def test_largest_fourier_size_past_the_representation(self, capsys):
+        # 43^4 + 43^3 entries fit, but 3 (43^2)^2 for the cocycle space do not
+        got = run(capsys, "cohomology", "--fourier", "43")
+        assert got == (2, "", "qperm: budget error: the cocycle space needs 10256403 complex "
+                              "entries, over the term budget 10000000\n")
+
+
 class TestVerify:
     def test_cycle_process_flags(self, capsys):
         code, out, _ = run(capsys, "verify", "--sigma", "(1 2 3)", "--rates", "1.0")

@@ -6,8 +6,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from qperm import cohomology
 from qperm.cohomology import (
     SubspaceBasis,
+    _cocycle_blocks,
+    _compressed_rows,
     _nullspace,
     _svd,
     coboundary_map,
@@ -25,7 +28,7 @@ from qperm.cohomology import (
     stack_tuple,
 )
 from qperm.config import DEFAULT_CONFIG, RunConfig
-from qperm.errors import ValidationError
+from qperm.errors import BudgetError, ValidationError
 from qperm.magic import MagicUnitary, TwoBlockSpec, f4_phi, fourier, from_hadamard, from_permutation, two_block
 from qperm.perms import identity, random_permutation
 
@@ -186,6 +189,163 @@ class TestCompressedConstraints:
             tracemalloc.stop()
         assert dim == 24 + fourier_h1_formula(24) - 1
         assert peak < 40 * 2 ** 20
+
+
+def row_sum_reference(M):
+    """Reference: block (i, i) = sum_j P_ij and block (i, j) = -P_ij, built block by block."""
+    n, d = M.n, M.d
+    C = np.zeros((n * d, n * d), dtype=complex)
+    for i in range(n):
+        for j in range(n):
+            C[i * d : (i + 1) * d, j * d : (j + 1) * d] = -M.blocks[i, j]
+        C[i * d : (i + 1) * d, i * d : (i + 1) * d] = M.blocks[i].sum(axis=0)
+    return C
+
+
+def perturbed(M, delta, seed):
+    """M plus delta times a random complex block of Frobenius norm 1 at every (i, j)."""
+    rng = np.random.default_rng(seed)
+    E = rng.normal(size=M.blocks.shape) + 1j * rng.normal(size=M.blocks.shape)
+    E /= np.linalg.norm(E, axis=(-2, -1), keepdims=True)
+    return MagicUnitary(M.blocks + delta * E)
+
+
+ROW_SUM_CASES = [("fourier8", from_hadamard(fourier(8))), ("fourier6", from_hadamard(fourier(6))),
+                 ("f4_pi/2", from_hadamard(f4_phi(np.pi / 2))), ("f4_0.7", from_hadamard(f4_phi(0.7)))]
+
+
+class TestRowSumConstraints:
+    """Magic unitaries within tol of their row relations get the summed nd x nd rows."""
+
+    @pytest.mark.parametrize("delta", [1e-12, 1e-10])
+    @pytest.mark.parametrize("name,M", ROW_SUM_CASES, ids=[c[0] for c in ROW_SUM_CASES])
+    def test_small_perturbation_takes_the_row_sums(self, name, M, delta):
+        Mp = perturbed(M, delta, seed=len(name))
+        C = cocycle_constraint_matrix(Mp)
+        assert np.max(np.abs(C - row_sum_reference(Mp))) <= 4 * np.finfo(float).eps
+        s = np.linalg.svd(C, compute_uv=False)
+        ref = np.linalg.svd(stacked_constraint_matrix(Mp), compute_uv=False)
+        # each block is within delta (operator norm) of the exact magic unitary M,
+        # up to M's own rounding, which the second term covers
+        bound = (2 + math.sqrt(2)) * M.n * delta + 1e-13
+        assert len(s) == len(ref) == M.n * M.d
+        assert np.max(np.abs(s - ref)) <= bound
+
+    @pytest.mark.parametrize("name,M", ROW_SUM_CASES, ids=[c[0] for c in ROW_SUM_CASES])
+    def test_large_perturbation_takes_the_compressed_rows(self, name, M):
+        Mp = perturbed(M, 1e-6, seed=len(name))
+        C = cocycle_constraint_matrix(Mp)
+        ref = _compressed_rows(*_cocycle_blocks(Mp), Mp.n)
+        assert C.shape == ref.shape and C.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("name", ["not_idempotent", "not_hermitian", "rows_not_identity"])
+    def test_each_failed_relation_takes_the_compressed_rows(self, name):
+        # each case fails exactly one of P^2 = P, P = P^H and sum_j P_ij = I
+        if name == "not_idempotent":
+            blocks = np.full((2, 2, 1, 1), 0.5)
+        elif name == "not_hermitian":
+            # an oblique projection; E - E^H is imaginary, so the real parts alone pass
+            E = np.array([[1.0, 1j], [0.0, 0.0]])
+            blocks = np.array([[E, np.eye(2) - E], [np.eye(2) - E, E]])
+        else:
+            blocks = from_permutation((2, 1, 4, 3), 2).blocks.copy()
+            blocks[0, 1] = 0.0
+        M = MagicUnitary(blocks)
+        C = cocycle_constraint_matrix(M)
+        assert C.tobytes() == _compressed_rows(*_cocycle_blocks(M), M.n).tobytes()
+        s = np.linalg.svd(C, compute_uv=False)
+        ref = np.linalg.svd(stacked_constraint_matrix(M), compute_uv=False)
+        assert np.max(np.abs(s - ref[: len(s)])) <= 1e-12 * ref[0]
+
+    def test_exact_magic_unitaries_take_the_row_sums(self):
+        for name, M, magic in CONSTRAINT_CASES:
+            C = cocycle_constraint_matrix(M)
+            if magic:
+                assert np.max(np.abs(C - row_sum_reference(M))) <= 4 * np.finfo(float).eps, name
+            else:
+                assert C.tobytes() == _compressed_rows(*_cocycle_blocks(M), M.n).tobytes(), name
+
+
+def traced_peak(fn, *args):
+    """The tracemalloc peak while fn(*args) raises BudgetError, with the error."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError) as info:
+            fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak, str(info.value)
+
+
+class TestCohomologyBudget:
+    """Each cohomology guard charges complex entries before anything of that size exists."""
+
+    def test_fourier_matrix(self, monkeypatch):
+        monkeypatch.setattr("qperm.magic.DEFAULT_CONFIG", RunConfig(term_budget=100))
+        assert fourier(10).n == 10
+        peak, msg = traced_peak(fourier, 2000)  # 2000^2 entries would take 64 MB
+        assert msg == "the Fourier matrix needs 4000000 complex entries, over the term budget 100"
+        assert peak < 2 ** 16
+
+    def test_hadamard_representation(self, monkeypatch):
+        big = fourier(40)  # 40^4 block entries would take 41 MB
+        monkeypatch.setattr("qperm.magic.DEFAULT_CONFIG", RunConfig(term_budget=750))
+        assert from_hadamard(fourier(5)).n == 5  # 5^4 + 5^3 = 750
+        with pytest.raises(BudgetError, match="needs 1512 complex entries"):
+            from_hadamard(fourier(6))
+        peak, msg = traced_peak(from_hadamard, big)
+        assert msg == ("the Hadamard representation needs 2624000 complex entries, "
+                       "over the term budget 750")
+        assert peak < 2 ** 16
+
+    def test_cocycle_space(self, monkeypatch):
+        M = from_hadamard(fourier(24))  # C and its SVD factors are 576 x 576, 5 MB each
+        monkeypatch.setattr("qperm.cohomology.DEFAULT_CONFIG", RunConfig(term_budget=3 * 576 ** 2))
+        assert cocycle_space(M).dim == 76
+        monkeypatch.setattr("qperm.cohomology.DEFAULT_CONFIG", RunConfig(term_budget=3 * 576 ** 2 - 1))
+        peak, msg = traced_peak(cocycle_space, M)
+        assert msg == "the cocycle space needs 995328 complex entries, over the term budget 995327"
+        assert peak < 2 ** 16
+        with pytest.raises(BudgetError):
+            h1_dim(M)
+
+    def test_compressed_rows_of_blocks_that_are_not_magic(self, monkeypatch):
+        # n^3 d^2 rows entries and 2 n^2 d^2 SVD entries: 8^3 8^2 + 2 8^2 8^2 = 40960
+        rng = np.random.default_rng(5)
+        M = MagicUnitary(rng.normal(size=(8, 8, 8, 8)) + 1j * rng.normal(size=(8, 8, 8, 8)))
+        monkeypatch.setattr("qperm.cohomology.DEFAULT_CONFIG", RunConfig(term_budget=40960))
+        assert cocycle_space(M).dim == 0
+        monkeypatch.setattr("qperm.cohomology.DEFAULT_CONFIG", RunConfig(term_budget=40959))
+        peak, msg = traced_peak(cocycle_space, M)
+        assert msg == ("the compressed cocycle constraints needs 40960 complex entries, "
+                       "over the term budget 40959")
+        # the 512 x 64 rows alone would take 512 KB; the relation check's temporaries are 64 KB
+        assert peak < 2 ** 18
+
+
+class TestGaussianRows:
+    def test_each_block_factored_once_gives_the_stacked_rows(self, monkeypatch):
+        # the previous construction stacked n copies of every P_ab - delta_ab I
+        rng = np.random.default_rng(11)
+        cases = [from_hadamard(fourier(n)) for n in (2, 3, 6, 8)] + [
+            from_hadamard(f4_phi(0.7)), from_permutation((2, 1, 4, 3), 2),
+            two_block(TwoBlockSpec(random_projection(rng, 4, 2), random_projection(rng, 4, 1))),
+            MagicUnitary(rng.normal(size=(3, 3, 4, 4)) + 1j * rng.normal(size=(3, 3, 4, 4)))]
+        for M in cases:
+            seen = []
+            real = cohomology._nullspace
+            monkeypatch.setattr(cohomology, "_nullspace", lambda C, t: seen.append(C) or real(C, t))
+            got = gaussian_subspace(M).vectors
+            monkeypatch.setattr(cohomology, "_nullspace", real)
+            n, d = M.n, M.d
+            blocks, plus, minus = _cocycle_blocks(M)
+            ops = (M.blocks - np.eye(n)[:, :, None, None] * np.eye(d)).reshape(n * n, d, d)
+            ref = _compressed_rows(np.concatenate([blocks, np.repeat(ops, n, axis=0)]),
+                                   np.concatenate([plus, np.tile(np.arange(n), n * n)]),
+                                   np.concatenate([minus, np.full(n ** 3, -1)]), n)
+            assert seen[0].shape == ref.shape and seen[0].tobytes() == ref.tobytes()
+            assert got.tobytes() == _nullspace(ref, DEFAULT_THRESHOLD).tobytes()
 
 
 class TestSpaces:
