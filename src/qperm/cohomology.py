@@ -21,8 +21,8 @@ more than `DEFAULT_CONFIG.tol` are compressed instead, each by its own SVD
 (see `_compressed_rows`).
 
 `cocycle_space` charges its constraint matrix and its two SVD factors to
-`DEFAULT_CONFIG.term_budget` in complex entries before it builds any of
-them, so a representation too large to factor raises BudgetError.
+the term budget in complex entries before it builds any of them, so a
+representation too large to factor raises BudgetError.
 """
 
 from __future__ import annotations
@@ -200,16 +200,16 @@ def cocycle_constraint_matrix(M: MagicUnitary) -> np.ndarray:
     delta: C moves by at most (2n - 1) delta and the stack by sqrt(2) n
     delta.  Blocks that fail the test, which only unvalidated input gives,
     are compressed by `_compressed_rows` instead, which is exact for any
-    blocks and gives at most n^2 d rows; its rows are charged to
-    `DEFAULT_CONFIG.term_budget` before they are built.
+    blocks and gives at most n^2 d rows; its rows are charged to the term
+    budget before they are built.
     """
     n, d = M.n, M.d
     P = M.blocks
     row_sums = P.sum(axis=1)
     if not _row_magic_residual(P, row_sums) <= DEFAULT_CONFIG.tol:
         # n^2 d rows of width nd at most, after the 2 n^2 d^2 entries of the block SVD
-        _charge(n ** 3 * d * d + 2 * n * n * d * d, DEFAULT_CONFIG.term_budget,
-                "the compressed cocycle constraints", "complex entries")
+        _charge(n ** 3 * d * d + 2 * n * n * d * d, "the compressed cocycle constraints",
+                "complex entries")
         return _compressed_rows(*_cocycle_blocks(M), n)
     C = np.negative(P.transpose(0, 2, 1, 3), order="C")  # C[i, :, j, :] = -P_ij
     i = np.arange(n)
@@ -223,10 +223,10 @@ def cocycle_space(
     """Orthonormal basis of all stacked cocycle tuples (xi_1, ..., xi_n).
 
     The nd x nd constraint matrix and the two nd x nd factors of its SVD are
-    charged to `DEFAULT_CONFIG.term_budget` in complex entries first.
+    charged to the term budget in complex entries first.
     """
     nd = M.n * M.d
-    _charge(3 * nd * nd, DEFAULT_CONFIG.term_budget, "the cocycle space", "complex entries")
+    _charge(3 * nd * nd, "the cocycle space", "complex entries")
     return SubspaceBasis(_nullspace(cocycle_constraint_matrix(M), rank_threshold))
 
 

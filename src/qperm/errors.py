@@ -1,8 +1,11 @@
-"""Exception types shared across the package, and the input checks they share."""
+"""Exception types shared across the package, the input checks they share, and
+the one term-budget charge."""
 
 import math
 
 import numpy as np
+
+from . import config
 
 
 class QpermError(Exception):
@@ -23,8 +26,13 @@ def check_time(time: float) -> None:
         raise ValidationError(f"time must be finite and >= 0, got {time!r}")
 
 
-def _charge(need: int, budget: int, what: str, unit: str) -> None:
-    """Raise BudgetError if `what` needs more than `budget` units of work."""
+def _charge(need: int, what: str, unit: str) -> None:
+    """Raise BudgetError if `what` needs more than the term budget's units of work.
+
+    The only reader of the budget: it reads `config.DEFAULT_CONFIG.term_budget`
+    at each call, so replacing `qperm.config.DEFAULT_CONFIG` changes every charge.
+    """
+    budget = config.DEFAULT_CONFIG.term_budget
     if need > budget:
         raise BudgetError(f"{what} needs {need} {unit}, over the term budget {budget}")
 

@@ -120,8 +120,7 @@ def from_permutation(sigma, d: int = 1) -> MagicUnitary:
         raise ValidationError(f"multiplicity must be >= 1, got {d}")
     sigma = perms.check_perm(sigma)
     n = len(sigma)
-    _charge(n * n * d * d, DEFAULT_CONFIG.term_budget, "the permutation representation",
-            "complex entries")
+    _charge(n * n * d * d, "the permutation representation", "complex entries")
     blocks = np.zeros((n, n, d, d), dtype=complex)
     for i in range(1, n + 1):
         blocks[i - 1, sigma[i - 1] - 1] = np.eye(d)
@@ -172,7 +171,7 @@ def fourier(n: int) -> HadamardMatrix:
     """The Fourier matrix (F_n)_lm = exp(2 pi i (l-1)(m-1) / n)."""
     if n < 1:
         raise ValidationError("n must be >= 1")
-    _charge(n * n, DEFAULT_CONFIG.term_budget, "the Fourier matrix", "complex entries")
+    _charge(n * n, "the Fourier matrix", "complex entries")
     idx = np.arange(n)
     H = np.exp(2j * np.pi * np.outer(idx, idx) / n)
     return HadamardMatrix(H)
@@ -202,8 +201,7 @@ def from_hadamard(Hm: HadamardMatrix, tol: float = DEFAULT_CONFIG.tol) -> MagicU
     in complex entries before anything is allocated.
     """
     n = Hm.n
-    _charge(n ** 4 + n ** 3, DEFAULT_CONFIG.term_budget, "the Hadamard representation",
-            "complex entries")
+    _charge(n ** 4 + n ** 3, "the Hadamard representation", "complex entries")
     require_hadamard(Hm, tol)
     H = Hm.H
     # v[j, k] = h_j / h_k, each ratio contiguous as np.vdot saw it: BLAS sums a

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import re
 
-from .config import DEFAULT_CONFIG
 from .errors import ValidationError, _charge
 
 Perm = tuple[int, ...]
@@ -115,13 +114,14 @@ def parse_cycles(text: str, n: int | None = None) -> Perm:
 
 def _charged_size(n: int) -> int:
     """n, after charging an n-point permutation to the term budget."""
-    _charge(n, DEFAULT_CONFIG.term_budget, "the permutation", "points")
+    _charge(n, "the permutation", "points")
     return n
 
 
-def format_cycles(sigma: Perm, include_fixed: bool = False) -> str:
-    cycs = cycles(sigma) if include_fixed else nontrivial_cycles(sigma)
-    return "".join("(" + " ".join(str(v) for v in cyc) + ")" for cyc in cycs) or "id"
+def format_cycles(sigma: Perm) -> str:
+    """Cycle notation of the nontrivial cycles, or 'id'."""
+    return "".join("(" + " ".join(str(v) for v in cyc) + ")"
+                   for cyc in nontrivial_cycles(sigma)) or "id"
 
 
 def random_permutation(rng, n: int) -> Perm:

@@ -308,8 +308,7 @@ def _moments(start: np.ndarray, steps: np.ndarray, max_len: int) -> np.ndarray:
     levels = [start.reshape(1, m, s)]
     for _ in range(max_len):
         prev = levels[-1]
-        _charge(len(kraus) * prev.size, DEFAULT_CONFIG.term_budget, "a moment level",
-                "complex entries")
+        _charge(len(kraus) * prev.size, "a moment level", "complex entries")
         stack = (prev[None] @ kraus[:, None]).reshape(-1, m * s)
         levels.append(_compress(stack).reshape(-1, m, s))
     return np.concatenate(levels)
@@ -451,12 +450,11 @@ def symmetrize(t: SchurmannTriple):
 
 
 def random_cocycle(rep: MagicUnitary, rng, scale: float = 1.0) -> np.ndarray:
-    """A random cocycle tuple drawn from the cocycle space of the representation."""
+    """A random cocycle tuple: scale times the projection onto the cocycle space
+    of a complex Gaussian vector of the stacked space, so that a seed's tuple
+    does not depend on the basis `cocycle_space` returns."""
     from .cohomology import cocycle_space
 
     z = cocycle_space(rep)
-    if z.dim == 0:
-        return np.zeros((rep.n, rep.d), dtype=complex)
-    coeff = rng.normal(size=z.dim) + 1j * rng.normal(size=z.dim)
-    vec = scale * (coeff @ z.vectors)
-    return vec.reshape(rep.n, rep.d)
+    g = rng.normal(size=z.total) + 1j * rng.normal(size=z.total)
+    return (scale * z.project(g)).reshape(rep.n, rep.d)

@@ -22,9 +22,9 @@ estimate and no random numbers).  None of L_B, mu or the norms depends on t
 or on the word, so the triple keeps one record per length k >= 1
 (SchurmannTriple.block_L, a _Block: A = L_B - mu I, mu, ||A||_1 and
 ||L_B||_1), and a later call at any time costs only its m* s products of A
-with the word's column.  term_budget is charged the complex entries the
-block's construction allocates, on every call, and the default term budget
-the m* s matrix products of each exponential.
+with the word's column.  The term budget is charged the complex entries the
+block's construction allocates, on every call (_block), and the m* s matrix
+products of each exponential.
 
 Also provides convolution of functionals, the Haar-state Gram matrix on the
 degree <= 2 span and the induced self-adjointness check for the Markov
@@ -100,10 +100,10 @@ def _expm_action(block: _Block, time: float, B: np.ndarray) -> np.ndarray:
     minimising m* s over s = ceil(time ||A||_1 / theta_m*).  A step stops
     early once two consecutive terms are below the unit roundoff relative to
     the partial sum (inf-norms).  Cost: at most m* s products of A with the
-    columns of B, linear in time ||A||_1, charged against
-    DEFAULT_CONFIG.term_budget before the first one; a count that is not
-    finite (time L_B or its trace overflows) is over any budget.  Nothing of
-    size m x m is allocated; B is not modified.
+    columns of B, linear in time ||A||_1, charged against the term budget
+    before the first one; a count that is not finite (time L_B or its trace
+    overflows) is over any budget.  Nothing of size m x m is allocated; B is
+    not modified.
     """
     A = block.A
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the charge below
@@ -114,7 +114,7 @@ def _expm_action(block: _Block, time: float, B: np.ndarray) -> np.ndarray:
     if norm != 0:
         best = int(np.argmin(products))  # the smallest degree on a tie
         need = int(products[best]) if np.isfinite(products[best]) else np.inf
-        _charge(need, DEFAULT_CONFIG.term_budget, "the exponential action", "matrix products")
+        _charge(need, "the exponential action", "matrix products")
         terms, s = int(_DEGREES[best]), int(steps[best])
     eta = np.exp(block.mu * time / s)
     F = B.astype(np.result_type(A, B))  # a copy: F is summed in place
@@ -152,18 +152,20 @@ def generator_matrix(t: SchurmannTriple, tol: float = DEFAULT_CONFIG.tol) -> np.
 
 
 def fundamental_semigroup(t: SchurmannTriple, time: float) -> np.ndarray:
-    """exp(time * A) on the fundamental coefficients; a stochastic matrix."""
+    """exp(time * A) on the fundamental coefficients; a stochastic matrix.
+
+    A is checked by generator_matrix; the exponential is the triple's
+    one-letter block record, applied to the identity.
+    """
     check_time(time)
-    A = generator_matrix(t)
-    with np.errstate(over="ignore"):  # an overflow is over _expm_action's budget
-        X = time * A
-    return _expm_action(_block_record(X), 1.0, np.eye(len(A)))
+    generator_matrix(t)
+    return _expm_action(_block(t, 1), time, np.eye(t.n))
 
 
-def convolve(f, g, w: Word, term_budget: int | None = None) -> complex:
+def convolve(f, g, w: Word) -> complex:
     """(f * g)(w) = sum over the coproduct of f(left) g(right)."""
     return sum((mult * complex(f(left)) * complex(g(right))
-                for (left, right), mult in coproduct_expand(w, 2, term_budget)), 0j)
+                for (left, right), mult in coproduct_expand(w, 2)), 0j)
 
 
 def _block_entries(n: int, k: int) -> int:
@@ -182,7 +184,7 @@ def _block_L(t: SchurmannTriple, k: int) -> np.ndarray:
     after h = k // 2 letters, a = p(I', J') and b = p(I'', J''):
     L(ab) = e_0 pi(a) pi(b) e_last, so one product of the rows of the
     h-letter block words with the columns of the (k-h)-letter ones gives
-    every entry.  k = 1 is letter_L.  Unmemoized and unbudgeted: _evaluate
+    every entry.  k = 1 is letter_L.  Unmemoized and unbudgeted: _block
     charges _block_entries first and keeps the result on the triple.
     """
     n = t.n
@@ -198,14 +200,21 @@ def _block_L(t: SchurmannTriple, k: int) -> np.ndarray:
     return F[pa[:, None] * len(a) + pa[None], pb[:, None] * len(b) + pb[None]]
 
 
-def _evaluate(t: SchurmannTriple, time: float, words, term_budget: int | None) -> dict:
-    """{word: (value, err)}: per reduced word length, exp(time L_B) on the columns in use.
+def _block(t: SchurmannTriple, k: int) -> _Block:
+    """The triple's record of its k-letter block, charged on every call, hit or miss.
 
-    Each length's block is charged against term_budget, hit or miss, and
-    built only when t.block_L does not hold its record yet.
+    The block is built only when t.block_L does not hold its record yet.
     """
+    _charge(_block_entries(t.n, k), f"the {k}-letter block", "complex entries")
+    block = t.block_L.get(k)
+    if block is None:
+        block = t.block_L[k] = _block_record(_block_L(t, k))
+    return block
+
+
+def _evaluate(t: SchurmannTriple, time: float, words) -> dict:
+    """{word: (value, err)}: per reduced word length, exp(time L_B) on the columns in use."""
     check_time(time)
-    budget = DEFAULT_CONFIG.term_budget if term_budget is None else int(term_budget)
     out: dict = {}
     by_len: dict = {}
     for w in words:
@@ -218,10 +227,7 @@ def _evaluate(t: SchurmannTriple, time: float, words, term_budget: int | None) -
         else:  # the zero word (None) or the unit word (())
             out[w] = (0j if root is None else 1 + 0j, 0.0)
     for k, roots in by_len.items():
-        _charge(_block_entries(t.n, k), budget, f"the {k}-letter block", "complex entries")
-        block = t.block_L.get(k)
-        if block is None:
-            block = t.block_L[k] = _block_record(t.letter_L if k == 1 else _block_L(t, k))
+        block = _block(t, k)
         seqs = np.array(list(roots.values()))  # words x letters x (row, column)
         rows, cols = _sequence_position(np.vstack([seqs[..., 0], seqs[..., 1]]), t.n).reshape(2, -1)
         if len(cols) == 1:  # one word: its own column
@@ -238,9 +244,7 @@ def _evaluate(t: SchurmannTriple, time: float, words, term_budget: int | None) -
     return out
 
 
-def conv_exp(
-    t: SchurmannTriple, time: float, w: Word, term_budget: int | None = None
-) -> tuple[complex, float]:
+def conv_exp(t: SchurmannTriple, time: float, w: Word) -> tuple[complex, float]:
     """omega_t(w) = exp_*(time L)(w), from exp(time L_B) on the word's column.
 
     L_B is the generator on the word's block (see _block_L), built on the
@@ -251,18 +255,16 @@ def conv_exp(
     least one rounding of the value when ||time L_B||_1 is small.  It is 0.0
     at time 0 and for the zero and unit words.
     """
-    return _evaluate(t, time, [w], term_budget)[w]
+    return _evaluate(t, time, [w])[w]
 
 
-def state_table(
-    t: SchurmannTriple, time: float, words, term_budget: int | None = None
-) -> dict[Word, complex]:
+def state_table(t: SchurmannTriple, time: float, words) -> dict[Word, complex]:
     """omega_t evaluated on an iterable of words.
 
     Per reduced word length, exp(time L_B) is applied to the block columns the
     words use, in one _expm_action call; L_B as in conv_exp.
     """
-    return {w: val for w, (val, _) in _evaluate(t, time, words, term_budget).items()}
+    return {w: val for w, (val, _) in _evaluate(t, time, words).items()}
 
 
 # --- degree <= 2 Haar data ----------------------------------------------------

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import perms
-from .errors import ValidationError, check_time
+from .errors import ValidationError, _charge, check_time
 from .magic import from_permutation
 from .schurmann import SchurmannTriple
 
@@ -227,13 +227,18 @@ def simulate_marginals(
     tallied one after another in the calling thread; each tally is a vector
     of integer counts, so the returned bytes depend only on the seed, the
     sample count and the block size.  A rate * t above numpy's Poisson limit
-    (about 9.2e18) raises ValidationError before any draw.
+    (about 9.2e18) raises ValidationError before any draw.  The draws are
+    charged to the term budget before the first one: one per block for a
+    cycle with rate * t below 10 and one per sample at 10 and above, summed
+    over the cycles.
     """
     _check_count("samples", samples)
     _check_count("block_size", block_size)
     check_time(t)
     _check_means((lam * t for lam in spec.rates), "rate * t")
     nblocks = (samples + block_size - 1) // block_size
+    _charge(sum(nblocks if lam * t < _PTRS_LAM_MIN else samples for lam in spec.rates),
+            "Monte-Carlo sampling", "draws")
     streams = np.random.SeedSequence(seed).spawn(len(spec.rates))
     laws = []
     for cyc, lam, stream in zip(spec.cycles, spec.rates, streams):

@@ -22,7 +22,7 @@ from typing import Iterable, Iterator, NamedTuple
 import numpy as np
 
 from . import _kernel
-from .config import DEFAULT_CONFIG, ZERO_THRESHOLD
+from .config import ZERO_THRESHOLD
 from .errors import ValidationError, _charge
 
 Letter = tuple[int, int]
@@ -112,13 +112,13 @@ def unit_word(n: int) -> Word:
 class LinComb:
     """A finite complex-linear combination of words (an element of Pol(S_n+)).
 
-    Stored coefficients with magnitude below `threshold` are dropped.
+    Stored coefficients with magnitude at most ZERO_THRESHOLD are dropped.
     Instances are immutable; arithmetic returns new objects.
     """
 
     __slots__ = ("_terms", "n")
 
-    def __init__(self, terms, n: int, threshold: float = ZERO_THRESHOLD):
+    def __init__(self, terms, n: int):
         clean: dict[Word, complex] = {}
         try:
             n = int(n)
@@ -129,7 +129,7 @@ class LinComb:
                 if w.n != n:
                     raise ValidationError("mixed ambient sizes in linear combination")
                 c = complex(c) + clean.get(w, 0j)
-                if abs(c) <= threshold:
+                if abs(c) <= ZERO_THRESHOLD:
                     clean.pop(w, None)
                 else:
                     clean[w] = c
@@ -265,25 +265,22 @@ def adjoint(x: LinComb | Word) -> LinComb:
     return LinComb(terms, x.n)
 
 
-def coproduct_terms(w: Word, legs: int, term_budget: int | None = None) -> dict:
+def coproduct_terms(w: Word, legs: int) -> dict:
     """Raw expansion table {tuple_of_letter_tuples: multiplicity} of the iterated coproduct."""
     if legs < 2:
         raise ValidationError("coproduct expansion needs legs >= 2")
-    budget = DEFAULT_CONFIG.term_budget if term_budget is None else int(term_budget)
-    _charge(w.n ** ((legs - 1) * len(w)), budget, "coproduct expansion", "raw terms")
+    _charge(w.n ** ((legs - 1) * len(w)), "coproduct expansion", "raw terms")
     return _kernel.expand_legs(w.letters, w.n, legs)
 
 
-def coproduct_expand(
-    w: Word, legs: int, term_budget: int | None = None
-) -> Iterator[tuple[tuple[Word, ...], int]]:
+def coproduct_expand(w: Word, legs: int) -> Iterator[tuple[tuple[Word, ...], int]]:
     """Yield (tuple of leg words, multiplicity) for the (legs-1)-fold coproduct of w.
 
     Every index chain i -> k_1 -> ... -> k_{legs-1} -> j per letter p_ij
     contributes one raw term; legs are reduced eagerly and zero branches are
     dropped, so multiplicities count the surviving raw chains.
     """
-    table = coproduct_terms(w, legs, term_budget)
+    table = coproduct_terms(w, legs)
     n = w.n
     for key, mult in table.items():
         yield tuple(Word._of(letters, n) for letters in key), mult

@@ -17,7 +17,6 @@ import pytest
 import qperm
 from qperm import cli
 from qperm.cli import main
-from qperm.config import RunConfig
 from qperm.errors import ValidationError
 from qperm.magic import MagicUnitary, f4_phi, fourier, from_hadamard
 
@@ -142,17 +141,23 @@ class TestSigmaInput:
     def test_process_commands_give_the_same_error(self, capsys, command, sigma, code, line):
         assert run(capsys, *command, "--sigma", sigma, "--rates", "1") == (code, "", line + "\n")
 
-    def test_the_block_entries_are_charged_before_they_are_built(self, capsys, monkeypatch):
-        # n^2 d^2 entries: 2^2 5^2 = 100 fit a budget of 100, 2^2 6^2 = 144 do not
-        monkeypatch.setattr("qperm.magic.DEFAULT_CONFIG", RunConfig(term_budget=100))
-        assert run(capsys, "cohomology", "--sigma", "(1 2)", "--mult", "5")[0] == 0
+    def test_the_block_entries_are_charged_before_they_are_built(self, capsys, budget):
+        # n^2 d^2 entries: 2^2 5^2 = 100 fit a budget of 100, 2^2 6^2 = 144 do not;
+        # the budget of 100 then stops d = 5 at the cocycle space, 3 (n d)^2 = 300
+        budget(100)
+        got = run(capsys, "cohomology", "--sigma", "(1 2)", "--mult", "5")
+        assert got == (2, "", "qperm: budget error: the cocycle space needs "
+                              "300 complex entries, over the term budget 100\n")
         got = run(capsys, "cohomology", "--sigma", "(1 2)", "--mult", "6")
         assert got == (2, "", "qperm: budget error: the permutation representation needs "
                               "144 complex entries, over the term budget 100\n")
 
-    def test_the_ambient_size_is_charged_with_or_without_n(self, capsys, monkeypatch):
-        monkeypatch.setattr("qperm.perms.DEFAULT_CONFIG", RunConfig(term_budget=5))
-        assert run(capsys, "cohomology", "--sigma", "(1 5)")[0] == 0
+    def test_the_ambient_size_is_charged_with_or_without_n(self, capsys, budget):
+        # 5 points fit a budget of 5; their representation, 5^2 entries, does not
+        budget(5)
+        got = run(capsys, "cohomology", "--sigma", "(1 5)")
+        assert got == (2, "", "qperm: budget error: the permutation representation needs "
+                              "25 complex entries, over the term budget 5\n")
         for argv in (["--sigma", "(1 6)"], ["--sigma", "(1 2)", "--n", "6"],
                      ["--sigma", "id", "--n", "6"]):
             got = run(capsys, "cohomology", *argv)

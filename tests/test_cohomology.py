@@ -281,16 +281,16 @@ def traced_peak(fn, *args):
 class TestCohomologyBudget:
     """Each cohomology guard charges complex entries before anything of that size exists."""
 
-    def test_fourier_matrix(self, monkeypatch):
-        monkeypatch.setattr("qperm.magic.DEFAULT_CONFIG", RunConfig(term_budget=100))
+    def test_fourier_matrix(self, budget):
+        budget(100)
         assert fourier(10).n == 10
         peak, msg = traced_peak(fourier, 2000)  # 2000^2 entries would take 64 MB
         assert msg == "the Fourier matrix needs 4000000 complex entries, over the term budget 100"
         assert peak < 2 ** 16
 
-    def test_hadamard_representation(self, monkeypatch):
+    def test_hadamard_representation(self, budget):
         big = fourier(40)  # 40^4 block entries would take 41 MB
-        monkeypatch.setattr("qperm.magic.DEFAULT_CONFIG", RunConfig(term_budget=750))
+        budget(750)
         assert from_hadamard(fourier(5)).n == 5  # 5^4 + 5^3 = 750
         with pytest.raises(BudgetError, match="needs 1512 complex entries"):
             from_hadamard(fourier(6))
@@ -299,24 +299,24 @@ class TestCohomologyBudget:
                        "over the term budget 750")
         assert peak < 2 ** 16
 
-    def test_cocycle_space(self, monkeypatch):
+    def test_cocycle_space(self, budget):
         M = from_hadamard(fourier(24))  # C and its SVD factors are 576 x 576, 5 MB each
-        monkeypatch.setattr("qperm.cohomology.DEFAULT_CONFIG", RunConfig(term_budget=3 * 576 ** 2))
+        budget(3 * 576 ** 2)
         assert cocycle_space(M).dim == 76
-        monkeypatch.setattr("qperm.cohomology.DEFAULT_CONFIG", RunConfig(term_budget=3 * 576 ** 2 - 1))
+        budget(3 * 576 ** 2 - 1)
         peak, msg = traced_peak(cocycle_space, M)
         assert msg == "the cocycle space needs 995328 complex entries, over the term budget 995327"
         assert peak < 2 ** 16
         with pytest.raises(BudgetError):
             h1_dim(M)
 
-    def test_compressed_rows_of_blocks_that_are_not_magic(self, monkeypatch):
+    def test_compressed_rows_of_blocks_that_are_not_magic(self, budget):
         # n^3 d^2 rows entries and 2 n^2 d^2 SVD entries: 8^3 8^2 + 2 8^2 8^2 = 40960
         rng = np.random.default_rng(5)
         M = MagicUnitary(rng.normal(size=(8, 8, 8, 8)) + 1j * rng.normal(size=(8, 8, 8, 8)))
-        monkeypatch.setattr("qperm.cohomology.DEFAULT_CONFIG", RunConfig(term_budget=40960))
+        budget(40960)
         assert cocycle_space(M).dim == 0
-        monkeypatch.setattr("qperm.cohomology.DEFAULT_CONFIG", RunConfig(term_budget=40959))
+        budget(40959)
         peak, msg = traced_peak(cocycle_space, M)
         assert msg == ("the compressed cocycle constraints needs 40960 complex entries, "
                        "over the term budget 40959")
@@ -533,7 +533,7 @@ class TestSvdHelper:
             _svd(np.eye(3, dtype=complex), big)
         with pytest.raises(ValidationError):
             h1_dim(from_hadamard(fourier(6)), big)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             RunConfig(rank_threshold=big)
 
     def test_gaussian_subspace_memory(self):

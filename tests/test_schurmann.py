@@ -7,8 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qperm.cohomology import h1_representatives
-from qperm.config import RunConfig
+from qperm.cohomology import SubspaceBasis, h1_representatives
 from qperm.errors import BudgetError, ValidationError
 from qperm.magic import (
     MagicUnitary,
@@ -213,6 +212,26 @@ class TestConstruction:
         vec = random_cocycle(rep, rng).reshape(-1)
         t = triple_from_stacked(rep, vec)
         assert np.allclose(t.xs.reshape(-1), vec)
+
+    @pytest.mark.parametrize("make", [lambda: from_hadamard(fourier(6)),
+                                      lambda: from_hadamard(f4_phi(0.7)),
+                                      lambda: from_permutation((2, 3, 1, 5, 4), 2)],
+                             ids=["fourier6", "f4(0.7)", "perm-d2"])
+    def test_random_cocycle_does_not_depend_on_the_basis_rotation(self, make, monkeypatch):
+        # another orthonormal basis of the same cocycle space: the seeded tuple stays put
+        from qperm import cohomology
+
+        rep = make()
+        real = cohomology.cocycle_space
+        dim = real(rep).dim
+        g = np.random.default_rng(11).normal(size=(2, dim, dim))
+        q = np.linalg.qr(g[0] + 1j * g[1])[0]
+        want = random_cocycle(rep, np.random.default_rng(0), 2.0)
+        assert cohomology.cocycle_space(rep).contains(want.reshape(-1))
+        monkeypatch.setattr(cohomology, "cocycle_space",
+                            lambda M, *args: SubspaceBasis(q @ real(M, *args).vectors))
+        got = random_cocycle(rep, np.random.default_rng(0), 2.0)
+        assert np.max(np.abs(got - want)) <= 1e-12
 
 
 class TestEvaluation:
@@ -659,10 +678,10 @@ class TestMomentsMatchEnumeration:
             got = _commutator_norm(t, max_len)
             assert abs(got - brute_commutator_norm(t, max_len)) <= 1e-12 * scale_of(t)
 
-    def test_level_over_the_term_budget_raises_before_it_is_built(self, monkeypatch):
+    def test_level_over_the_term_budget_raises_before_it_is_built(self, budget):
         # a second Fourier n=16 level would stack up to 256 x 256 x 324 entries (340 MB)
         t = fourier_triple(16, np.random.default_rng(79))
-        monkeypatch.setattr("qperm.schurmann.DEFAULT_CONFIG", RunConfig(term_budget=100_000))
+        budget(100_000)
         tracemalloc.start()
         try:
             with pytest.raises(BudgetError, match="term budget"):
@@ -672,11 +691,11 @@ class TestMomentsMatchEnumeration:
             tracemalloc.stop()
         assert peak < 20e6
 
-    def test_level_budget_message(self, monkeypatch):
+    def test_level_budget_message(self, budget):
         # traciality's first level stacks (Kraus factors) x (d + 2)^2 entries, d + 2 = 6 here
         t = fourier_triple(4, np.random.default_rng(79))
         kraus = len(_kraus(t.pi.reshape(16, 6, 6)))
-        monkeypatch.setattr("qperm.schurmann.DEFAULT_CONFIG", RunConfig(term_budget=36 * kraus - 1))
+        budget(36 * kraus - 1)
         with pytest.raises(BudgetError) as exc:
             is_tracial(t, 2)
         assert str(exc.value) == (f"a moment level needs {36 * kraus} complex entries, "

@@ -19,7 +19,6 @@ import scipy.sparse.linalg
 
 import qperm
 from qperm import cli, semigroup
-from qperm.config import RunConfig
 from qperm.errors import BudgetError, ValidationError
 from qperm.magic import TwoBlockSpec, f4_phi, fourier, from_hadamard, from_permutation
 from qperm.schurmann import (
@@ -216,12 +215,12 @@ class TestExpmAction:
         B = rng.normal(size=(6, 2)) + 1j * rng.normal(size=(6, 2))
         assert np.array_equal(_expm_action(_block_record(np.zeros((6, 6))), 1.0, B), B)
 
-    def test_product_count_is_charged_against_the_default_budget(self, monkeypatch):
+    def test_product_count_is_charged_against_the_default_budget(self, budget):
         # ||1000 (L - mu I)||_1 = 1000: 55 Taylor terms in ceil(1000 / 9.9) = 102 steps
         block = _block_record(np.array([[-1.0, 1.0], [1.0, -1.0]]))
-        monkeypatch.setattr(semigroup, "DEFAULT_CONFIG", RunConfig(term_budget=5610))
+        budget(5610)
         _expm_action(block, 1000.0, np.eye(2))
-        monkeypatch.setattr(semigroup, "DEFAULT_CONFIG", RunConfig(term_budget=5609))
+        budget(5609)
         with pytest.raises(BudgetError) as exc:
             _expm_action(block, 1000.0, np.eye(2))
         assert str(exc.value) == ("the exponential action needs 5610 matrix products, "
@@ -389,20 +388,22 @@ class TestConvExp:
         with pytest.raises(ValidationError, match="time"):
             state_table(t, time, [unit_word(3)])
 
-    def test_budget_enforced(self, rng):
+    def test_budget_enforced(self, rng, budget):
         # the 4-letter block: 108^2 entries of L_B and 144 x 144 of F
         t = fourier_triple(4, rng)
         w = Word([(1, 1), (2, 2), (3, 3), (4, 4)], 4)
+        budget(10)
         with pytest.raises(BudgetError):
-            conv_exp(t, 1.0, w, term_budget=10)
+            conv_exp(t, 1.0, w)
 
-    def test_closure_budget_enforced(self, rng):
+    def test_closure_budget_enforced(self, rng, budget):
         # the 5-letter block has 324 indices: 324^2 entries of L_B and
         # 144 x 1296 of F, 291,600 complex entries, exceed 50,000
         t = fourier_triple(4, rng)
         w = parse_word("p(1,2) p(2,3) p(3,4) p(4,1) p(1,3)", 4)
+        budget(50_000)
         with pytest.raises(BudgetError):
-            conv_exp(t, 1.0, w, term_budget=50_000)
+            conv_exp(t, 1.0, w)
 
     def test_seven_letter_block_exceeds_default_budget(self, rng):
         # (4 * 3^6)^2 entries of L_B and 1296 x 11664 of F, 23.6M complex
@@ -482,7 +483,7 @@ class TestBlockMemo:
         assert calls == [3]
         conv_exp(t, 1.5, parse_word("p(4,2) p(1,3) p(2,1)", 4))
         state_table(t, 0.2, [parse_word("p(1,1) p(2,2) p(3,3)", 4), parse_word("p(1,2)", 4)])
-        assert calls == [3]
+        assert calls == [3, 1]  # the 3-letter block again from its record, the letter block once
         assert sorted(t.block_L) == [1, 3]
         assert not t.block_L[3].A.flags.writeable
 
@@ -548,22 +549,26 @@ class TestBlockMemo:
         assert t1.block_L[2].A is not t2.block_L[2].A
         assert np.array_equal(t1.block_L[2].A, t2.block_L[2].A)
 
-    def test_budget_raises_on_a_hit(self, rng):
+    def test_budget_raises_on_a_hit(self, rng, budget):
         t = fourier_triple(4, rng)
         w = parse_word("p(1,2) p(2,3) p(3,4) p(4,1)", 4)
-        conv_exp(t, 1.0, w)
+        expected = conv_exp(t, 1.0, w)  # at the default budget
         assert 4 in t.block_L
+        budget(32_399)
         with pytest.raises(BudgetError, match="32400 complex entries"):
-            conv_exp(t, 1.0, w, term_budget=32_399)
+            conv_exp(t, 1.0, w)
+        budget(10)
         with pytest.raises(BudgetError):
-            state_table(t, 1.0, [w], term_budget=10)
-        assert conv_exp(t, 1.0, w, term_budget=32_400) == conv_exp(t, 1.0, w)
+            state_table(t, 1.0, [w])
+        budget(32_400)
+        assert conv_exp(t, 1.0, w) == expected
 
-    def test_budget_message(self, rng):
+    def test_budget_message(self, rng, budget):
         # the 4-letter block at n = 4: 108^2 entries of L_B and 144 x 144 of F
         t = fourier_triple(4, rng)
+        budget(32_399)
         with pytest.raises(BudgetError) as exc:
-            conv_exp(t, 1.0, parse_word("p(1,2) p(2,3) p(3,4) p(4,1)", 4), term_budget=32_399)
+            conv_exp(t, 1.0, parse_word("p(1,2) p(2,3) p(3,4) p(4,1)", 4))
         assert str(exc.value) == ("the 4-letter block needs 32400 complex entries, "
                                   "over the term budget 32399")
 
@@ -618,11 +623,12 @@ class TestBlockEngine:
         assert not res.passed and "p(1,1): series off by" in res.detail
 
     def test_series_vs_expm_words_catch_a_wrong_block(self, monkeypatch):
-        # letters take letter_L, so only the words of 2-4 letters see this block
+        # letter blocks (letter_L) are left intact, so only the words of 2-4 letters see this
         from qperm import selftest
 
         build = semigroup._block_L
-        monkeypatch.setattr(semigroup, "_block_L", lambda t, k: 1.001 * build(t, k))
+        monkeypatch.setattr(semigroup, "_block_L",
+                            lambda t, k: build(t, k) * (1.0 if k == 1 else 1.001))
         res = selftest.check_series_vs_expm(triples=1, times=(0.5,))
         assert not res.passed and res.detail.startswith("triple 0, t=0.5, p(")
         assert ") p(" in res.detail and ": series off by" in res.detail

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from qperm.config import RunConfig
 from qperm.errors import BudgetError, QpermError, ValidationError
 from qperm.perms import parse_cycles
 from qperm.selftest import random_reduced_word
@@ -158,17 +159,20 @@ class TestHopf:
                 acc = acc + (mult * counit(left)) * LinComb.from_word(right)
             assert acc == reduce(word)
 
-    def test_coproduct_budget(self):
+    def test_coproduct_budget(self, budget):
         word = Word([(1, 1)] * 4, 4)
+        budget(100)
         with pytest.raises(BudgetError):
-            coproduct_terms(word, 2, term_budget=100)
+            coproduct_terms(word, 2)
 
-    def test_coproduct_budget_message(self):
+    def test_coproduct_budget_message(self, budget):
         # 4^(1 * 4) raw chains for a 4-letter word at n = 4 and two legs
+        budget(255)
         with pytest.raises(BudgetError) as exc:
-            coproduct_terms(Word([(1, 1)] * 4, 4), 2, term_budget=255)
+            coproduct_terms(Word([(1, 1)] * 4, 4), 2)
         assert str(exc.value) == "coproduct expansion needs 256 raw terms, over the term budget 255"
-        assert len(coproduct_terms(Word([(1, 1)] * 4, 4), 2, term_budget=256)) > 0
+        budget(256)
+        assert len(coproduct_terms(Word([(1, 1)] * 4, 4), 2)) > 0
 
     def test_coproduct_needs_two_legs(self):
         with pytest.raises(ValidationError):
@@ -411,6 +415,26 @@ def parent_defining_relations(n):
     lambda: parse_word("p(a,1)", 4),
     lambda: parse_word("p(1,2)", "x"),
     lambda: parse_word("p(1,2,3)", 4),
+    lambda: RunConfig(term_budget=float("nan")),
+    lambda: RunConfig(term_budget=2.5),
+    lambda: RunConfig(term_budget=0),
+    lambda: RunConfig(term_budget=True),
+    lambda: RunConfig(term_budget="10"),
+    lambda: RunConfig(tol=float("nan")),
+    lambda: RunConfig(tol=float("inf")),
+    lambda: RunConfig(tol=-1),
+    lambda: RunConfig(tol=0.0),
+    lambda: RunConfig(tol=None),
+    lambda: RunConfig(rank_threshold=float("nan")),
+    lambda: RunConfig(rank_threshold=1.0),
+    lambda: RunConfig(rank_threshold="0.5"),
+    lambda: RunConfig(max_word_len=float("nan")),
+    lambda: RunConfig(max_word_len=0),
+    lambda: RunConfig(max_word_len=2.0),
+    lambda: RunConfig(max_word_len=True),
+    lambda: RunConfig(seed=-1),
+    lambda: RunConfig(seed=1.5),
+    lambda: RunConfig(seed=False),
 ])
 def test_public_constructors_raise_only_package_errors(make):
     with pytest.raises(QpermError):
