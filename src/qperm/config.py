@@ -10,7 +10,7 @@ import math
 import numbers
 from dataclasses import dataclass
 
-from . import errors
+from . import errors  # a module, not its names: errors imports this module for the budget
 
 #: magnitude below which linear-combination coefficients are dropped
 ZERO_THRESHOLD = 1e-12

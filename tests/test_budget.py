@@ -8,9 +8,9 @@ are built at the default budget, before the budget is replaced.
 import numpy as np
 import pytest
 
+from qperm.cohomology import cocycle_space
 from qperm.errors import BudgetError
 from qperm.magic import MagicUnitary, fourier, from_hadamard, from_permutation
-from qperm.cohomology import cocycle_space
 from qperm.perms import parse_cycles
 from qperm.schurmann import SchurmannTriple, _commutator_norm, _kraus, random_cocycle
 from qperm.semigroup import _block_record, _expm_action, conv_exp, fundamental_semigroup
@@ -18,16 +18,12 @@ from qperm.stochsim import PermProcessSpec, simulate_marginals
 from qperm.words import Word, coproduct_terms, parse_word
 
 
-def _fourier_triple(n):
-    rep = from_hadamard(fourier(n))
-    return SchurmannTriple(rep, random_cocycle(rep, np.random.default_rng(3)))
-
-
 def _cases():
     f24 = from_hadamard(fourier(24))
     rng = np.random.default_rng(5)
     not_magic = MagicUnitary(rng.normal(size=(8, 8, 8, 8)) + 1j * rng.normal(size=(8, 8, 8, 8)))
-    t4 = _fourier_triple(4)
+    f4 = from_hadamard(fourier(4))
+    t4 = SchurmannTriple(f4, random_cocycle(f4, np.random.default_rng(3)))
     kraus = len(_kraus(t4.pi.reshape(16, 6, 6)))
     two = _block_record(np.array([[-1.0, 1.0], [1.0, -1.0]]))
     spec = PermProcessSpec((2, 3, 4, 1, 6, 5), [1.0, 0.7])
