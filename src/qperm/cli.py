@@ -81,19 +81,28 @@ def _f(x) -> str:
 
 
 def _emit_rows(a: np.ndarray, out) -> None:
-    """A finite float or complex array of rank >= 1, one last-axis row per write."""
-    if a.ndim > 1:
-        out.write("[")
-        for pos, sub in enumerate(a):
-            if pos:
-                out.write(",")
-            _emit_rows(sub, out)
-        out.write("]")
-    elif a.dtype.kind == "c":
-        pairs = map("[{},{}]".format, _spell(a.real.tolist()), _spell(a.imag.tolist()))
-        out.write("[" + ",".join(pairs) + "]")
-    else:
-        out.write("[" + ",".join(_spell(a.tolist())) + "]")
+    """A finite float or complex array of rank >= 1, one `%` format and one write per last-axis row.
+
+    `%` and `format` share CPython's float formatter, so "%.17g" spells a
+    number as `_spell` does; adding 0.0 first turns -0.0 into 0.0, spelled "0".
+    """
+    cell = "[%.17g,%.17g]" if a.dtype.kind == "c" else "%.17g"
+    template = "[" + ",".join([cell] * a.shape[-1]) + "]"
+    if a.dtype.kind == "c":  # re and im interleaved along the last axis
+        a = np.stack([a.real, a.imag], axis=-1).reshape(a.shape[:-1] + (2 * a.shape[-1],))
+    _emit_nested((a + 0.0).tolist(), a.ndim, template, out)
+
+
+def _emit_nested(rows: list, ndim: int, template: str, out) -> None:
+    if ndim == 1:
+        out.write(template % tuple(rows))
+        return
+    out.write("[")
+    for pos, sub in enumerate(rows):
+        if pos:
+            out.write(",")
+        _emit_nested(sub, ndim - 1, template, out)
+    out.write("]")
 
 
 def _emit(obj, out) -> None:

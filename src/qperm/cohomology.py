@@ -20,9 +20,17 @@ blocks and -P_ij off them, a reshape of the blocks (see
 more than `DEFAULT_CONFIG.tol` are compressed instead, each by its own SVD
 (see `_compressed_rows`).
 
+When C is block-circulant, block (i, j) depending only on j - i mod n as
+for a Fourier representation or the permutation representation of a
+rotation, the discrete Fourier transform over the block index
+block-diagonalises it (P. J. Davis, Circulant Matrices, 1979).  Its kernel
+then comes from n symbol blocks of size d x d, one batched SVD in place of
+the SVD of C (see `_circulant_symbols`).
+
 `cocycle_space` charges its constraint matrix and its two SVD factors to
 the term budget in complex entries before it builds any of them, so a
-representation too large to factor raises BudgetError.
+representation too large to factor raises BudgetError.  Tolerances are
+read from `qperm.config.DEFAULT_CONFIG` at each call.
 """
 
 from __future__ import annotations
@@ -32,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import perms
+from . import config, perms
 from .config import DEFAULT_CONFIG
 from .errors import ValidationError, _charge
 from .magic import MagicUnitary, _projection_deviation
@@ -90,6 +98,19 @@ def stack_tuple(xs) -> np.ndarray:
     return np.concatenate([np.asarray(x, dtype=complex).ravel() for x in xs])
 
 
+def _check_rank_threshold(rank_threshold: float) -> None:
+    # a threshold of 1 or more would make every rank 0; nan fails both tests
+    if not 0 < rank_threshold < 1:
+        raise ValidationError(f"rank threshold must lie in (0, 1), got {rank_threshold!r}")
+
+
+def _rank_cut(rank_threshold: float, s_max: float) -> float:
+    """Singular values above this count toward the numerical rank."""
+    # matrices here are built from projection blocks, so their natural scale
+    # is O(1); the max(1, s_max) floor keeps a numerically-zero matrix at rank 0
+    return rank_threshold * max(1.0, s_max)
+
+
 def _svd(C: np.ndarray, rank_threshold: float, left: bool = False) -> tuple[int, np.ndarray]:
     """Numerical rank of C and one SVD factor, with no m x m factor for a tall C.
 
@@ -100,9 +121,7 @@ def _svd(C: np.ndarray, rank_threshold: float, left: bool = False) -> tuple[int,
     O(m N).  With left=True the factor is the thin m x min(m, N) left
     factor u, whose first rank columns span the range of C.
     """
-    # a threshold of 1 or more would make every rank 0; nan fails both tests
-    if not 0 < rank_threshold < 1:
-        raise ValidationError(f"rank threshold must lie in (0, 1), got {rank_threshold!r}")
+    _check_rank_threshold(rank_threshold)
     m, N = C.shape
     if min(m, N) == 0:
         return 0, np.zeros((m, 0), dtype=complex) if left else np.eye(N, dtype=complex)
@@ -112,9 +131,7 @@ def _svd(C: np.ndarray, rank_threshold: float, left: bool = False) -> tuple[int,
         if m > N:
             C = np.linalg.qr(C, mode="r")
         _, s, factor = np.linalg.svd(C)
-    # matrices here are built from projection blocks, so their natural scale
-    # is O(1); the max(1, s[0]) floor keeps a numerically-zero matrix at rank 0
-    return int(np.sum(s > rank_threshold * max(1.0, float(s[0])))), factor
+    return int(np.sum(s > _rank_cut(rank_threshold, float(s[0])))), factor
 
 
 def _nullspace(C: np.ndarray, rank_threshold: float) -> np.ndarray:
@@ -192,8 +209,8 @@ def cocycle_constraint_matrix(M: MagicUnitary) -> np.ndarray:
     and null space, and no SVD is taken to build it.
 
     C is built this way when P^2 - P, P - P^H and every row sum minus I
-    have Frobenius norm at most `DEFAULT_CONFIG.tol`, one pass over the
-    blocks; Frobenius norms bound the operator norms `magic.validate` uses.
+    have Frobenius norm at most `DEFAULT_CONFIG.tol`, read at each call, one
+    pass over the blocks; Frobenius norms bound the operator norms `magic.validate` uses.
     C is linear in the blocks and is the stack's Gram factor at blocks P*
     whose rows are exact, so if every block is within delta of P* (operator
     norm), Weyl's inequality gives |s_k(C) - s_k(stack)| <= (2 + sqrt(2)) n
@@ -206,7 +223,7 @@ def cocycle_constraint_matrix(M: MagicUnitary) -> np.ndarray:
     n, d = M.n, M.d
     P = M.blocks
     row_sums = P.sum(axis=1)
-    if not _row_magic_residual(P, row_sums) <= DEFAULT_CONFIG.tol:
+    if not _row_magic_residual(P, row_sums) <= config.DEFAULT_CONFIG.tol:
         # n^2 d rows of width nd at most, after the 2 n^2 d^2 entries of the block SVD
         _charge(n ** 3 * d * d + 2 * n * n * d * d, "the compressed cocycle constraints",
                 "complex entries")
@@ -217,17 +234,76 @@ def cocycle_constraint_matrix(M: MagicUnitary) -> np.ndarray:
     return C.reshape(n * d, n * d)
 
 
+def _dft(n: int) -> np.ndarray:
+    """The n x n matrix w^{jk}, w = exp(2 pi i / n), with phases from jk mod n; numpy.fft stays unloaded."""
+    j = np.arange(n)
+    return np.exp(2j * np.pi / n * (np.outer(j, j) % n))
+
+
+def _circulant_symbols(C: np.ndarray, n: int) -> np.ndarray | None:
+    """The n symbols S_k = sum_r C_{0,r} w^{rk} of a block-circulant C, or None if C is not one.
+
+    C (nd x nd, blocks C_ij of size d x d) counts as block-circulant when
+    every block is within `DEFAULT_CONFIG.tol` (Frobenius) of
+    C_{0, (j - i) mod n}.  Let C* be the block-circulant matrix with C's
+    first block row.  With W the unitary DFT over the block index times I_d,
+    C* = W (S_0 + ... + S_{n-1}) W^H, so the singular values of C* are those
+    of the S_k together.  If every block is within delta of C*'s, then
+    ||C - C*||_2 <= n delta (C and C* share their first block row), so by
+    Weyl's inequality the singular values of the symbols are within n tol
+    of C's.  The test and the symbols hold for any square C, so a square C
+    from the compressed rows is tested the same way.  Besides C this
+    allocates one nd x nd temporary for the test and O(n d^2) for the
+    symbols.
+    """
+    nd = C.shape[1]
+    if C.shape[0] != nd or nd % n:
+        return None
+    d = nd // n
+    blocks = C.reshape(n, d, n, d).transpose(0, 2, 1, 3)  # blocks[i, j] = C_ij, a view
+    j = np.arange(n)
+    dev = blocks[0][(j[None, :] - j[:, None]) % n]  # dev[i, j] = C_{0, (j - i) mod n}
+    dev -= blocks
+    if not _max_fro(dev) <= config.DEFAULT_CONFIG.tol:
+        return None
+    return (_dft(n) @ blocks[0].reshape(n, d * d)).reshape(n, d, d)
+
+
+def _symbol_kernel(symbols: np.ndarray, rank_threshold: float) -> np.ndarray:
+    """Orthonormal rows spanning ker C* from the (n, d, d) symbols of a block-circulant C*.
+
+    One batched SVD of the symbols, O(n d^3) work, replaces the O(n^3 d^3)
+    SVD of C*.  A null vector v of S_k lifts to the null vector
+    xi_j = w^{jk} v / sqrt(n) of C*; lifts from different k are orthogonal.
+    The rank rule is `_svd`'s, with s_max over all symbols, which is the
+    largest singular value of C*.
+    """
+    _check_rank_threshold(rank_threshold)
+    n, d, _ = symbols.shape
+    _, s, vh = np.linalg.svd(symbols)
+    k, col = np.nonzero(~(s > _rank_cut(rank_threshold, float(s.max()))))
+    lifted = _dft(n)[k, :, None] / math.sqrt(n) * vh[k, col, None, :].conj()
+    return lifted.reshape(len(k), n * d)
+
+
 def cocycle_space(
     M: MagicUnitary, rank_threshold: float = DEFAULT_CONFIG.rank_threshold
 ) -> SubspaceBasis:
     """Orthonormal basis of all stacked cocycle tuples (xi_1, ..., xi_n).
 
     The nd x nd constraint matrix and the two nd x nd factors of its SVD are
-    charged to the term budget in complex entries first.
+    charged to the term budget in complex entries first.  A block-circulant
+    constraint matrix, as every Fourier representation gives, has its
+    kernel taken from its n symbol blocks (`_circulant_symbols`), with
+    singular values within n tol of C's; any other C from one SVD.
     """
     nd = M.n * M.d
     _charge(3 * nd * nd, "the cocycle space", "complex entries")
-    return SubspaceBasis(_nullspace(cocycle_constraint_matrix(M), rank_threshold))
+    C = cocycle_constraint_matrix(M)
+    symbols = _circulant_symbols(C, M.n)
+    if symbols is None:
+        return SubspaceBasis(_nullspace(C, rank_threshold))
+    return SubspaceBasis(_symbol_kernel(symbols, rank_threshold))
 
 
 def coboundary_map(M: MagicUnitary) -> np.ndarray:
@@ -283,8 +359,17 @@ def gaussian_subspace(
     generator to act trivially on the values: (P_ab - delta_ab I) xi_i = 0.
     Combined with P_ii xi_i = 0 this forces xi = 0 (no Gaussian processes);
     the function exists to verify that numerically.
+
+    The rows are n^2 d cocycle rows and n^3 d operator rows at most, each of
+    width nd: (n^4 + n^3) d^2 entries, about n^6 for a Hadamard
+    representation and so far more than `cocycle_space` needs.  Twice that
+    (the rows and the copy `_svd`'s tall QR works on), the two nd x nd
+    factors of `_svd` and the 4 n^2 d^2 entries of the block SVD are charged
+    to the term budget in complex entries before any of them is built.
     """
     n, d = M.n, M.d
+    _charge(2 * (n ** 4 + n ** 3) * d * d + 6 * n * n * d * d, "the Gaussian constraints",
+            "complex entries")
     blocks, plus, minus = _cocycle_blocks(M)
     ops = (M.blocks - np.eye(n)[:, :, None, None] * np.eye(d)).reshape(n * n, d, d)
     # every op_ab = P_ab - delta_ab I acts on every slot i, one row block each;

@@ -39,6 +39,8 @@ class RunConfig:
                     - the complex entries of the cocycle constraints with their SVD
                       factors, 3 (n d)^2, and of the compressed-row fallback,
                       n^3 d^2 + 2 n^2 d^2;
+                    - the complex entries of the Gaussian constraints, twice their
+                      row bound with the SVD factors, 2 (n^4 + n^3) d^2 + 6 n^2 d^2;
                     - the complex entries of one stacked moment level of the
                       symmetry / traciality checks;
                     - the complex entries allocated to build a k-letter semigroup

@@ -10,11 +10,21 @@ def rng() -> np.random.Generator:
 
 
 @pytest.fixture
-def budget(monkeypatch):
-    """set_budget(b) runs the rest of the test with term budget b, the one way the
-    package offers: qperm.config.DEFAULT_CONFIG replaced with another RunConfig."""
+def run_config(monkeypatch):
+    """install(**fields) runs the rest of the test with RunConfig(**fields) as
+    qperm.config.DEFAULT_CONFIG, the one way the package offers to change a default."""
+
+    def install(**fields) -> None:
+        monkeypatch.setattr("qperm.config.DEFAULT_CONFIG", RunConfig(**fields))
+
+    return install
+
+
+@pytest.fixture
+def budget(run_config):
+    """set_budget(b) runs the rest of the test with term budget b."""
 
     def set_budget(term_budget: int) -> None:
-        monkeypatch.setattr("qperm.config.DEFAULT_CONFIG", RunConfig(term_budget=term_budget))
+        run_config(term_budget=term_budget)
 
     return set_budget

@@ -8,7 +8,7 @@ are built at the default budget, before the budget is replaced.
 import numpy as np
 import pytest
 
-from qperm.cohomology import cocycle_space
+from qperm.cohomology import cocycle_space, gaussian_subspace
 from qperm.errors import BudgetError
 from qperm.magic import MagicUnitary, fourier, from_hadamard, from_permutation
 from qperm.perms import parse_cycles
@@ -44,6 +44,9 @@ def _cases():
         ("cohomology fallback", 40960,
          f"the compressed cocycle constraints needs 40960 {entries}",
          lambda: cocycle_space(not_magic)),
+        ("cohomology.gaussian_subspace", 11776,
+         f"the Gaussian constraints needs 11776 {entries}",
+         lambda: gaussian_subspace(f4)),
         ("schurmann._moments", 36 * kraus, f"a moment level needs {36 * kraus} {entries}",
          lambda: _commutator_norm(t4, 1)),
         ("semigroup._expm_action", 5610, "the exponential action needs 5610 matrix products",

@@ -737,6 +737,42 @@ class TestBulkEmitter:
                 assert got == (ValidationError, "cannot serialize a non-finite number")
 
 
+def reference_emit_rows(a, out) -> None:
+    """The array emitter before row templates: one `format` call per number."""
+    spell = lambda values: ["0" if x == 0.0 else format(x, ".17g") for x in values]  # noqa: E731
+    if a.ndim > 1:
+        out.write("[")
+        for pos, sub in enumerate(a):
+            if pos:
+                out.write(",")
+            reference_emit_rows(sub, out)
+        out.write("]")
+    elif a.dtype.kind == "c":
+        pairs = map("[{},{}]".format, spell(a.real.tolist()), spell(a.imag.tolist()))
+        out.write("[" + ",".join(pairs) + "]")
+    else:
+        out.write("[" + ",".join(spell(a.tolist())) + "]")
+
+
+class TestRowTemplateEmitter:
+    """One "%.17g" template per last-axis row spells every number as one format call did."""
+
+    @pytest.mark.parametrize("kind", ["float", "complex"])
+    def test_random_arrays_match_the_format_emitter(self, kind):
+        rng = np.random.default_rng(15)
+        for _ in range(200):
+            shape = tuple(int(x) for x in rng.integers(0, 5, size=int(rng.integers(1, 4))))
+            a = special_array(shape, kind, rng)
+            if rng.random() < 0.5:  # ordinary values among the special ones
+                plain = rng.standard_normal(shape) * 10.0 ** rng.integers(-5, 5, shape)
+                a = np.where(rng.random(shape) < 0.5, a, plain)
+            for view in (a, a.T, a[..., ::-1]):
+                got, ref = io.StringIO(), io.StringIO()
+                cli._emit_rows(view, got)
+                reference_emit_rows(view, ref)
+                assert got.getvalue() == ref.getvalue()
+
+
 # --- one subparser per call -----------------------------------------------------
 
 REPRESENTATIVE_ARGV = {

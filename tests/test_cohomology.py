@@ -1,6 +1,8 @@
 """First cohomology of magic-unitary representations and projection lattices."""
 
 import math
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -9,8 +11,10 @@ import pytest
 from qperm import cohomology
 from qperm.cohomology import (
     SubspaceBasis,
+    _circulant_symbols,
     _cocycle_blocks,
     _compressed_rows,
+    _max_fro,
     _nullspace,
     _svd,
     coboundary_map,
@@ -109,7 +113,7 @@ class TestFourier:
         assert coboundary_space(M).dim == 3
         assert h1_dim(M) == 1
 
-    @pytest.mark.parametrize("n", [12, 16])
+    @pytest.mark.parametrize("n", [12, 16, 24, 32])
     def test_large_sizes_match_formula(self, n):
         assert h1_dim(from_hadamard(fourier(n))) == fourier_h1_formula(n)
 
@@ -266,6 +270,185 @@ class TestRowSumConstraints:
                 assert C.tobytes() == _compressed_rows(*_cocycle_blocks(M), M.n).tobytes(), name
 
 
+def rotation(n, d):
+    """The permutation representation of i -> i + 1 mod n with multiplicity d."""
+    return from_permutation(tuple(range(2, n + 1)) + (1,), d)
+
+
+def circulant_calls(monkeypatch):
+    """Spy on _circulant_symbols: the list gets True for each call that found C block-circulant."""
+    taken = []
+    real = cohomology._circulant_symbols
+
+    def spy(C, n):
+        symbols = real(C, n)
+        taken.append(symbols is not None)
+        return symbols
+
+    monkeypatch.setattr(cohomology, "_circulant_symbols", spy)
+    return taken
+
+
+def svd_path_space(monkeypatch, M):
+    """cocycle_space(M) with the circulant path switched off."""
+    with monkeypatch.context() as m:
+        m.setattr(cohomology, "_circulant_symbols", lambda C, n: None)
+        return cocycle_space(M)
+
+
+def projector(Z):
+    return Z.T @ Z.conj()
+
+
+def circulant_deviation(C, n):
+    """Largest Frobenius distance of a block C_ij from C_{0, (j - i) mod n}."""
+    d = C.shape[0] // n
+    blocks = C.reshape(n, d, n, d).transpose(0, 2, 1, 3)
+    return max(float(np.linalg.norm(blocks[i, j] - blocks[0, (j - i) % n]))
+               for i in range(n) for j in range(n))
+
+
+CIRCULANT_CASES = ([(f"fourier{n}", from_hadamard(fourier(n))) for n in [*range(2, 25), 32]]
+                   + [(f"rotation{n}x{d}", rotation(n, d)) for n in (3, 5, 8) for d in (1, 2, 3)])
+
+
+def _not_circulant_cases():
+    rng = np.random.default_rng(17)
+    cases = [(f"f4_{label}", from_hadamard(f4_phi(phi))) for label, phi in
+             (("0.7", 0.7), ("pi/2", np.pi / 2), ("pi/2+1e-9", np.pi / 2 + 1e-9), ("2.5", 2.5))]
+    cases.append(("perm21543", from_permutation((2, 1, 5, 3, 4), 2)))
+    cases.append(("random_perm", from_permutation(random_permutation(rng, 6))))
+    spec = TwoBlockSpec(random_projection(rng, 4, 2), random_projection(rng, 4, 1))
+    cases.append(("two_block", two_block(spec)))
+    cases.append(("not_magic", MagicUnitary(rng.normal(size=(3, 3, 4, 4))
+                                            + 1j * rng.normal(size=(3, 3, 4, 4)))))
+    return cases
+
+
+NOT_CIRCULANT_CASES = _not_circulant_cases()
+
+
+class TestCirculantPath:
+    """Block-circulant constraint matrices take their kernel from n symbol blocks."""
+
+    @pytest.mark.parametrize("name,M", CIRCULANT_CASES, ids=[c[0] for c in CIRCULANT_CASES])
+    def test_matches_the_svd_path(self, monkeypatch, name, M):
+        taken = circulant_calls(monkeypatch)
+        Z = cocycle_space(M)
+        assert taken == [True]
+        ref = svd_path_space(monkeypatch, M)
+        assert Z.dim == ref.dim
+        assert np.max(np.abs(projector(Z.vectors) - projector(ref.vectors)), initial=0.0) <= 1e-12
+        assert Z.orthonormality_defect() <= 1e-12
+        assert h1_dim(M) == ref.dim - coboundary_space(M).dim
+        if name.startswith("fourier"):
+            assert h1_dim(M) == fourier_h1_formula(M.n)
+        else:
+            assert h1_dim(M) == 0
+
+    @pytest.mark.parametrize("n,d,kernel", [(3, 2, 1), (5, 3, 2), (6, 4, 3)])
+    def test_planted_kernel_of_a_random_block_circulant_matrix(self, n, d, kernel):
+        # symbols with a planted kernel at k = 1 only, so a symbol or a lift taken at -k
+        # instead of k, or a lift without its 1/sqrt(n), cannot match the kernel of C
+        rng = np.random.default_rng(n)
+        S = rng.normal(size=(n, d, d)) + 1j * rng.normal(size=(n, d, d))
+        S[1, :, :kernel] = 0.0
+        S[1] = S[1] @ np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
+        w = np.exp(-2j * np.pi / n * np.outer(np.arange(n), np.arange(n)))
+        first = np.einsum("rk,kab->rab", w, S) / n  # C_{0,r} = (1/n) sum_k w^{-rk} S_k
+        C = np.zeros((n * d, n * d), dtype=complex)
+        for i in range(n):
+            for j in range(n):
+                C[i * d:(i + 1) * d, j * d:(j + 1) * d] = first[(j - i) % n]
+        symbols = _circulant_symbols(C, n)
+        assert np.max(np.abs(symbols - S)) <= 1e-12
+        K = cohomology._symbol_kernel(symbols, DEFAULT_THRESHOLD)
+        ref = _nullspace(C, DEFAULT_THRESHOLD)
+        assert K.shape == ref.shape == (kernel, n * d)
+        assert np.max(np.abs(K @ K.conj().T - np.eye(kernel))) <= 1e-12
+        assert np.max(np.abs(C @ K.T)) <= 1e-12
+        assert np.max(np.abs(projector(K) - projector(ref))) <= 1e-12
+
+    @pytest.mark.parametrize("delta", [1e-12, 1e-10])
+    @pytest.mark.parametrize("n", [6, 8])
+    def test_small_perturbation_stays_on_the_path(self, monkeypatch, n, delta):
+        M = from_hadamard(fourier(n))
+        Mp = perturbed(M, delta, seed=n)
+        taken = circulant_calls(monkeypatch)
+        symbols = []
+        real = cohomology._symbol_kernel
+        monkeypatch.setattr(cohomology, "_symbol_kernel",
+                            lambda S, t: symbols.append(S) or real(S, t))
+        Z = cocycle_space(Mp)
+        assert taken == [True]
+        C = cocycle_constraint_matrix(Mp)
+        dev = circulant_deviation(C, n)
+        assert dev <= DEFAULT_CONFIG.tol
+        s = np.sort(np.linalg.svd(symbols[0], compute_uv=False).ravel())[::-1]
+        ref = np.linalg.svd(stacked_constraint_matrix(Mp), compute_uv=False)
+        # the row sums move C from the stack by (2 + sqrt(2)) n delta and the circulant
+        # matrix of C's first block row is within n dev of C; M's own rounding is 1e-13
+        bound = (2 + math.sqrt(2)) * n * delta + n * dev + 1e-13
+        assert len(s) == len(ref) == n * n
+        assert np.max(np.abs(s - ref)) <= bound
+        assert Z.dim == svd_path_space(monkeypatch, Mp).dim == cocycle_space(M).dim
+
+    @pytest.mark.parametrize("n", [6, 8])
+    def test_large_perturbation_takes_the_fallback(self, monkeypatch, n):
+        Mp = perturbed(from_hadamard(fourier(n)), 1e-6, seed=n)
+        taken = circulant_calls(monkeypatch)
+        cocycle_space(Mp)
+        assert taken == [False]
+
+    @pytest.mark.parametrize("name,M", NOT_CIRCULANT_CASES,
+                             ids=[c[0] for c in NOT_CIRCULANT_CASES])
+    def test_other_inputs_never_take_it(self, monkeypatch, name, M):
+        taken = circulant_calls(monkeypatch)
+        Z = cocycle_space(M)
+        assert taken == [False]
+        K = _nullspace(stacked_constraint_matrix(M), DEFAULT_THRESHOLD)
+        assert Z.dim == len(K)
+        if name == "f4_pi/2+1e-9":
+            assert h1_dim(M) == 3
+
+    def test_tolerance_is_read_at_each_call(self, monkeypatch, run_config):
+        M = from_hadamard(fourier(6))
+        Cp = row_sum_reference(perturbed(M, 1e-12, seed=6))
+        assert _circulant_symbols(Cp, 6) is not None
+        run_config(tol=1e-13)
+        assert _circulant_symbols(Cp, 6) is None
+        run_config(tol=1e-30)
+        taken = circulant_calls(monkeypatch)
+        Z = cocycle_space(M)
+        assert taken == [False]
+        # the fallback's n^2 rank-one rows make a square C, which is not block-circulant
+        fallback = cocycle_constraint_matrix(M)
+        assert fallback.tobytes() == _compressed_rows(*_cocycle_blocks(M), 6).tobytes()
+        assert Z.vectors.tobytes() == _nullspace(fallback, DEFAULT_THRESHOLD).tobytes()
+        assert Z.dim == 9
+
+    @pytest.mark.parametrize("n", [24, 32])
+    def test_memory_within_the_charge(self, n):
+        # the charge is 3 (nd)^2 complex entries; the path holds C and one temporary of its size
+        M = from_hadamard(fourier(n))
+        tracemalloc.start()
+        try:
+            dim = cocycle_space(M).dim
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert dim == n + fourier_h1_formula(n) - 1
+        assert peak <= 16 * 3 * (n * n) ** 2
+
+    def test_import_leaves_numpy_fft_unloaded(self):
+        code = ("import sys, qperm; "
+                "qperm.cocycle_space(qperm.from_hadamard(qperm.fourier(6))); "
+                "print('numpy.fft' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True)
+        assert out.stdout.strip() == "False"
+
+
 def traced_peak(fn, *args):
     """The tracemalloc peak while fn(*args) raises BudgetError, with the error."""
     tracemalloc.start()
@@ -322,6 +505,15 @@ class TestCohomologyBudget:
                        "over the term budget 40959")
         # the 512 x 64 rows alone would take 512 KB; the relation check's temporaries are 64 KB
         assert peak < 2 ** 18
+
+    def test_gaussian_subspace(self, budget):
+        # 2 (n^4 + n^3) d^2 + 6 n^2 d^2 at n = d = 12: 6594048 entries, 106 MB
+        M = from_hadamard(fourier(12))
+        budget(1000)
+        peak, msg = traced_peak(gaussian_subspace, M)
+        assert msg == ("the Gaussian constraints needs 6594048 complex entries, "
+                       "over the term budget 1000")
+        assert peak < 2 ** 16
 
 
 class TestGaussianRows:
