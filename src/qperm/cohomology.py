@@ -210,7 +210,8 @@ def cocycle_constraint_matrix(M: MagicUnitary) -> np.ndarray:
 
     C is built this way when P^2 - P, P - P^H and every row sum minus I
     have Frobenius norm at most `DEFAULT_CONFIG.tol`, read at each call, one
-    pass over the blocks; Frobenius norms bound the operator norms `magic.validate` uses.
+    pass over the blocks; Frobenius norms bound the operator norms
+    `magic.validate` uses.
     C is linear in the blocks and is the stack's Gram factor at blocks P*
     whose rows are exact, so if every block is within delta of P* (operator
     norm), Weyl's inequality gives |s_k(C) - s_k(stack)| <= (2 + sqrt(2)) n
@@ -235,7 +236,10 @@ def cocycle_constraint_matrix(M: MagicUnitary) -> np.ndarray:
 
 
 def _dft(n: int) -> np.ndarray:
-    """The n x n matrix w^{jk}, w = exp(2 pi i / n), with phases from jk mod n; numpy.fft stays unloaded."""
+    """The n x n matrix w^{jk}, w = exp(2 pi i / n), with phases from jk mod n.
+
+    Built explicitly because `import numpy` does not load numpy.fft.
+    """
     j = np.arange(n)
     return np.exp(2j * np.pi / n * (np.outer(j, j) % n))
 
