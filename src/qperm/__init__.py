@@ -10,14 +10,10 @@ from .central import (
     AdInvariantSpec,
     DiscreteMeasure,
     FusionData,
-    ad_h_coefficient,
     ad_invariant_value,
     character_polynomial,
-    character_product,
     chebyshev_u,
-    chebyshev_u_with_prime,
     dims,
-    fusion_decompose,
     hunt_apply_polynomial,
 )
 from .cohomology import (
@@ -36,7 +32,7 @@ from .cohomology import (
     split_tuple,
     stack_tuple,
 )
-from .config import DEFAULT_CONFIG, ZERO_THRESHOLD, RunConfig
+from .config import ZERO_THRESHOLD, RunConfig
 from .errors import BudgetError, QpermError, ValidationError
 from .magic import (
     HadamardMatrix,
@@ -44,12 +40,10 @@ from .magic import (
     MagicUnitary,
     TwoBlockSpec,
     apply,
-    dephase,
     f4_phi,
     fourier,
     from_hadamard,
     from_permutation,
-    require_hadamard,
     require_valid,
     two_block,
     validate,
@@ -59,7 +53,6 @@ from .schurmann import (
     SchurmannTriple,
     cocycle_violation,
     eta,
-    fourier_symmetry,
     gen_functional,
     gen_functional_batch,
     is_gaussian,
@@ -68,19 +61,14 @@ from .schurmann import (
     poisson_certificate,
     poisson_value,
     random_cocycle,
-    symmetrize,
     triple_from_stacked,
     two_block_symmetry,
     two_block_triple,
 )
 from .semigroup import (
     conv_exp,
-    convolve,
     fundamental_semigroup,
     generator_matrix,
-    haar_gram_degree2,
-    markov_operator_degree1,
-    markov_symmetry_check,
     state_table,
 )
 from .stochsim import (
@@ -97,115 +85,14 @@ from .words import (
     Word,
     adjoint,
     antipode,
-    coproduct_expand,
     coproduct_terms,
     counit,
     defining_relations,
     format_lincomb,
     format_word,
-    lincomb_from_json,
-    lincomb_to_json,
     parse_word,
     reduce,
-    reduced_words,
     unit_word,
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AdInvariantSpec",
-    "BudgetError",
-    "DEFAULT_CONFIG",
-    "DiscreteMeasure",
-    "FusionData",
-    "Generator",
-    "HadamardMatrix",
-    "LinComb",
-    "MagicReport",
-    "MagicUnitary",
-    "MarginalEstimate",
-    "PermProcessSpec",
-    "PoissonCertificate",
-    "QpermError",
-    "RunConfig",
-    "SchurmannTriple",
-    "SubspaceBasis",
-    "TwoBlockSpec",
-    "ValidationError",
-    "Word",
-    "ZERO_THRESHOLD",
-    "ad_h_coefficient",
-    "ad_invariant_value",
-    "adjoint",
-    "antipode",
-    "apply",
-    "character_polynomial",
-    "character_product",
-    "chebyshev_u",
-    "chebyshev_u_with_prime",
-    "coboundary_map",
-    "coboundary_space",
-    "cocycle_constraint_matrix",
-    "cocycle_space",
-    "cocycle_violation",
-    "conv_exp",
-    "convolve",
-    "coproduct_expand",
-    "coproduct_terms",
-    "counit",
-    "defining_relations",
-    "dephase",
-    "dims",
-    "eta",
-    "exact_marginals",
-    "f4_phi",
-    "format_lincomb",
-    "format_word",
-    "fourier",
-    "fourier_h1_formula",
-    "fourier_symmetry",
-    "from_hadamard",
-    "from_permutation",
-    "fundamental_semigroup",
-    "fusion_decompose",
-    "gaussian_subspace",
-    "gen_functional",
-    "gen_functional_batch",
-    "generator_matrix",
-    "h1_dim",
-    "h1_representatives",
-    "haar_gram_degree2",
-    "hunt_apply_polynomial",
-    "is_gaussian",
-    "is_symmetric_words",
-    "is_tracial",
-    "lincomb_from_json",
-    "lincomb_to_json",
-    "markov_operator_degree1",
-    "markov_symmetry_check",
-    "parse_word",
-    "path_sample",
-    "perm_h1_formula",
-    "poisson_certificate",
-    "poisson_value",
-    "process_triple",
-    "projection_meet",
-    "projection_rank",
-    "random_cocycle",
-    "reduce",
-    "reduced_words",
-    "require_hadamard",
-    "require_valid",
-    "simulate_marginals",
-    "split_tuple",
-    "stack_tuple",
-    "state_table",
-    "symmetrize",
-    "triple_from_stacked",
-    "two_block",
-    "two_block_symmetry",
-    "two_block_triple",
-    "unit_word",
-    "validate",
-]

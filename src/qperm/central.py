@@ -15,7 +15,6 @@ import math
 import sys
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import islice
 
 import numpy as np
@@ -26,14 +25,9 @@ from .errors import ValidationError, _require_finite
 
 def chebyshev_u(s: int, x: float) -> float:
     """U_s(x) by the three-term recursion U_{s+1} = x U_s - U_{s-1}."""
-    return chebyshev_u_with_prime(s, x)[0]
-
-
-def chebyshev_u_with_prime(s: int, x: float) -> tuple[float, float]:
-    """(U_s(x), U_s'(x)) via the differentiated recursion."""
     if s < 0:
         raise ValidationError("s must be >= 0")
-    return next(islice(_chebyshev_pass(x), s, None))
+    return next(islice(_chebyshev_pass(x), s, None))[0]
 
 
 def _chebyshev_pass(x: float) -> Iterator[tuple[float, float]]:
@@ -83,20 +77,6 @@ def dims(n: int, s_max: int) -> FusionData:
         if abs(u - d) > 1e-9 * max(1.0, abs(d)):
             raise ValidationError(f"dimension recursion disagrees with U_{2*s}(sqrt {n})")
     return FusionData(n, tuple(seq))
-
-
-def fusion_decompose(r: int, s: int) -> list[int]:
-    """v^(r) (x) v^(s) = sum of v^(level) for level = |r-s| .. r+s, each once."""
-    if r < 0 or s < 0:
-        raise ValidationError("levels must be >= 0")
-    return list(range(abs(r - s), r + s + 1))
-
-
-def character_product(s: int) -> dict[int, int]:
-    """Decomposition of chi_1 chi_s; for s >= 1 it is chi_{s+1} + chi_s + chi_{s-1}."""
-    if s < 1:
-        raise ValidationError("s must be >= 1")
-    return {s + 1: 1, s: 1, s - 1: 1}
 
 
 def character_polynomial(s: int) -> Polynomial:
@@ -166,23 +146,17 @@ def hunt_apply_polynomial(spec: AdInvariantSpec, f: Polynomial) -> float:
     return total
 
 
-def _level_dim(n: int, s: int, j: int, k: int) -> int:
-    """d_s, once the level s >= 0 and the coefficient indices 1 <= j, k <= d_s are checked."""
-    if s < 0:
-        raise ValidationError("s must be >= 0")
-    d_s = dims(n, s).dims[s]
-    if not (1 <= j <= d_s and 1 <= k <= d_s):
-        raise ValidationError(f"coefficient indices must lie in 1..{d_s}")
-    return d_s
-
-
 def ad_invariant_value(spec: AdInvariantSpec, s: int, j: int, k: int) -> float:
     """L(u^(s)_jk) = delta_jk / U_{2s}(sqrt n) * Hunt value on chi_s.
 
     The Hunt value is -a U'_{2s}(sqrt n)/(2 sqrt n)
     + sum of w (U_{2s}(sqrt x) - U_{2s}(sqrt n)) / (n - x).
     """
-    _level_dim(spec.n, s, j, k)
+    if s < 0:
+        raise ValidationError("s must be >= 0")
+    d_s = dims(spec.n, s).dims[s]
+    if not (1 <= j <= d_s and 1 <= k <= d_s):
+        raise ValidationError(f"coefficient indices must lie in 1..{d_s}")
     if j != k:
         return 0.0
     return _ad_invariant_values(spec, s)[s]
@@ -206,8 +180,3 @@ def _ad_invariant_values(spec: AdInvariantSpec, s_max: int) -> list[float]:
             total += w * (u[s][0] - u_n) / (spec.n - x)
         values.append(total / u_n)
     return values
-
-
-def ad_h_coefficient(s: int, j: int, k: int, n: int) -> Fraction:
-    """ad_h(u^(s)_jk) = (delta_jk / n_s) chi_s; returns the exact rational coefficient."""
-    return Fraction(1 if j == k else 0, _level_dim(n, s, j, k))

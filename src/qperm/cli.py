@@ -187,6 +187,8 @@ def _load_json(path: str):
         raise ValidationError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:  # json.load recurses once per level of nesting
+        raise ValidationError(f"{path} nests its JSON too deeply to read") from exc
 
 
 def _parse_floats(text: str, what: str) -> list[float]:
@@ -223,13 +225,15 @@ def _rep_from_args(args) -> MagicUnitary:
 
 
 def _triple_from_args(args) -> SchurmannTriple:
+    """The triple of --triple or --sigma; a --triple file is checked at the run's --tol."""
     if args.triple is not None:
+        tol = getattr(args, "tol", DEFAULT_CONFIG.tol)  # semigroup has no --tol
         data = _load_json(args.triple)
         rep = MagicUnitary.from_json(_json_field(data, "rep"))
         xs = _complex_from_json(_json_field(data, "xs"))
         if xs.shape != (rep.n, rep.d):
             raise ValidationError(f"xs: expected shape {(rep.n, rep.d)} of [re, im] pairs")
-        return SchurmannTriple(require_valid(rep), xs)
+        return SchurmannTriple(require_valid(rep, tol), xs, tol)
     return process_triple(_spec_from_args(args))
 
 

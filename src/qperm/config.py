@@ -49,8 +49,10 @@ class RunConfig:
                     - the Poisson draws of `simulate_marginals`: one per block for
                       a cycle with rate * t below 10, one per sample above.
 
-    The only way to change the budget (or any default) for the whole package
-    is to replace `qperm.config.DEFAULT_CONFIG` with another RunConfig.
+    The only way to change the budget for the whole package is to replace
+    `qperm.config.DEFAULT_CONFIG` with another RunConfig.  The budget and
+    cohomology's row-sum and block-circulant tests read it at each call; the
+    other defaults are bound when their module is imported.
     """
 
     tol: float = 1e-9

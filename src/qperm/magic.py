@@ -160,13 +160,6 @@ class HadamardMatrix:
         return cls(_complex_from_json(_json_field(obj, "H")))
 
 
-def require_hadamard(Hm: HadamardMatrix, tol: float = DEFAULT_CONFIG.tol) -> HadamardMatrix:
-    dev = Hm.deviation()
-    if dev > tol:
-        raise ValidationError(f"not a complex Hadamard matrix: max deviation {dev:.3e}")
-    return Hm
-
-
 def fourier(n: int) -> HadamardMatrix:
     """The Fourier matrix (F_n)_lm = exp(2 pi i (l-1)(m-1) / n)."""
     if n < 1:
@@ -202,7 +195,9 @@ def from_hadamard(Hm: HadamardMatrix, tol: float = DEFAULT_CONFIG.tol) -> MagicU
     """
     n = Hm.n
     _charge(n ** 4 + n ** 3, "the Hadamard representation", "complex entries")
-    require_hadamard(Hm, tol)
+    dev = Hm.deviation()
+    if dev > tol:
+        raise ValidationError(f"not a complex Hadamard matrix: max deviation {dev:.3e}")
     H = Hm.H
     # v[j, k] = h_j / h_k, each ratio contiguous as np.vdot saw it: BLAS sums a
     # strided vector in another order
@@ -213,20 +208,6 @@ def from_hadamard(Hm: HadamardMatrix, tol: float = DEFAULT_CONFIG.tol) -> MagicU
     blocks = v[..., :, None] * w[..., None, :]
     blocks /= norms[..., None, None]
     return MagicUnitary(blocks)
-
-
-def dephase(Hm: HadamardMatrix) -> tuple[HadamardMatrix, np.ndarray, np.ndarray]:
-    """Normalize first row and column to ones; returns (D1 H D2, d1, d2).
-
-    Row j is divided by H[j,1]/|H[j,1]|, then column k by the resulting
-    H[1,k]; the returned diagonals d1, d2 satisfy diag(d1) H diag(d2) = out.
-    """
-    H = Hm.H.copy()
-    d1 = (np.abs(H[:, 0]) / H[:, 0]).astype(complex)
-    H = d1[:, None] * H
-    d2 = (1.0 / H[0, :]).astype(complex)
-    H = H * d2[None, :]
-    return HadamardMatrix(H), d1, d2
 
 
 @dataclass(frozen=True)

@@ -41,7 +41,7 @@ import numpy as np
 from .cohomology import _cocycle_blocks, coboundary_map, split_tuple, stack_tuple
 from .config import DEFAULT_CONFIG
 from .errors import ValidationError, _charge, _require_finite
-from .magic import MagicUnitary, TwoBlockSpec, _fold, apply, fourier, from_hadamard
+from .magic import MagicUnitary, TwoBlockSpec, _fold, apply
 from .words import LinComb, Word, counit, defining_relations
 
 #: words per gathered letter-matrix product; bounds the (rows, d+2, d+2) gather
@@ -386,28 +386,6 @@ def two_block_triple(
     return SchurmannTriple(rep, xs, tol)
 
 
-def fourier_symmetry(n: int, xs, tol: float = DEFAULT_CONFIG.tol) -> bool:
-    """Fourier-representation criterion: <xi_i, P_m xi_k> = <P_{2-m} xi_k, xi_i>.
-
-    P_m is the common value of the blocks with (j - k + 1) = m mod n; the
-    index 2 - m is taken mod n in 1..n.
-    """
-    rep = from_hadamard(fourier(n))
-    xs = np.asarray(xs, dtype=complex)
-    scale = _check_cocycle(rep, xs, tol)
-    pm = [rep.blocks[m - 1, 0] for m in range(1, n + 1)]  # P_m = block (m, 1)
-    worst = 0.0
-    for m in range(1, n + 1):
-        m2 = (2 - m) % n
-        pm2 = pm[m2 - 1 if m2 != 0 else n - 1]
-        for i in range(n):
-            for k in range(n):
-                lhs = complex(np.vdot(xs[i], pm[m - 1] @ xs[k]))
-                rhs = complex(np.vdot(pm2 @ xs[k], xs[i]))
-                worst = max(worst, abs(lhs - rhs))
-    return worst <= tol * scale * scale
-
-
 def _commutator_norm(t: SchurmannTriple, max_len: int) -> float:
     """Root of the sum over length pairs j, k <= max_len of the mean |L(uv) - L(vu)|^2.
 
@@ -437,16 +415,6 @@ def is_tracial(
         raise ValidationError("max_len must be >= 2 for traciality")
     bound = _bound(t, tol)
     return _commutator_norm(t, max_len) <= bound
-
-
-def symmetrize(t: SchurmannTriple):
-    """Evaluator for L_sym = (L + L o S) / 2; symmetric by construction."""
-    from .words import antipode
-
-    def evaluator(x: LinComb | Word) -> complex:
-        return 0.5 * (gen_functional(t, x) + gen_functional(t, antipode(x)))
-
-    return evaluator
 
 
 def random_cocycle(rep: MagicUnitary, rng, scale: float = 1.0) -> np.ndarray:

@@ -28,7 +28,6 @@ from .central import (
 )
 from .cohomology import (
     coboundary_space,
-    cocycle_space,
     gaussian_subspace,
     fourier_h1_formula,
     h1_dim,
@@ -60,7 +59,7 @@ from .schurmann import (
     two_block_symmetry,
     two_block_triple,
 )
-from .semigroup import conv_exp, fundamental_semigroup, generator_matrix
+from .semigroup import conv_exp, fundamental_semigroup
 from .stochsim import PermProcessSpec, exact_marginals, process_triple, simulate_marginals
 from .words import LinComb, Word, _random_word_array, adjoint, coproduct_terms, counit
 from .words import format_word, reduced_word_array

@@ -25,10 +25,6 @@ or on the word, so the triple keeps one record per length k >= 1
 with the word's column.  The term budget is charged the complex entries the
 block's construction allocates, on every call (_block), and the m* s matrix
 products of each exponential.
-
-Also provides convolution of functionals, the Haar-state Gram matrix on the
-degree <= 2 span and the induced self-adjointness check for the Markov
-generator.
 """
 
 from __future__ import annotations
@@ -41,7 +37,7 @@ from . import _kernel
 from .config import DEFAULT_CONFIG
 from .errors import ValidationError, _charge, check_time
 from .schurmann import SchurmannTriple, _bound, _columns, _rows
-from .words import Word, _index_sequences, _sequence_pairs, _sequence_position, coproduct_expand
+from .words import Word, _index_sequences, _sequence_pairs, _sequence_position
 
 #: unit roundoff of float64
 _UNIT_ROUNDOFF = float(np.finfo(float).eps) / 2
@@ -162,12 +158,6 @@ def fundamental_semigroup(t: SchurmannTriple, time: float) -> np.ndarray:
     return _expm_action(_block(t, 1), time, np.eye(t.n))
 
 
-def convolve(f, g, w: Word) -> complex:
-    """(f * g)(w) = sum over the coproduct of f(left) g(right)."""
-    return sum((mult * complex(f(left)) * complex(g(right))
-                for (left, right), mult in coproduct_expand(w, 2)), 0j)
-
-
 def _block_entries(n: int, k: int) -> int:
     """Complex entries _block_L allocates for the k-letter block: L_B, and F for k >= 2."""
     m = n * (n - 1) ** (k - 1)
@@ -265,39 +255,3 @@ def state_table(t: SchurmannTriple, time: float, words) -> dict[Word, complex]:
     words use, in one _expm_action call; L_B as in conv_exp.
     """
     return {w: val for w, (val, _) in _evaluate(t, time, words).items()}
-
-
-# --- degree <= 2 Haar data ----------------------------------------------------
-
-
-def haar_gram_degree2(n: int) -> np.ndarray:
-    """Gram matrix h(e_a* e_b) on the basis [1, p_11, p_12, ..., p_nn].
-
-    Degree <= 2 Haar values: h(1) = 1, h(p_ij) = 1/n, h(p_ij p_kl) = 1/n if
-    (i,j) = (k,l), 0 if exactly one index pair matches, 1/(n(n-1)) if both
-    differ.  Basis element 1 + (i-1) n + (j-1) is p_ij.
-    """
-    if n < 2:
-        raise ValidationError("need n >= 2")
-    differ = 1.0 - np.eye(n)
-    G = np.empty((1 + n * n, 1 + n * n))
-    G[1:, 1:] = np.kron(differ, differ) / (n * (n - 1))  # 0 unless both index pairs differ
-    np.fill_diagonal(G, 1.0 / n)
-    G[0, 1:] = G[1:, 0] = 1.0 / n
-    G[0, 0] = 1.0
-    return G
-
-
-def markov_operator_degree1(t: SchurmannTriple) -> np.ndarray:
-    """Matrix of x -> (id (x) L) Delta(x) on span{1, p_ij}: T(p_ij) = sum_a p_ia A_aj."""
-    n = t.n
-    M = np.zeros((1 + n * n, 1 + n * n))
-    M[1:, 1:] = np.kron(np.eye(n), generator_matrix(t))  # p_ia row, p_ij column: A_aj
-    return M
-
-
-def markov_symmetry_check(t: SchurmannTriple, tol: float = DEFAULT_CONFIG.tol) -> bool:
-    """Self-adjointness of the Markov generator w.r.t. the degree <= 2 Haar Gram."""
-    G = haar_gram_degree2(t.n)
-    M = markov_operator_degree1(t)
-    return float(np.max(np.abs(M.T @ G - G @ M))) <= _bound(t, tol)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import operator
 from types import MappingProxyType
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -46,7 +46,7 @@ class Word:
     checks nothing: it needs letters already a tuple of (int, int) tuples in
     1..n and n an int >= 1, and only code of this package that derives them
     from valid Words of the same n may call it (products, reduction, the
-    antipode and adjoint, coproduct legs, enumeration and the relations).
+    antipode and adjoint, and the relations).
     """
 
     __slots__ = ("letters", "n", "_hash")
@@ -273,19 +273,6 @@ def coproduct_terms(w: Word, legs: int) -> dict:
     return _kernel.expand_legs(w.letters, w.n, legs)
 
 
-def coproduct_expand(w: Word, legs: int) -> Iterator[tuple[tuple[Word, ...], int]]:
-    """Yield (tuple of leg words, multiplicity) for the (legs-1)-fold coproduct of w.
-
-    Every index chain i -> k_1 -> ... -> k_{legs-1} -> j per letter p_ij
-    contributes one raw term; legs are reduced eagerly and zero branches are
-    dropped, so multiplicities count the surviving raw chains.
-    """
-    table = coproduct_terms(w, legs)
-    n = w.n
-    for key, mult in table.items():
-        yield tuple(Word._of(letters, n) for letters in key), mult
-
-
 def defining_relations(n: int) -> list[LinComb]:
     """The relations of Pol(S_n+) as elements that must map to zero.
 
@@ -381,15 +368,7 @@ def _random_word_array(rng, n: int, count: int, length: int) -> np.ndarray:
     return np.array(letters, dtype=np.int64).reshape(length, 2, count).transpose(2, 0, 1).copy()
 
 
-def reduced_words(n: int, max_len: int, min_len: int = 1) -> list[Word]:
-    """All reduced words with min_len <= length <= max_len."""
-    out = []
-    for ln in range(min_len, max_len + 1):
-        out.extend(Word._of(tuple(map(tuple, ls)), n) for ls in reduced_word_array(n, ln).tolist())
-    return out
-
-
-# --- text and JSON wire formats ---------------------------------------------
+# --- text wire format -------------------------------------------------------
 
 
 def format_word(w: Word) -> str:
@@ -427,25 +406,3 @@ def format_lincomb(x: LinComb) -> str:
         c = x._terms[w]
         parts.append(f"({c.real:.12g}{c.imag:+.12g}j)*{format_word(w)}")
     return " + ".join(parts)
-
-
-def lincomb_to_json(x: LinComb) -> list:
-    """JSON form: list of {"coeff": [re, im], "word": [[i, j], ...]}."""
-    out = []
-    for w in sorted(x._terms, key=lambda w: (len(w), w.letters)):
-        c = complex(x._terms[w])
-        out.append({"coeff": [c.real, c.imag], "word": [[i, j] for i, j in w.letters]})
-    return out
-
-
-def lincomb_from_json(obj, n: int) -> LinComb:
-    terms = {}
-    for entry in obj:
-        try:
-            re, im = entry["coeff"]
-            letters = tuple((int(i), int(j)) for i, j in entry["word"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValidationError(f"malformed LinComb entry {entry!r}") from exc
-        w = Word(letters, n)
-        terms[w] = terms.get(w, 0j) + complex(re, im)
-    return LinComb(terms, n)

@@ -2,7 +2,7 @@
 
 import math
 import time
-from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -12,14 +12,11 @@ from qperm.central import (
     AdInvariantSpec,
     DiscreteMeasure,
     _ad_invariant_values,
-    ad_h_coefficient,
+    _chebyshev_pass,
     ad_invariant_value,
     character_polynomial,
-    character_product,
     chebyshev_u,
-    chebyshev_u_with_prime,
     dims,
-    fusion_decompose,
     hunt_apply_polynomial,
 )
 from qperm.errors import ValidationError
@@ -43,10 +40,11 @@ class TestChebyshev:
         assert abs(chebyshev_u(4, 2 * math.cos(math.pi / 5))) < 1e-12
 
     def test_derivative_matches_finite_difference(self):
+        # _ad_invariant_values reads U_s' off the same pass
         h = 1e-6
         for s in (1, 3, 6):
             for x in (1.7, 2.3):
-                u, du = chebyshev_u_with_prime(s, x)
+                u, du = next(islice(_chebyshev_pass(x), s, None))
                 assert abs(u - chebyshev_u(s, x)) < 1e-12
                 fd = (chebyshev_u(s, x + h) - chebyshev_u(s, x - h)) / (2 * h)
                 assert abs(du - fd) < 1e-5
@@ -87,7 +85,6 @@ class TestDims:
         # a fresh U_{2s} per level made dims O(s_max^2) and `qperm central` O(s_max^3)
         want = dims(4, 1000).dims
         monkeypatch.setattr("qperm.central.chebyshev_u", None)
-        monkeypatch.setattr("qperm.central.chebyshev_u_with_prime", None)
         assert dims(4, 1000).dims == want == tuple(range(1, 2002, 2))
 
     def test_cli_cost_grows_slower_than_cubic(self, capsys):
@@ -110,23 +107,13 @@ class TestDims:
 
 
 class TestFusion:
-    def test_rules(self):
-        assert fusion_decompose(1, 1) == [0, 1, 2]
-        assert fusion_decompose(0, 5) == [5]
-        assert fusion_decompose(2, 3) == [1, 2, 3, 4, 5]
-
     def test_dimension_bookkeeping(self):
+        # v^(r) (x) v^(s) is the sum of v^(t) for t = |r-s| .. r+s, each once
         data = dims(5, 8)
         for r in range(5):
             for s in range(5):
-                total = sum(data.dims[t] for t in fusion_decompose(r, s))
+                total = sum(data.dims[t] for t in range(abs(r - s), r + s + 1))
                 assert total == data.dims[r] * data.dims[s]
-
-    def test_character_product(self):
-        assert character_product(1) == {0: 1, 1: 1, 2: 1}
-        assert character_product(4) == {3: 1, 4: 1, 5: 1}
-        with pytest.raises(ValidationError):
-            character_product(0)
 
 
 class TestCharacterPolynomials:
@@ -233,7 +220,7 @@ class TestAdInvariant:
         root = math.sqrt(5)
         want = []
         for s in range(60):
-            u_n, du_n = chebyshev_u_with_prime(2 * s, root)
+            u_n, du_n = next(islice(_chebyshev_pass(root), 2 * s, None))
             total = -0.7 * du_n / (2.0 * root)
             for x, w in spec.nu.atoms:
                 total += w * (chebyshev_u(2 * s, math.sqrt(x)) - u_n) / (5 - x)
@@ -247,6 +234,13 @@ class TestAdInvariant:
         with pytest.raises(ValidationError):
             ad_invariant_value(spec, 1, 4, 4)  # d_1 = 3
 
+    @pytest.mark.parametrize("s, j, k, message", [(-1, 1, 1, "s must be >= 0"),
+                                                  (1, 4, 1, "indices must lie in 1..3"),
+                                                  (2, 1, 0, "indices must lie in 1..5")])
+    def test_level_and_index_messages(self, s, j, k, message):
+        with pytest.raises(ValidationError, match=message):
+            ad_invariant_value(AdInvariantSpec(4, 1.0), s, j, k)
+
     def test_hunt_positivity_on_vanishing_squares(self, rng):
         # f = |g|^2 with g(n) = 0 gives L f >= 0
         n = 6
@@ -259,25 +253,3 @@ class TestAdInvariant:
             gbar = Polynomial(g.coef.conjugate())
             f = Polynomial((g * gbar).coef.real)
             assert hunt_apply_polynomial(spec, f) >= -1e-9
-
-
-class TestHCoefficient:
-    @pytest.mark.parametrize("s, j, k, message", [(-1, 1, 1, "s must be >= 0"),
-                                                  (1, 4, 1, "indices must lie in 1..3"),
-                                                  (2, 1, 0, "indices must lie in 1..5")])
-    def test_checks_match_ad_invariant_value(self, s, j, k, message):
-        with pytest.raises(ValidationError, match=message):
-            ad_h_coefficient(s, j, k, 4)
-        with pytest.raises(ValidationError, match=message):
-            ad_invariant_value(AdInvariantSpec(4, 1.0), s, j, k)
-
-    def test_diagonal_value(self):
-        assert ad_h_coefficient(1, 1, 1, 4) == Fraction(1, 3)
-        assert ad_h_coefficient(2, 2, 2, 4) == Fraction(1, 5)
-
-    def test_off_diagonal_zero(self):
-        assert ad_h_coefficient(1, 1, 2, 4) == Fraction(0, 1)
-
-    def test_exactness(self):
-        # exact rationals, no float round-off
-        assert ad_h_coefficient(3, 1, 1, 4) * 7 == 1

@@ -165,6 +165,22 @@ class TestSigmaInput:
                                   "over the term budget 5\n")
 
 
+class TestDeeplyNestedJson:
+    """json.load recurses once per level: a 5,000-deep array must not end in a traceback."""
+
+    @pytest.mark.parametrize("command,option", [("cohomology", "--magic"),
+                                                ("cohomology", "--hadamard"),
+                                                ("verify", "--triple")])
+    def test_is_a_one_line_error(self, tmp_path, command, option):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 5000 + "]" * 5000)
+        # a fresh process, so a traceback would show on stderr
+        proc = subprocess.run([sys.executable, "-m", "qperm.cli", command, option, str(path)],
+                              capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == f"qperm: error: {path} nests its JSON too deeply to read\n"
+
+
 def _address_space_cap():
     # a guard that failed would start a 75 GB or 650 MB allocation; cap the child at 3 GB
     import resource
@@ -307,6 +323,20 @@ class TestVerify:
         assert (code, out) == (1, "")
         assert err.startswith("qperm: error: not a magic unitary within tol=1e-09: ")
         assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_triple_file_is_loaded_at_the_run_tolerance(self, capsys, tmp_path, rng):
+        # blocks off by about 1e-7 pass validate at 1e-5, and so must the load of the triple
+        rep = from_hadamard(fourier(3))
+        xs = qperm.random_cocycle(rep, rng)
+        near = MagicUnitary(rep.blocks + 1e-7 * rng.normal(size=rep.blocks.shape))
+        assert qperm.validate(near, 1e-5).ok and not qperm.validate(near).ok
+        path = triple_file(tmp_path, near, xs)
+        code, out, err = run(capsys, "verify", "--triple", path, "--tol", "1e-5")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["violations"]["representation"] <= 1e-5
+        code, out, err = run(capsys, "verify", "--triple", path)
+        assert (code, out) == (1, "")
+        assert err.startswith("qperm: error: not a magic unitary within tol=1e-09: ")
 
     def test_sigma_without_rates_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:

@@ -10,12 +10,10 @@ from qperm.magic import (
     MagicUnitary,
     TwoBlockSpec,
     apply,
-    dephase,
     f4_phi,
     fourier,
     from_hadamard,
     from_permutation,
-    require_hadamard,
     require_valid,
     two_block,
     validate,
@@ -66,7 +64,7 @@ class TestConstructions:
 
     def test_fourier_is_hadamard(self):
         for n in range(1, 8):
-            require_hadamard(fourier(n))
+            from_hadamard(fourier(n))
 
     def test_f4_at_zero_matches_fourier(self):
         assert np.allclose(f4_phi(0.0).H, fourier(4).H, atol=1e-12)
@@ -79,16 +77,16 @@ class TestConstructions:
         assert np.allclose(H[1], [1, z, -1, -z])
         assert np.allclose(H[2], [1, -1, 1, -1])
         assert np.allclose(H[3], [1, -z, -1, z])
-        require_hadamard(f4_phi(phi))
+        from_hadamard(f4_phi(phi))
 
     def test_f4_phi_range(self):
         for phi in (-0.1, np.pi, 4.0):
             with pytest.raises(ValidationError):
                 f4_phi(phi)
 
-    def test_require_hadamard_rejects_non_unimodular(self):
-        with pytest.raises(ValidationError):
-            require_hadamard(HadamardMatrix(np.eye(3, dtype=complex)))
+    def test_from_hadamard_rejects_non_unimodular(self):
+        with pytest.raises(ValidationError, match="not a complex Hadamard matrix"):
+            from_hadamard(HadamardMatrix(np.eye(3, dtype=complex)))
 
     def test_from_hadamard_is_magic(self):
         for n in (2, 3, 4, 5):
@@ -211,26 +209,14 @@ class TestFiniteEntries:
 
 
 class TestDephase:
-    def test_first_row_and_column_are_ones(self, rng):
-        Hm = f4_phi(1.3)
-        # scramble by random unimodular diagonals first
-        d1 = np.exp(2j * np.pi * rng.random(4))
-        d2 = np.exp(2j * np.pi * rng.random(4))
-        scrambled = HadamardMatrix(d1[:, None] * Hm.H * d2[None, :])
-        out, e1, e2 = dephase(scrambled)
-        assert np.allclose(out.H[0], 1.0, atol=1e-12)
-        assert np.allclose(out.H[:, 0], 1.0, atol=1e-12)
-        assert np.allclose(np.diag(e1) @ scrambled.H @ np.diag(e2), out.H, atol=1e-12)
-
     def test_projections_invariant_under_dephasing(self, rng):
-        # the block construction only sees row ratios, which dephasing rescales
+        # the block construction only sees row ratios, which unimodular diagonals rescale
         Hm = fourier(4)
         d1 = np.exp(2j * np.pi * rng.random(4))
         d2 = np.exp(2j * np.pi * rng.random(4))
         scrambled = HadamardMatrix(d1[:, None] * Hm.H * d2[None, :])
-        out, _, _ = dephase(scrambled)
         A = from_hadamard(scrambled)
-        B = from_hadamard(out)
+        B = from_hadamard(Hm)
         assert np.allclose(A.blocks, B.blocks, atol=1e-10)
 
 

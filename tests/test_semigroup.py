@@ -29,19 +29,18 @@ from qperm.schurmann import (
     two_block_triple,
 )
 from qperm.selftest import _series_oracle, random_reduced_word
-from qperm.semigroup import (
-    conv_exp,
+from qperm.semigroup import conv_exp, fundamental_semigroup, generator_matrix, state_table
+from qperm.semigroup import _UNIT_ROUNDOFF, _block_L, _block_record, _expm_action
+from qperm.words import LinComb, Word, _index_sequences, _sequence_pairs, counit, parse_word
+from qperm.words import unit_word
+
+from reference import (
     convolve,
-    fundamental_semigroup,
-    generator_matrix,
     haar_gram_degree2,
     markov_operator_degree1,
     markov_symmetry_check,
-    state_table,
+    reduced_words,
 )
-from qperm.semigroup import _UNIT_ROUNDOFF, _block_L, _block_record, _expm_action
-from qperm.words import LinComb, Word, _index_sequences, _sequence_pairs, counit, parse_word
-from qperm.words import reduced_words, unit_word
 
 
 def cycle_triple(n, lam=1.0):
