@@ -2,6 +2,7 @@
 
 import math
 import time
+from fractions import Fraction
 from itertools import islice
 
 import numpy as np
@@ -114,6 +115,22 @@ class TestFusion:
             for s in range(5):
                 total = sum(data.dims[t] for t in range(abs(r - s), r + s + 1))
                 assert total == data.dims[r] * data.dims[s]
+
+    def test_rules(self):
+        # chi_r chi_s = sum of chi_t for t = |r-s| .. r+s, as exact polynomials
+        for r in range(5):
+            for s in range(5):
+                want = sum((character_polynomial(t) for t in range(abs(r - s), r + s + 1)),
+                           Polynomial([0.0]))
+                got = character_polynomial(r) * character_polynomial(s)
+                assert np.array_equal(got.coef, want.coef), (r, s)
+
+    def test_character_product(self):
+        chi = character_polynomial
+        assert np.array_equal((chi(1) * chi(1)).coef, (chi(2) + chi(1) + chi(0)).coef)
+        assert np.array_equal((chi(1) * chi(4)).coef, (chi(5) + chi(4) + chi(3)).coef)
+        # the three-term rule needs s >= 1: chi_1 chi_0 is chi_1 alone
+        assert np.array_equal((chi(1) * chi(0)).coef, chi(1).coef)
 
 
 class TestCharacterPolynomials:
@@ -253,3 +270,33 @@ class TestAdInvariant:
             gbar = Polynomial(g.coef.conjugate())
             f = Polynomial((g * gbar).coef.real)
             assert hunt_apply_polynomial(spec, f) >= -1e-9
+
+
+class TestHCoefficient:
+    """ad_h(u^(s)_jk) = (delta_jk / d_s) chi_s, as ad_invariant_value applies it."""
+
+    def test_diagonal_value(self):
+        # the same value at every diagonal index: the Hunt value of chi_s over d_s
+        spec = AdInvariantSpec(4, 0.3, DiscreteMeasure([(1.0, 2.0)]))
+        for s, d_s in ((1, 3), (2, 5)):
+            values = {ad_invariant_value(spec, s, j, j) for j in range(1, d_s + 1)}
+            assert len(values) == 1
+            want = hunt_apply_polynomial(spec, character_polynomial(s)) / d_s
+            assert abs(values.pop() - want) < 1e-12 * (1.0 + abs(want))
+
+    def test_off_diagonal_zero(self):
+        spec = AdInvariantSpec(4, 0.3, DiscreteMeasure([(1.0, 2.0)]))
+        assert ad_invariant_value(spec, 1, 1, 1) != 0.0
+        for j in range(1, 4):
+            for k in range(1, 4):
+                if j != k:
+                    assert ad_invariant_value(spec, 1, j, k) == 0.0
+
+    def test_exactness(self):
+        # one atom at 0, no drift: w (chi_s(0) - d_s) / (n d_s) with chi_s(0) = (-1)^s
+        spec = AdInvariantSpec(4, 0.0, DiscreteMeasure([(0.0, 1.0)]))
+        for s in range(11):
+            d_s = dims(4, s).dims[s]
+            want = Fraction((-1) ** s - d_s, 4 * d_s)
+            assert abs(ad_invariant_value(spec, s, 1, 1) - float(want)) < 1e-12
+        assert ad_invariant_value(spec, 3, 7, 7) == ad_invariant_value(spec, 3, 1, 1)  # d_3 = 7

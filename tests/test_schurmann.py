@@ -53,6 +53,7 @@ from qperm.words import (
     LinComb,
     Word,
     adjoint,
+    antipode,
     counit,
     defining_relations,
     parse_word,
@@ -451,6 +452,16 @@ class TestSymmetry:
     def test_fourier_criterion_rejects_non_cocycle(self):
         with pytest.raises(ValidationError):
             fourier_symmetry(3, np.ones((3, 3)))
+
+    def test_symmetrize_is_symmetric(self, rng):
+        # (L + L o S) / 2 is S-invariant because S is an involution on words
+        t = fourier_triple(4, rng)
+
+        def ev(x):
+            return 0.5 * (gen_functional(t, x) + gen_functional(t, antipode(x)))
+
+        for w in reduced_words(4, 2)[:50]:
+            assert abs(ev(w) - ev(antipode(w))) < 1e-10
 
 
 class TestTracial:
